@@ -20,7 +20,6 @@ from . import (decoder, initialization, pipeline, scene as scene_mod,
                synthworld, training)
 from .containers import FormatError
 from .diffcore import NumericError
-from .geometry import Point3D
 from .scene import VoxelId
 
 
@@ -66,24 +65,28 @@ class ConfigError(ValueError):
     pass
 
 
-def _coerce(raw: str, typ, key: str):
-    if typ is bool or typ == "bool":
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if typ is int or typ == "int":
-        return int(raw)
-    if typ is float or typ == "float":
-        return float(raw)
-    if typ is str or typ == "str":
-        return raw
-    # the only structured field is the extent triple
-    if "tuple" in str(typ):
-        parts = [float(x) for x in raw.split(",")]
-        return tuple(parts)
-    raise ConfigError(f"{key}: unsupported config field type {typ}")
+_BOOLS = {"true": True, "1": True, "yes": True,
+          "false": False, "0": False, "no": False}
+
+# keyed by the annotation string: the config modules use postponed
+# annotations (`from __future__ import annotations`)
+_PARSERS = {
+    "bool": lambda raw: _BOOLS[raw.lower()],
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[float, float, float]":
+        lambda raw: tuple(float(x) for x in raw.split(",")),
+}
+
+
+def _coerce(raw: str, typ: str, key: str):
+    if typ not in _PARSERS:
+        raise ConfigError(f"{key}: unsupported config field type {typ}")
+    try:
+        return _PARSERS[typ](raw)
+    except (KeyError, ValueError) as err:
+        raise ConfigError(f"{key}: cannot parse {raw!r} as {typ}") from err
 
 
 def load_config(path: str | None) -> dict[str, object]:
@@ -170,6 +173,9 @@ def cmd_gen(args):
 
 def cmd_train(args):
     cfg = load_config(args.config)
+    if cfg["train"].epochs_stage1 == cfg["train"].epochs_stage2 == 0:
+        raise ConfigError("train.epochs_stage1 and train.epochs_stage2 are 0: "
+                          "train would run no epochs")
     ds = synthworld.load_dataset(args.dataset)
     built = _build_scene(ds, cfg)
     params = _init_params(cfg)
@@ -199,6 +205,9 @@ def cmd_prune(args):
 
 def cmd_finetune(args):
     cfg = load_config(args.config)
+    if cfg["train"].epochs_stage2 == 0:
+        raise ConfigError("train.epochs_stage2 is 0: finetune would run no "
+                          "epochs")
     ds = synthworld.load_dataset(args.dataset)
     loaded = scene_mod.load_scene(args.scene)
     params = decoder.load_params(args.weights)
@@ -215,6 +224,9 @@ def cmd_finetune(args):
 
 def cmd_adapt(args):
     cfg = load_config(args.config)
+    if cfg["train"].epochs_stage1 == 0:
+        raise ConfigError("train.epochs_stage1 is 0: adapt would run no "
+                          "epochs")
     ds = synthworld.load_dataset(args.dataset)
     params = decoder.load_params(args.weights)
     built = _build_scene(ds, cfg)

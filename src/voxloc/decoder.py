@@ -14,8 +14,8 @@ import numpy as np
 
 from . import diffcore as dc
 from .containers import FormatError, Reader, Writer
-from .diffcore import DTensor, MLP, Tape
-from .scene import CodeBank, VoxelId
+from .diffcore import DTensor, MLP
+from .scene import CodeBank
 
 WEIGHTS_MAGIC = b"NMWT"
 WEIGHTS_FORMAT_VERSION = 1
@@ -70,20 +70,16 @@ class DecoderParams:
         for t in range(num_blocks):
             blocks.append(BlockParams(
                 wq=DTensor(rng.uniform(-bound, bound, (d, d)),
-                           requires_grad=True, name=f"block.{t}.wq"),
+                           name=f"block.{t}.wq"),
                 wk=DTensor(rng.uniform(-bound, bound, (d, d)),
-                           requires_grad=True, name=f"block.{t}.wk"),
+                           name=f"block.{t}.wk"),
                 wv=DTensor(rng.uniform(-bound, bound, (d, d)),
-                           requires_grad=True, name=f"block.{t}.wv"),
+                           name=f"block.{t}.wv"),
                 mlp=MLP.init([d, block_hidden, d], rng, prefix=f"block.{t}.mlp"),
-                ln1_gain=DTensor(np.ones((1, d)), requires_grad=True,
-                                 name=f"block.{t}.ln1.gain"),
-                ln1_bias=DTensor(np.zeros((1, d)), requires_grad=True,
-                                 name=f"block.{t}.ln1.bias"),
-                ln2_gain=DTensor(np.ones((1, d)), requires_grad=True,
-                                 name=f"block.{t}.ln2.gain"),
-                ln2_bias=DTensor(np.zeros((1, d)), requires_grad=True,
-                                 name=f"block.{t}.ln2.bias"),
+                ln1_gain=DTensor(np.ones((1, d)), name=f"block.{t}.ln1.gain"),
+                ln1_bias=DTensor(np.zeros((1, d)), name=f"block.{t}.ln1.bias"),
+                ln2_gain=DTensor(np.ones((1, d)), name=f"block.{t}.ln2.gain"),
+                ln2_bias=DTensor(np.zeros((1, d)), name=f"block.{t}.ln2.bias"),
             ))
         head = MLP.init([d, head_hidden, 4], rng, prefix="head")
         return cls(encoder, blocks, head, d_raw, d,
@@ -123,6 +119,23 @@ def _canonical_order(bank: CodeBank, t: int, idx: np.ndarray) -> np.ndarray:
     return idx[np.lexsort(rows.T[::-1])]
 
 
+def _attention(tape, f: DTensor, bank: CodeBank, t: int,
+               params: DecoderParams, idx: np.ndarray):
+    """Softmax attention of features f over the block-t codes idx.
+
+    idx must already be in canonical order. Returns the (M, K) attention
+    matrix and the (K, D) scaled codes it attends over.
+    """
+    blk = params.blocks[t]
+    codes = dc.take_rows(tape, bank.codes[t], idx)
+    w = dc.take_rows(tape, bank.scales[t], idx)
+    scaled = dc.mul(tape, codes, w)
+    q = dc.matmul(tape, f, blk.wq)
+    k = dc.matmul(tape, scaled, blk.wk)
+    logits = dc.scale(tape, dc.matmul_nt(tape, q, k), 1.0 / np.sqrt(params.d))
+    return dc.softmax_rows(tape, logits), scaled
+
+
 def cross_attention_block(tape, f: DTensor, bank: CodeBank, t: int,
                           params: DecoderParams,
                           stats: DecodeStats | None = None) -> DTensor:
@@ -137,16 +150,9 @@ def cross_attention_block(tape, f: DTensor, bank: CodeBank, t: int,
         if stats is not None:
             stats.skipped_blocks.append(t)
         return f
-    idx = _canonical_order(bank, t, idx)
-    codes = dc.take_rows(tape, bank.codes[t], idx)
-    w = dc.take_rows(tape, bank.scales[t], idx)
-    scaled = dc.mul(tape, codes, w)
-    q = dc.matmul(tape, f, blk.wq)
-    k = dc.matmul(tape, scaled, blk.wk)
-    v = dc.matmul(tape, scaled, blk.wv)
-    logits = dc.scale(tape, dc.matmul_nt(tape, q, k), 1.0 / np.sqrt(params.d))
-    attn = dc.softmax_rows(tape, logits)
-    attended = dc.attn_matmul(tape, attn, v)
+    attn, scaled = _attention(tape, f, bank, t, params,
+                              _canonical_order(bank, t, idx))
+    attended = dc.matmul(tape, attn, dc.matmul(tape, scaled, blk.wv))
     f1 = dc.layer_norm(tape, dc.add(tape, f, attended),
                        blk.ln1_gain, blk.ln1_bias)
     f2 = dc.layer_norm(tape, dc.add(tape, f1, blk.mlp.forward(tape, f1)),
@@ -164,16 +170,6 @@ class DecodeResult:
 
     def world(self) -> np.ndarray:
         return self.local.values + self.origin
-
-
-@dataclass
-class Prediction:
-    local_coord: np.ndarray
-    confidence: float
-    voxel: VoxelId
-
-    def world(self, origin: np.ndarray) -> np.ndarray:
-        return self.local_coord + origin
 
 
 def decode(tape, params: DecoderParams, features: DTensor, bank: CodeBank,
@@ -203,23 +199,18 @@ def attention_scores(params: DecoderParams, features: DTensor,
     batch; s_norm maps [min, max] over the batch to [0, 1], with an all-zero
     result when the batch scores are constant.
     """
+    if not 0 <= block < params.num_blocks:
+        raise ValueError(f"block {block} out of range "
+                         f"[0, {params.num_blocks})")
     idx = bank.active_rows(block)
     if code not in idx:
         raise ValueError(f"code {code} in block {block} is pruned or inactive")
     idx = _canonical_order(bank, block, idx)
     pos = np.flatnonzero(idx == code)
-    tape = None
-    blk = params.blocks[block]
     f = features
     for t in range(block):
-        f = cross_attention_block(tape, f, bank, t, params)
-    codes = dc.take_rows(tape, bank.codes[block], idx)
-    w = dc.take_rows(tape, bank.scales[block], idx)
-    scaled = dc.mul(tape, codes, w)
-    q = dc.matmul(tape, f, blk.wq)
-    k = dc.matmul(tape, scaled, blk.wk)
-    logits = dc.scale(tape, dc.matmul_nt(tape, q, k), 1.0 / np.sqrt(params.d))
-    attn = dc.softmax_rows(tape, logits)
+        f = cross_attention_block(None, f, bank, t, params)
+    attn, _ = _attention(None, f, bank, block, params, idx)
     s = attn.values[:, pos[0]].copy()
     lo, hi = s.min(), s.max()
     if hi - lo == 0.0:

@@ -29,13 +29,12 @@ def _check_finite(values: np.ndarray, where: str) -> None:
 class DTensor:
     """Dense float64 array with a same-shape gradient buffer."""
 
-    __slots__ = ("values", "grad", "requires_grad", "name")
+    __slots__ = ("values", "grad", "name")
 
-    def __init__(self, values, requires_grad: bool = False, name: str = ""):
+    def __init__(self, values, name: str = ""):
         self.values = np.array(values, dtype=np.float64)
         _check_finite(self.values, name or "DTensor")
         self.grad = np.zeros_like(self.values)
-        self.requires_grad = requires_grad
         self.name = name
 
     @property
@@ -84,15 +83,11 @@ class Tape:
                 if key in adjoint:
                     adjoint[key] = adjoint[key] + contrib
                 else:
-                    adjoint[key] = contrib.copy()
+                    adjoint[key] = contrib
                     touched[key] = inp
         for key, t in touched.items():
             _check_finite(adjoint[key], f"gradient of {t.name or 'tensor'}")
             t.grad += adjoint[key]
-
-
-def backward(tape: Tape, loss: DTensor) -> None:
-    tape.backward(loss)
 
 
 def _rec(tape: Tape | None, out: DTensor, pulls) -> DTensor:
@@ -215,21 +210,6 @@ def softmax_rows(tape, logits: DTensor) -> DTensor:
     return _rec(tape, out, [(logits, pull)])
 
 
-def attn_matmul(tape, attn: DTensor, v: DTensor) -> DTensor:
-    """attn @ v, the attention-weighted sum over the code axis.
-
-    Callers canonicalize code order first, which is what makes decode
-    outputs bit-identical under code permutations.
-    """
-    if attn.shape[1] != v.shape[0]:
-        raise DimensionError(f"attn_matmul shape mismatch: {attn.shape} x {v.shape}")
-    out = DTensor(attn.values @ v.values)
-    return _rec(tape, out, [
-        (attn, lambda g, vv=v.values: g @ vv.T),
-        (v, lambda g, av=attn.values: av.T @ g),
-    ])
-
-
 def layer_norm(tape, x: DTensor, gain: DTensor, bias: DTensor,
                eps: float = 1e-6) -> DTensor:
     d = x.shape[-1]
@@ -303,7 +283,7 @@ def mean_all(tape, a: DTensor) -> DTensor:
 
 
 def constant(values) -> DTensor:
-    return DTensor(values, requires_grad=False)
+    return DTensor(values)
 
 
 class MLP:
@@ -325,9 +305,8 @@ class MLP:
         for i, (fi, fo) in enumerate(zip(widths[:-1], widths[1:])):
             bound = np.sqrt(6.0 / (fi + fo))
             w = DTensor(rng.uniform(-bound, bound, size=(fi, fo)),
-                        requires_grad=True, name=f"{prefix}.{i}.W")
-            b = DTensor(np.zeros((1, fo)), requires_grad=True,
-                        name=f"{prefix}.{i}.b")
+                        name=f"{prefix}.{i}.W")
+            b = DTensor(np.zeros((1, fo)), name=f"{prefix}.{i}.b")
             weights.append(w)
             biases.append(b)
         return cls(weights, biases)
@@ -347,10 +326,6 @@ class MLP:
 
     def parameters(self) -> list[DTensor]:
         return list(self.weights) + list(self.biases)
-
-
-def mlp_forward(tape, x: DTensor, mlp: MLP) -> DTensor:
-    return mlp.forward(tape, x)
 
 
 class Optimizer:

@@ -54,10 +54,9 @@ class CodeBank:
         if t < 1 or n < 1 or d < 2:
             raise ValueError(f"bad code bank dims T={t}, N={n}, D={d}")
         codes = [DTensor(rng.normal(0.0, 0.02, size=(n, d)),
-                         requires_grad=True, name=f"{prefix}.codes.{i}")
+                         name=f"{prefix}.codes.{i}")
                  for i in range(t)]
-        scales = [DTensor(np.ones((n, 1)), requires_grad=True,
-                          name=f"{prefix}.scales.{i}")
+        scales = [DTensor(np.ones((n, 1)), name=f"{prefix}.scales.{i}")
                   for i in range(t)]
         return cls(codes, scales, np.zeros((t, n), dtype=bool))
 
@@ -147,15 +146,6 @@ def build_scene(points, side_length: float, dims: tuple[int, int, int],
     return SceneRepresentation(side_length, dims, voxels)
 
 
-def compute_origins(scene: SceneRepresentation,
-                    positions: dict[int, np.ndarray]) -> None:
-    """Reset each voxel origin to the arithmetic mean of member positions."""
-    for v in scene.voxels.values():
-        if len(v.members) == 0:
-            raise ValueError(f"voxel {v.id} has no members")
-        v.origin = np.mean([positions[m] for m in v.members], axis=0)
-
-
 def assign_coverage(scene: SceneRepresentation, dataset,
                     min_points: int = 20) -> None:
     """A view covers a voxel iff it observes >= min_points valid members."""
@@ -225,7 +215,7 @@ def prune(scene: SceneRepresentation, threshold: float,
     Pruned codes are excluded from all future attention and gradients.
     Destructive; save the scene first if the unpruned state matters.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError(f"prune threshold must be >= 0, got {threshold}")
     before = size_bytes(scene, scalar_width)
     rows = []
@@ -328,9 +318,8 @@ def scene_from_bytes(data: bytes) -> SceneRepresentation:
                 vals[keep] = r.f32_array(len(keep) * d,
                                          f"codes block {bt}").reshape(len(keep), d)
             pruned[bt] = mask
-            codes.append(DTensor(vals, requires_grad=True,
-                                 name=f"{prefix}.codes.{bt}"))
-            scales.append(DTensor(wvals[:, None], requires_grad=True,
+            codes.append(DTensor(vals, name=f"{prefix}.codes.{bt}"))
+            scales.append(DTensor(wvals[:, None],
                                   name=f"{prefix}.scales.{bt}"))
         voxels[vid] = Voxel(vid, origin, members,
                             CodeBank(codes, scales, pruned), views)

@@ -52,6 +52,11 @@ class TrainConfig:
             raise ValueError("loss weights must be >= 0")
         if self.batch_voxels < 1:
             raise ValueError("batch_voxels must be >= 1")
+        if min(self.epochs_stage1, self.epochs_stage2) < 0:
+            raise ValueError("epochs_stage1 and epochs_stage2 must be >= 0")
+        if not self.prune_threshold >= 0:
+            raise ValueError("prune_threshold must be >= 0, "
+                             f"got {self.prune_threshold}")
 
 
 @dataclass

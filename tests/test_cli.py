@@ -174,6 +174,25 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError):
             cli.load_config(str(cfg))
 
+    def test_every_key_round_trips_its_default(self, tmp_path):
+        defaults = cli.load_config(None)
+        lines = []
+        for key in cli.CONFIG_KEYS:
+            section, _, name = key.partition(".")
+            value = getattr(defaults[section], name)
+            if isinstance(value, tuple):
+                value = ", ".join(map(str, value))
+            lines.append(f"{key} = {value}")
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("\n".join(lines) + "\n")
+        assert cli.load_config(str(cfg)) == defaults
+
+
+def tiny_config_with(tmp_path, extra):
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(TINY_CONFIG + extra)
+    return str(cfg)
+
 
 class TestErrorExits:
     def test_usage_error_is_1(self):
@@ -201,3 +220,56 @@ class TestErrorExits:
                          "--view", "0", "--voxel", "zap",
                          "--block", "0", "--code", "0",
                          "--csv", str(d / "h.csv")]) == 2
+
+    def test_heatmap_block_out_of_range_is_2(self, workdir, capsys):
+        d, _ = workdir
+        vid = sorted(load_scene(d / "scene.bin").voxels)[0]
+        for block in ("2", "99", "-1"):
+            assert cli.main(["heatmap",
+                             "--dataset", str(d / "ds.bin"),
+                             "--scene", str(d / "scene.bin"),
+                             "--weights", str(d / "weights.bin"),
+                             "--view", "0",
+                             f"--voxel={vid.ix},{vid.iy},{vid.iz}",
+                             f"--block={block}", "--code", "0",
+                             "--csv", str(d / "h.csv")]) == 2
+            assert "out of range" in capsys.readouterr().err
+
+    def test_prune_nan_threshold_is_2(self, workdir):
+        d, _ = workdir
+        assert cli.main(["prune", "--scene", str(d / "scene.bin"),
+                         "--threshold", "nan",
+                         "--out-scene", str(d / "nan.bin")]) == 2
+        assert not (d / "nan.bin").exists()
+
+    def test_train_nan_prune_threshold_is_2(self, workdir, tmp_path, capsys):
+        d, _ = workdir
+        cfg = tiny_config_with(tmp_path, "train.prune_threshold = nan\n")
+        assert cli.main(["train", "--config", cfg,
+                         "--dataset", str(d / "ds.bin"),
+                         "--out-scene", str(tmp_path / "s.bin"),
+                         "--out-weights", str(tmp_path / "w.bin")]) == 2
+        assert "prune_threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, command, key", [
+        ("train.epochs_stage2 = -3", "finetune", "epochs_stage2"),
+        ("train.epochs_stage2 = 0", "finetune", "train.epochs_stage2"),
+        ("train.epochs_stage1 = 0", "adapt", "train.epochs_stage1"),
+        ("train.epochs_stage1 = 0\ntrain.epochs_stage2 = 0", "train",
+         "train.epochs_stage1"),
+    ])
+    def test_no_epochs_is_2(self, workdir, tmp_path, capsys, extra, command,
+                            key):
+        d, _ = workdir
+        cfg = tiny_config_with(tmp_path, extra + "\n")
+        argv = [command, "--config", cfg, "--dataset", str(d / "ds.bin"),
+                "--out-scene", str(tmp_path / "s.bin")]
+        if command == "finetune":
+            argv += ["--scene", str(d / "scene.bin")]
+        if command != "train":
+            argv += ["--weights", str(d / "weights.bin")]
+        if command != "adapt":
+            argv += ["--out-weights", str(tmp_path / "w.bin")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert key in err and len(err.strip().splitlines()) == 1

@@ -187,6 +187,22 @@ class TestAttentionScores:
         assert abs(s_norm.min()) == 0.0 and s_norm.max() == 1.0
         # scores are probabilities from a softmax row: all in (0, 1)
         assert np.all((s > 0) & (s < 1))
+        blk = params.blocks[0]
+        rows = bank.active_rows(0)
+        keys = (bank.codes[0].values[rows] * bank.scales[0].values[rows]) \
+            @ blk.wk.values
+        logits = (feats.values @ blk.wq.values) @ keys.T / np.sqrt(D)
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(s, p[:, list(rows).index(2)], rtol=1e-12)
+
+    def test_block_out_of_range_rejected(self):
+        params = make_params()
+        bank = make_bank()
+        feats = encode_feature(None, params, dc.constant(np.zeros((2, DRAW))))
+        for block in (-1, T, 99):
+            with pytest.raises(ValueError, match="out of range"):
+                attention_scores(params, feats, bank, block=block, code=0)
 
     def test_pruned_code_rejected(self):
         params = make_params()

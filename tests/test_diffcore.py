@@ -36,7 +36,7 @@ def check_op(build, shapes, seed=0, tol=1e-6, positive=False):
     arrays = [rng.normal(size=s) for s in shapes]
     if positive:
         arrays = [np.abs(a) + 0.5 for a in arrays]
-    tensors = [DTensor(a.copy(), requires_grad=True, name=f"x{i}")
+    tensors = [DTensor(a.copy(), name=f"x{i}")
                for i, a in enumerate(arrays)]
     tape = Tape()
     out = build(tape, *tensors)
@@ -92,9 +92,6 @@ class TestPrimitiveGradients:
     def test_softmax_rows(self):
         check_op(dc.softmax_rows, [(3, 6)])
 
-    def test_attn_matmul(self):
-        check_op(dc.attn_matmul, [(3, 5), (5, 4)])
-
     def test_layer_norm(self):
         check_op(dc.layer_norm, [(3, 8), (1, 8), (1, 8)], tol=1e-5)
 
@@ -137,7 +134,7 @@ class TestForwardValues:
         np.testing.assert_allclose(out.std(axis=1), 1.0, atol=1e-3)
 
     def test_rows_l2norm_zero_row(self):
-        a = DTensor(np.array([[0.0, 0.0], [3.0, 4.0]]), requires_grad=True)
+        a = DTensor(np.array([[0.0, 0.0], [3.0, 4.0]]))
         tape = Tape()
         out = dc.rows_l2norm(tape, a)
         np.testing.assert_allclose(out.values, [[0.0], [5.0]])
@@ -156,7 +153,7 @@ class TestForwardValues:
 
 class TestTape:
     def test_double_backward_doubles_gradients(self):
-        a = DTensor(RNG(0).normal(size=(3, 3)), requires_grad=True)
+        a = DTensor(RNG(0).normal(size=(3, 3)))
         tape = Tape()
         loss = dc.sum_all(tape, dc.mul(tape, a, a))
         tape.backward(loss)
@@ -165,7 +162,7 @@ class TestTape:
         np.testing.assert_allclose(a.grad, 2.0 * once, rtol=0, atol=0)
 
     def test_backward_requires_scalar(self):
-        a = DTensor(np.ones((2, 2)), requires_grad=True)
+        a = DTensor(np.ones((2, 2)))
         tape = Tape()
         out = dc.scale(tape, a, 2.0)
         with pytest.raises(DimensionError):
@@ -177,7 +174,7 @@ class TestTape:
         assert np.all(t.grad == 0.0)
 
     def test_reused_tensor_accumulates(self):
-        a = DTensor(np.array([[2.0]]), requires_grad=True)
+        a = DTensor(np.array([[2.0]]))
         tape = Tape()
         out = dc.add(tape, dc.mul(tape, a, a), a)  # a^2 + a, d/da = 2a + 1
         tape.backward(dc.sum_all(tape, out))
@@ -201,7 +198,7 @@ class TestNumericGuards:
             dc.mul(None, a, a)
 
     def test_optimizer_rejects_nan_gradient(self):
-        p = DTensor(np.zeros(3), requires_grad=True, name="p")
+        p = DTensor(np.zeros(3), name="p")
         opt = Optimizer({"p": p}, lr=0.1)
         p.grad[1] = np.nan
         with pytest.raises(NumericError):
@@ -227,7 +224,7 @@ class TestOptimizer:
         rng = RNG(7)
         x0 = rng.normal(size=(4,))
         grads = [rng.normal(size=(4,)) for _ in range(5)]
-        p = DTensor(x0.copy(), requires_grad=True, name="p")
+        p = DTensor(x0.copy(), name="p")
         opt = Optimizer({"p": p}, lr=0.05)
         for g in grads:
             p.grad[...] = g
@@ -236,14 +233,14 @@ class TestOptimizer:
                                    rtol=0, atol=1e-14)
 
     def test_sgd_step(self):
-        p = DTensor(np.array([1.0, 2.0]), requires_grad=True, name="p")
+        p = DTensor(np.array([1.0, 2.0]), name="p")
         opt = Optimizer({"p": p}, lr=0.5, method="sgd")
         p.grad[...] = [2.0, -2.0]
         opt.step()
         np.testing.assert_allclose(p.values, [0.0, 3.0])
 
     def test_frozen_parameter_untouched(self):
-        p = DTensor(np.ones(3), requires_grad=True, name="p")
+        p = DTensor(np.ones(3), name="p")
         opt = Optimizer({"p": p}, lr=0.1)
         opt.freeze("p")
         p.grad[...] = 1.0
@@ -254,7 +251,7 @@ class TestOptimizer:
         assert np.all(p.grad == 0.0)  # grads still cleared
 
     def test_unfreeze_resumes(self):
-        p = DTensor(np.ones(1), requires_grad=True, name="p")
+        p = DTensor(np.ones(1), name="p")
         opt = Optimizer({"p": p}, lr=0.1)
         opt.freeze("p")
         opt.unfreeze("p")
@@ -263,8 +260,8 @@ class TestOptimizer:
         assert p.values[0] != 1.0
 
     def test_active_subset_keeps_per_param_step_counts(self):
-        a = DTensor(np.zeros(1), requires_grad=True, name="a")
-        b = DTensor(np.zeros(1), requires_grad=True, name="b")
+        a = DTensor(np.zeros(1), name="a")
+        b = DTensor(np.zeros(1), name="b")
         opt = Optimizer({"a": a, "b": b}, lr=0.1)
         a.grad[...] = 1.0
         b.grad[...] = 1.0
@@ -273,7 +270,7 @@ class TestOptimizer:
         assert b.values[0] == 0.0 and np.all(b.grad == 0.0)
 
     def test_reset_moment_rows(self):
-        p = DTensor(np.zeros((3, 2)), requires_grad=True, name="p")
+        p = DTensor(np.zeros((3, 2)), name="p")
         opt = Optimizer({"p": p}, lr=0.1)
         p.grad[...] = 1.0
         opt.step()
@@ -301,5 +298,3 @@ def test_dimension_errors():
         dc.matmul(None, a, b)
     with pytest.raises(DimensionError):
         dc.matmul_nt(None, a, b)
-    with pytest.raises(DimensionError):
-        dc.attn_matmul(None, a, b)
