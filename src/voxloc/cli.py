@@ -68,6 +68,14 @@ class ConfigError(ValueError):
 _BOOLS = {"true": True, "1": True, "yes": True,
           "false": False, "0": False, "no": False}
 
+
+def _triple(raw: str) -> tuple[float, float, float]:
+    parts = raw.split(",")
+    if len(parts) != 3:
+        raise ValueError(f"expected 3 values, got {len(parts)}")
+    return tuple(float(x) for x in parts)
+
+
 # keyed by the annotation string: the config modules use postponed
 # annotations (`from __future__ import annotations`)
 _PARSERS = {
@@ -75,8 +83,7 @@ _PARSERS = {
     "int": int,
     "float": float,
     "str": str,
-    "tuple[float, float, float]":
-        lambda raw: tuple(float(x) for x in raw.split(",")),
+    "tuple[float, float, float]": _triple,
 }
 
 

@@ -12,6 +12,9 @@ import numpy as np
 
 MIN_DEPTH = 1e-6  # meters; points with z <= this are behind the camera
 MIN_TRIANGULATION_ANGLE_DEG = 0.5
+# RANSAC trials solved and scored together: a chunk's scoring temporaries
+# are a few MB at ~2000 correspondences
+_CHUNK = 128
 
 
 class DegenerateGeometryError(ValueError):
@@ -100,29 +103,38 @@ def look_at(center: np.ndarray, target: np.ndarray,
 
 
 def nearest_rotation(m: np.ndarray) -> np.ndarray:
-    """Closest proper rotation in the Frobenius sense."""
+    """Closest proper rotation in the Frobenius sense; m may be a stack
+    (..., 3, 3)."""
     u, _, vt = np.linalg.svd(m)
-    r = u @ vt
-    if np.linalg.det(r) < 0:
-        u[:, -1] *= -1
-        r = u @ vt
-    return r
+    return _proper_rotation(u, vt)
+
+
+def _proper_rotation(u: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    """u @ vt, with the sign of u's last column chosen so that det = +1."""
+    u[..., :, -1] *= np.sign(np.linalg.det(u @ vt))[..., None]
+    return u @ vt
 
 
 def rotation_from_axis_angle(w: np.ndarray) -> np.ndarray:
-    theta = np.linalg.norm(w)
-    if theta < 1e-12:
-        k = skew(w)
-        return nearest_rotation(np.eye(3) + k)
-    k = skew(w / theta)
-    return (np.eye(3) + np.sin(theta) * k
-            + (1.0 - np.cos(theta)) * (k @ k))
+    """Rodrigues' formula; w may be a stack (..., 3)."""
+    w = np.asarray(w, dtype=np.float64)
+    theta = np.linalg.norm(w, axis=-1)
+    small = theta < 1e-12
+    k = skew(w / np.where(small, 1.0, theta)[..., None])
+    theta = theta[..., None, None]
+    r = np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
+    if np.any(small):
+        r[small] = nearest_rotation(np.eye(3) + skew(w[small]))
+    return r
 
 
 def skew(w: np.ndarray) -> np.ndarray:
-    return np.array([[0.0, -w[2], w[1]],
-                     [w[2], 0.0, -w[0]],
-                     [-w[1], w[0], 0.0]])
+    """Cross-product matrix of w; w may be a stack (..., 3)."""
+    w = np.asarray(w, dtype=np.float64)
+    k = np.zeros(w.shape + (3,))
+    k[..., [2, 0, 1], [1, 2, 0]] = w
+    k[..., [1, 2, 0], [2, 0, 1]] = -w
+    return k
 
 
 def project(pose: Pose, k: Intrinsics, x: np.ndarray) -> np.ndarray | None:
@@ -139,12 +151,24 @@ def project_many(pose: Pose, k: Intrinsics, xs: np.ndarray):
 
     Pixels of points with depth <= MIN_DEPTH are NaN; check the depth.
     """
-    cam = pose.transform(xs)
-    z = cam[:, 2]
+    return _project(pose.rotation, pose.translation, k, np.atleast_2d(xs))
+
+
+def _camera_xyz(rot: np.ndarray, trans: np.ndarray, xs: np.ndarray):
+    """Camera-frame x, y, z, each (..., n), of world points xs (..., n, 3)
+    under rotations (..., 3, 3) and translations (..., 3)."""
+    cam = rot @ np.swapaxes(xs, -1, -2) + trans[..., None]
+    return cam[..., 0, :], cam[..., 1, :], cam[..., 2, :]
+
+
+def _project(rot: np.ndarray, trans: np.ndarray, k: Intrinsics,
+             xs: np.ndarray):
+    """project_many for stacks of poses."""
+    x, y, z = _camera_xyz(rot, trans, xs)
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(z > MIN_DEPTH, k.fx * cam[:, 0] / z + k.cx, np.nan)
-        v = np.where(z > MIN_DEPTH, k.fy * cam[:, 1] / z + k.cy, np.nan)
-    return np.stack([u, v], axis=1), z
+        u = np.where(z > MIN_DEPTH, k.fx * x / z + k.cx, np.nan)
+        v = np.where(z > MIN_DEPTH, k.fy * y / z + k.cy, np.nan)
+    return np.stack([u, v], axis=-1), z
 
 
 def triangulate_dlt(observations, poses, intrinsics,
@@ -194,42 +218,44 @@ def triangulate_dlt(observations, poses, intrinsics,
     return Point3D(point_id, x, True)
 
 
-def _pnp_dlt(world: np.ndarray, normed: np.ndarray) -> Pose:
-    """Direct linear transform for [R|t] from normalized image coordinates."""
-    n = len(world)
-    a = np.zeros((2 * n, 12))
-    for i in range(n):
-        x, y, z = world[i]
-        u, v = normed[i]
-        row = np.array([x, y, z, 1.0])
-        a[2 * i, 0:4] = row
-        a[2 * i, 8:12] = -u * row
-        a[2 * i + 1, 4:8] = row
-        a[2 * i + 1, 8:12] = -v * row
-    _, s, vt = np.linalg.svd(a)
+def _pnp_dlt(world: np.ndarray, pixels: np.ndarray, k: Intrinsics):
+    """Direct linear transform for [R|t] from normalized image coordinates.
+
+    For b samples, world (b,n,3) and pixels (b,n,2), returns rotations
+    (m,3,3) and translations (m,3) of the m samples whose design matrix is
+    finite with a one-dimensional null space, and their mask (b,).
+    """
+    b, n = world.shape[:2]
+    normed = (pixels - (k.cx, k.cy)) / (k.fx, k.fy)
+    xh = np.concatenate([world, np.ones((b, n, 1))], axis=2)
+    a = np.zeros((b, n, 2, 12))
+    a[:, :, 0, 0:4] = a[:, :, 1, 4:8] = xh
+    a[:, :, 0, 8:12] = -normed[..., 0:1] * xh
+    a[:, :, 1, 8:12] = -normed[..., 1:2] * xh
+    a = a.reshape(b, 2 * n, 12)
+    ok = np.isfinite(a).all(axis=(1, 2))
+    _, s, vt = np.linalg.svd(a[ok], full_matrices=False)
     # a second near-zero singular value means the null space is ambiguous
-    if s[-2] < 1e-10 * max(s[0], 1.0):
-        raise DegenerateGeometryError("rank-deficient PnP design matrix")
-    p = vt[-1].reshape(3, 4)
+    rank_ok = s[:, -2] >= 1e-10 * np.maximum(s[:, 0], 1.0)
+    ok[ok] = rank_ok
+    p = vt[rank_ok, -1].reshape(-1, 3, 4)
     # fix overall sign with cheirality of the majority of points
-    depths = world @ p[2, :3] + p[2, 3]
-    if np.sum(depths > 0) < np.sum(depths < 0):
-        p = -p
-    u, s3, vt3 = np.linalg.svd(p[:, :3])
-    r = u @ vt3
-    if np.linalg.det(r) < 0:
-        u[:, -1] *= -1
-        r = u @ vt3
-    t = p[:, 3] * 3.0 / s3.sum()
-    return Pose(r, t)
+    depths = (world[ok] @ p[:, 2, :3, None])[..., 0] + p[:, 2, 3, None]
+    flip = np.sum(depths > 0, axis=1) < np.sum(depths < 0, axis=1)
+    p[flip] *= -1.0
+    u, s3, vt3 = np.linalg.svd(p[:, :, :3])
+    t = p[:, :, 3] * 3.0 / s3.sum(axis=1, keepdims=True)
+    return _proper_rotation(u, vt3), t, ok
 
 
-def _reprojection_residuals(pose: Pose, k: Intrinsics,
-                            world: np.ndarray, pixels: np.ndarray) -> np.ndarray:
-    pix, z = project_many(pose, k, world)
+def _reprojection_residuals(rot: np.ndarray, trans: np.ndarray,
+                            k: Intrinsics, world: np.ndarray,
+                            pixels: np.ndarray) -> np.ndarray:
+    """Residuals (..., 2n) of points (..., n, 3) against pixels (..., n, 2)."""
+    pix, z = _project(rot, trans, k, world)
     res = pix - pixels
     res[z <= MIN_DEPTH] = 1e6  # behind-camera observations get a huge residual
-    return res.ravel()
+    return res.reshape(*res.shape[:-2], -1)
 
 
 def pnp_solve(corrs: list[Correspondence], k: Intrinsics,
@@ -237,61 +263,90 @@ def pnp_solve(corrs: list[Correspondence], k: Intrinsics,
     """DLT initialization + Gauss-Newton refinement on SE(3)."""
     if len(corrs) < 6:
         raise ValueError(f"PnP needs >= 6 correspondences, got {len(corrs)}")
-    world = np.array([c.world for c in corrs], dtype=np.float64)
-    pixels = np.array([c.pixel for c in corrs], dtype=np.float64)
-    kinv = np.linalg.inv(k.matrix())
-    ones = np.ones((len(corrs), 1))
-    normed = (np.hstack([pixels, ones]) @ kinv.T)[:, :2]
-    return _gauss_newton(_pnp_dlt(world, normed), k, world, pixels, max_iters)
+    world = np.array([[c.world for c in corrs]], dtype=np.float64)
+    pixels = np.array([[c.pixel for c in corrs]], dtype=np.float64)
+    rot, trans, ok = _pnp_dlt(world, pixels, k)
+    if not ok[0]:
+        raise DegenerateGeometryError("rank-deficient or non-finite PnP "
+                                      "design matrix")
+    rot, trans = _gauss_newton(rot, trans, k, world, pixels, max_iters)
+    return Pose(rot[0], trans[0])
 
 
-def _gauss_newton(pose: Pose, k: Intrinsics, world: np.ndarray,
-                  pixels: np.ndarray, max_iters: int,
-                  cauchy_scale: float | None = None) -> Pose:
+def _gauss_newton(rot: np.ndarray, trans: np.ndarray, k: Intrinsics,
+                  world: np.ndarray, pixels: np.ndarray, max_iters: int,
+                  cauchy_scale: float | None = None):
     """Gauss-Newton on SE(3) over the reprojection residuals.
+
+    Refines rotations (b,3,3) and translations (b,3), each against its own
+    points (b,n,3) and pixels (b,n,2). A pose stops once its step norm is
+    below 1e-10 or its residuals or Jacobian are not finite; a zero
+    Jacobian (every point behind the camera) gives a zero step.
 
     With `cauchy_scale` set this is IRLS: every step weights each point by
     1 / (1 + (e / cauchy_scale)^2) of its current reprojection error e, so
     far-off points pull little on the pose.
     """
+    rot, trans = rot.copy(), trans.copy()
+    active = np.arange(len(rot))
     for _ in range(max_iters):
-        res = _reprojection_residuals(pose, k, world, pixels)
-        jac = _pnp_jacobian(pose, k, world)
+        if not active.size:
+            break
+        r, t = rot[active], trans[active]
+        res = _reprojection_residuals(r, t, k, world[active], pixels[active])
+        jac = _pnp_jacobian(r, t, k, world[active])
         if cauchy_scale is not None:
-            err = np.hypot(res[0::2], res[1::2])
-            sqrt_w = np.repeat((1.0 + (err / cauchy_scale) ** 2) ** -0.5, 2)
+            err = np.hypot(res[:, 0::2], res[:, 1::2])
+            sqrt_w = np.repeat((1.0 + (err / cauchy_scale) ** 2) ** -0.5, 2,
+                               axis=1)
             res = res * sqrt_w
-            jac = jac * sqrt_w[:, None]
-        try:
-            step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        except np.linalg.LinAlgError:
-            break
+            jac = jac * sqrt_w[..., None]
+        finite = (np.isfinite(res).all(axis=1)
+                  & np.isfinite(jac).all(axis=(1, 2)))
+        active, r, t = active[finite], r[finite], t[finite]
+        jac, res = jac[finite], res[finite]
+        # least squares with lstsq's cutoff; a zero or singular jacobian
+        # gives the minimum-norm step instead of raising for the stack
+        cutoff = max(jac.shape[1:]) * np.finfo(np.float64).eps
+        step = (np.linalg.pinv(jac, rcond=cutoff) @ -res[..., None])[..., 0]
         # left-multiplied update, matching the jacobian: cam' = exp(w) cam + dt
-        r_step = rotation_from_axis_angle(step[:3])
-        pose = Pose(nearest_rotation(r_step @ pose.rotation),
-                    r_step @ pose.translation + step[3:])
-        if np.linalg.norm(step) < 1e-10:
-            break
-    return pose
+        r_step = rotation_from_axis_angle(step[:, :3])
+        rot[active] = nearest_rotation(r_step @ r)
+        trans[active] = (r_step @ t[..., None])[..., 0] + step[:, 3:]
+        active = active[np.linalg.norm(step, axis=1) >= 1e-10]
+    return rot, trans
 
 
-def _pnp_jacobian(pose: Pose, k: Intrinsics, world: np.ndarray) -> np.ndarray:
-    """d(residual)/d(omega, t) for the left-multiplied SE(3) update.
+def _pnp_jacobian(rot: np.ndarray, trans: np.ndarray, k: Intrinsics,
+                  world: np.ndarray) -> np.ndarray:
+    """d(residual)/d(omega, t) (..., 2n, 6) for the left-multiplied SE(3)
+    update.
 
     Rows of points behind the camera are zero: their residual is a huge
     constant with no useful gradient.
     """
-    cam = pose.transform(world)
-    front = cam[:, 2] > MIN_DEPTH
-    inv_z = 1.0 / np.where(front, cam[:, 2], np.inf)
-    xn, yn = cam[:, 0] * inv_z, cam[:, 1] * inv_z
+    x, y, z = _camera_xyz(rot, trans, world)
+    front = z > MIN_DEPTH
+    inv_z = 1.0 / np.where(front, z, np.inf)
+    xn, yn = x * inv_z, y * inv_z
     one, zero = front.astype(np.float64), np.zeros_like(inv_z)
-    jac = np.empty((len(world), 2, 6))
-    jac[:, 0] = k.fx * np.stack([-xn * yn, one + xn * xn, -yn,
-                                 inv_z, zero, -xn * inv_z], axis=1)
-    jac[:, 1] = k.fy * np.stack([-one - yn * yn, xn * yn, xn,
-                                 zero, inv_z, -yn * inv_z], axis=1)
-    return jac.reshape(-1, 6)
+    jac = np.empty(z.shape + (2, 6))
+    jac[..., 0, :] = k.fx * np.stack([-xn * yn, one + xn * xn, -yn,
+                                      inv_z, zero, -xn * inv_z], axis=-1)
+    jac[..., 1, :] = k.fy * np.stack([-one - yn * yn, xn * yn, xn,
+                                      zero, inv_z, -yn * inv_z], axis=-1)
+    return jac.reshape(*z.shape[:-1], -1, 6)
+
+
+def _inlier_masks(rot: np.ndarray, trans: np.ndarray, k: Intrinsics,
+                  world: np.ndarray, pixels: np.ndarray,
+                  tol: float) -> np.ndarray:
+    """(..., n): points in front of each camera within tol pixels."""
+    x, y, z = _camera_xyz(rot, trans, world)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        du = k.fx * x / z + k.cx - pixels[..., 0]
+        dv = k.fy * y / z + k.cy - pixels[..., 1]
+        return (z > MIN_DEPTH) & (np.sqrt(du * du + dv * dv) <= tol)
 
 
 @dataclass
@@ -310,6 +365,11 @@ def ransac_pnp(corrs: list[Correspondence], k: Intrinsics,
                seed: int = 0) -> RansacResult:
     """Seeded RANSAC over minimal 6-point PnP samples, then refinement.
 
+    Each trial draws one 6-point sample from the seeded generator. Trials
+    are solved (DLT, then Gauss-Newton) and scored against every
+    correspondence in stacks of _CHUNK; the most inliers wins, ties keep
+    the earlier trial, degenerate samples are skipped.
+
     The best sample's pose is refit on its `inlier_tol` inliers and then
     refined by Cauchy-weighted IRLS over all correspondences, with
     `inlier_tol` as the Cauchy scale: imprecise but correct points still
@@ -324,35 +384,35 @@ def ransac_pnp(corrs: list[Correspondence], k: Intrinsics,
     rng = np.random.default_rng(seed)
     n = len(corrs)
 
-    def mask_for(pose: Pose) -> np.ndarray:
-        pix, z = project_many(pose, k, world)
-        err = np.linalg.norm(pix - pixels, axis=1)
-        return (z > MIN_DEPTH) & (err <= inlier_tol)
-
     best_mask = None
     best_count = 0
-    for _ in range(max_iters):
-        pick = rng.choice(n, size=6, replace=False)
-        try:
-            pose = pnp_solve([corrs[i] for i in pick], k)
-        except (DegenerateGeometryError, ValueError):
-            continue
-        mask = mask_for(pose)
-        count = int(mask.sum())
-        if count > best_count:  # ties keep the earlier trial
-            best_count = count
-            best_mask = mask
+    for start in range(0, max_iters, _CHUNK):
+        picks = np.array([rng.choice(n, size=6, replace=False)
+                          for _ in range(min(_CHUNK, max_iters - start))])
+        rot, trans, ok = _pnp_dlt(world[picks], pixels[picks], k)
+        picks = picks[ok]
+        rot, trans = _gauss_newton(rot, trans, k, world[picks],
+                                   pixels[picks], max_iters=20)
+        masks = _inlier_masks(rot, trans, k, world, pixels, inlier_tol)
+        counts = masks.sum(axis=1)
+        if len(counts) and counts.max() > best_count:
+            best = np.argmax(counts)  # ties keep the earlier trial
+            best_count, best_mask = counts[best], masks[best]
     if best_mask is None or best_count < 6:
         return RansacResult(False, None)
 
     inlier_idx = np.flatnonzero(best_mask)
     try:
         refined = pnp_solve([corrs[i] for i in inlier_idx], k)
-        refined = _gauss_newton(refined, k, world, pixels, max_iters=20,
-                                cauchy_scale=inlier_tol)
+        rot, trans = _gauss_newton(refined.rotation[None],
+                                   refined.translation[None], k, world[None],
+                                   pixels[None], max_iters=20,
+                                   cauchy_scale=inlier_tol)
+        refined = Pose(rot[0], trans[0])
     except (DegenerateGeometryError, ValueError):
         return RansacResult(False, None)
-    final_mask = mask_for(refined)
+    final_mask = _inlier_masks(refined.rotation, refined.translation, k,
+                               world, pixels, inlier_tol)
     if int(final_mask.sum()) < 6:
         return RansacResult(False, None)
     return RansacResult(True, refined, final_mask)

@@ -34,6 +34,19 @@ class LocalizeOptions:
     ransac_iters: int = 1000
     seed: int = 0
 
+    def __post_init__(self):
+        if self.top_k < 1:
+            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
+        if not 0.0 <= self.confidence_min <= 1.0:
+            raise ValueError("confidence_min must be in [0, 1], "
+                             f"got {self.confidence_min}")
+        if not 0.0 < self.inlier_tol < np.inf:
+            raise ValueError("inlier_tol must be positive and finite, "
+                             f"got {self.inlier_tol}")
+        if self.ransac_iters < 1:
+            raise ValueError("ransac_iters must be >= 1, "
+                             f"got {self.ransac_iters}")
+
 
 @dataclass
 class LocalizationResult:

@@ -166,6 +166,17 @@ class TestConfigParsing:
         parsed = cli.load_config(str(cfg))
         assert parsed["world"].extent == (2.0, 2.0, 1.0)
 
+    @pytest.mark.parametrize("raw", ["1,2", "1,2,3,4"])
+    def test_extent_needs_three_values(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"world.extent = {raw}\n")
+        assert cli.main(["gen", "--config", str(cfg),
+                         "--out", str(tmp_path / "x.bin")]) == 2
+        err = capsys.readouterr().err
+        assert (f"world.extent: cannot parse {raw!r} as "
+                "tuple[float, float, float]") in err
+        assert not (tmp_path / "x.bin").exists()
+
     def test_bool_parsing(self, tmp_path):
         cfg = tmp_path / "c.txt"
         cfg.write_text("localize.bypass_retrieval = yes\n")
@@ -250,6 +261,25 @@ class TestErrorExits:
                          "--out-scene", str(tmp_path / "s.bin"),
                          "--out-weights", str(tmp_path / "w.bin")]) == 2
         assert "prune_threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, key", [
+        ("localize.confidence_min = nan", "confidence_min"),
+        ("localize.confidence_min = 1.5", "confidence_min"),
+        ("localize.inlier_tol = -1", "inlier_tol"),
+        ("localize.inlier_tol = inf", "inlier_tol"),
+        ("localize.ransac_iters = 0", "ransac_iters"),
+        ("localize.top_k = 0", "top_k"),
+    ])
+    def test_localize_option_out_of_range_is_2(self, workdir, tmp_path,
+                                                capsys, extra, key):
+        d, _ = workdir
+        cfg = tiny_config_with(tmp_path, extra + "\n")
+        assert cli.main(["eval", "--config", cfg,
+                         "--dataset", str(d / "ds.bin"),
+                         "--scene", str(d / "scene.bin"),
+                         "--weights", str(d / "weights.bin")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("extra, command, key", [
         ("train.epochs_stage2 = -3", "finetune", "epochs_stage2"),

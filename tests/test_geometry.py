@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from voxloc.geometry import (Correspondence, DegenerateGeometryError,
-                             Intrinsics, Point3D, Pose, _pnp_jacobian,
+from voxloc.geometry import (_CHUNK, Correspondence,
+                             DegenerateGeometryError, Intrinsics, Point3D,
+                             Pose, _gauss_newton, _pnp_jacobian,
                              _reprojection_residuals, look_at,
                              nearest_rotation, pnp_solve, pose_error, project,
                              project_many, ransac_pnp,
@@ -55,6 +56,21 @@ class TestRotations:
         assert np.abs(r.T @ r - np.eye(3)).max() < 1e-12
         assert np.linalg.det(r) > 0
         assert np.abs(r - r_true).max() < 1e-3
+
+    def test_stacks_match_single_matrices(self):
+        rng = np.random.default_rng(14)
+        w = rng.normal(size=(5, 3))
+        w[2] = 1e-14  # small-angle branch inside a stack
+        r = rotation_from_axis_angle(w)
+        m = r + rng.normal(size=r.shape) * 1e-3
+        m[3] = -m[3]  # det < 0 before the projection
+        for i in range(5):
+            np.testing.assert_allclose(r[i], rotation_from_axis_angle(w[i]),
+                                       atol=1e-15)
+            np.testing.assert_array_equal(skew(w)[i], skew(w[i]))
+            np.testing.assert_allclose(nearest_rotation(m)[i],
+                                       nearest_rotation(m[i]), atol=1e-15)
+        assert np.allclose(np.linalg.det(nearest_rotation(m)), 1.0)
 
     def test_skew_matches_cross_product(self):
         rng = np.random.default_rng(3)
@@ -182,6 +198,14 @@ class TestPnP:
         with pytest.raises(DegenerateGeometryError):
             pnp_solve(synthetic_corrs(pose, points), K)
 
+    def test_non_finite_points_degenerate(self):
+        rng = np.random.default_rng(13)
+        pose = look_at([3.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+        corrs = synthetic_corrs(pose, rng.uniform(-1.0, 1.0, size=(8, 3)))
+        corrs[3].world = np.array([np.nan, 0.0, 0.0])
+        with pytest.raises(DegenerateGeometryError):
+            pnp_solve(corrs, K)
+
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(12)
         kmat = Intrinsics(fx=520.0, fy=480.0, cx=320.0, cy=240.0,
@@ -195,12 +219,13 @@ class TestPnP:
             r_step = rotation_from_axis_angle(step[:3])
             moved = Pose(nearest_rotation(r_step @ pose.rotation),
                          r_step @ pose.translation + step[3:])
-            return _reprojection_residuals(moved, kmat, world, pixels)
+            return _reprojection_residuals(moved.rotation, moved.translation,
+                                           kmat, world, pixels)
 
         h = 1e-6
         fd = np.stack([(residuals(h * e) - residuals(-h * e)) / (2 * h)
                        for e in np.eye(6)], axis=1)
-        jac = _pnp_jacobian(pose, kmat, world)
+        jac = _pnp_jacobian(pose.rotation, pose.translation, kmat, world)
         assert jac.shape == (24, 6)
         assert np.all(jac[8:10] == 0.0)
         np.testing.assert_allclose(jac, fd, rtol=1e-5, atol=1e-4)
@@ -260,6 +285,101 @@ class TestRansac:
             assert res.success
             errors.append(pose_error(res.pose, pose)[0])
         assert np.median(errors) < 0.06
+
+    @pytest.mark.parametrize("max_iters",
+                             [1, 6, _CHUNK - 1, _CHUNK, _CHUNK + 1, 300])
+    def test_stacked_trials_pick_the_per_sample_winner(self, max_iters):
+        # reference: one pnp_solve per drawn sample, raising samples skipped,
+        # the first maximum inlier count wins; then the same refit and IRLS
+        def reference(corrs, seed):
+            world = np.array([c.world for c in corrs])
+            pixels = np.array([c.pixel for c in corrs])
+
+            def mask_for(pose):
+                pix, z = project_many(pose, K, world)
+                err = np.linalg.norm(pix - pixels, axis=1)
+                return (z > 1e-6) & (err <= 1.0)
+
+            rng = np.random.default_rng(seed)
+            best_mask, best_count = None, 0
+            for _ in range(max_iters):
+                pick = rng.choice(len(corrs), size=6, replace=False)
+                try:
+                    pose = pnp_solve([corrs[i] for i in pick], K)
+                except ValueError:
+                    continue
+                mask = mask_for(pose)
+                if mask.sum() > best_count:
+                    best_mask, best_count = mask, mask.sum()
+            if best_count < 6:
+                return None
+            pose = pnp_solve([c for c, m in zip(corrs, best_mask) if m], K)
+            rot, trans = _gauss_newton(pose.rotation[None],
+                                       pose.translation[None], K,
+                                       world[None], pixels[None], 20,
+                                       cauchy_scale=1.0)
+            pose = Pose(rot[0], trans[0])
+            return pose, mask_for(pose)
+
+        pose = look_at([4.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            points = rng.uniform(-1.5, 1.5, size=(40, 3))
+            corrs = synthetic_corrs(pose, points, outliers=8, rng=rng)
+            for c in corrs[8:]:  # sub-pixel noise: counts vary, some tie
+                c.pixel = c.pixel + rng.normal(0.0, 0.4, size=2)
+            res = ransac_pnp(corrs, K, inlier_tol=1.0, max_iters=max_iters,
+                             seed=seed)
+            ref = reference(corrs, seed)
+            assert res.success == (ref is not None)
+            if ref is not None:
+                assert res.pose.rotation.tobytes() == ref[0].rotation.tobytes()
+                assert (res.pose.translation.tobytes()
+                        == ref[0].translation.tobytes())
+                np.testing.assert_array_equal(res.inlier_mask, ref[1])
+
+    def test_hostile_samples_never_raise(self):
+        pose = look_at([4.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+
+        def hostile(rng, clean):
+            points = rng.uniform(-1.5, 1.5, size=(60, 3))
+            pix = project_many(pose, K, points)[0]
+            corrs = [Correspondence(p, x) for p, x in zip(pix, points)]
+            corrs = corrs[:clean]
+            # reflected through the camera centre: same pixel, behind it
+            corrs += [Correspondence(p, 2.0 * pose.center - x)
+                      for p, x in zip(pix[40:52], points[40:52])]
+            corrs += [Correspondence(p, rng.normal(size=3) * 1e200)
+                      for p in pix[52:]]
+            # repeated points make rank-deficient samples
+            return corrs + [corrs[-1]] * 4 + [corrs[-9]] * 4
+
+        for seed in range(5):
+            corrs = hostile(np.random.default_rng(seed), clean=60)
+            assert len(corrs) == 88  # 60 / 88 = 68% clean
+            res = ransac_pnp(corrs, K, max_iters=_CHUNK, seed=seed)
+            assert res.success
+            dt, dr = pose_error(res.pose, pose)
+            assert dt < 0.05 and dr < 1.0
+            res = ransac_pnp(hostile(np.random.default_rng(seed), clean=0),
+                             K, max_iters=_CHUNK, seed=seed)
+            assert not res.success and res.pose is None
+
+    def test_bad_pose_does_not_stop_its_stack(self):
+        pose = look_at([4.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+        rng = np.random.default_rng(10)
+        world = rng.uniform(-1.5, 1.5, size=(3, 6, 3))
+        world[1] = 2.0 * pose.center - world[1]  # all behind: zero jacobian
+        pixels = project_many(pose, K, world[0])[0][None].repeat(3, axis=0)
+        start = rotation_from_axis_angle(np.array([0.02, -0.01, 0.03]))
+        rot = np.stack([start @ pose.rotation] * 3)
+        trans = np.stack([pose.translation + 0.05] * 3)
+        trans[2, 0] = np.nan
+        rot, trans = _gauss_newton(rot, trans, K, world, pixels, 20)
+        dt, dr = pose_error(Pose(rot[0], trans[0]), pose)
+        assert dt < 1e-9 and dr < 1e-7
+        np.testing.assert_array_equal(trans[1], pose.translation + 0.05)
+        assert np.isnan(trans[2, 0])
 
     def test_too_few_correspondences_fails_cleanly(self):
         res = ransac_pnp([], K)
