@@ -394,6 +394,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _parser()
+    # argparse reads a value that starts with '-' and is not a plain number,
+    # such as the voxel id -1,0,0, as a flag: join it to its option first
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--voxel":
+            argv[i:i + 2] = [f"--voxel={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:

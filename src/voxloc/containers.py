@@ -2,7 +2,8 @@
 
 All scene/weight/dataset files share the same primitive encoding: 4-byte
 magic, u32 version, then fixed-layout sections. Reals are persisted as
-little-endian float32; integers as little-endian u32/i32.
+little-endian float32 (finite, checked on read) or float64; integers as
+little-endian u32/i32.
 """
 
 from __future__ import annotations
@@ -74,6 +75,17 @@ class Reader:
         self.offset += n
         return chunk
 
+    def _finite(self, values, what: str):
+        """float32 values just read, unless one is NaN or infinite."""
+        if not np.isfinite(values).all():
+            start = self.offset - 4 * np.size(values)
+            raise FormatError(start, f"non-finite value in {what}")
+        return values
+
+    @property
+    def remaining(self) -> int:
+        return len(self._data) - self.offset
+
     def raw(self, n: int, what: str = "bytes") -> bytes:
         return self._take(n, what)
 
@@ -89,14 +101,15 @@ class Reader:
         return struct.unpack("<i", self._take(4, what))[0]
 
     def f32(self, what: str = "f32") -> float:
-        return struct.unpack("<f", self._take(4, what))[0]
+        return self._finite(struct.unpack("<f", self._take(4, what))[0], what)
 
     def u8(self, what: str = "u8") -> int:
         return self._take(1, what)[0]
 
     def f32_array(self, count: int, what: str = "f32 array") -> np.ndarray:
         raw = self._take(4 * count, what)
-        return np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        return self._finite(np.frombuffer(raw, dtype="<f4").astype(np.float64),
+                            what)
 
     def f64(self, what: str = "f64") -> float:
         return struct.unpack("<d", self._take(8, what))[0]

@@ -238,20 +238,33 @@ def params_to_bytes(params: DecoderParams) -> bytes:
     return w.getvalue()
 
 
+def _param_count(d_raw: int, d: int, num_blocks: int, encoder_hidden: int,
+                 block_hidden: int, head_hidden: int) -> int:
+    """Number of values in DecoderParams.init(...) of these dims."""
+    def mlp(*widths):
+        return sum((fi + 1) * fo for fi, fo in zip(widths[:-1], widths[1:]))
+    encoder = mlp(d_raw, d) if encoder_hidden == 0 \
+        else mlp(d_raw, encoder_hidden, d)
+    block = 3 * d * d + mlp(d, block_hidden, d) + 4 * d
+    return encoder + num_blocks * block + mlp(d, head_hidden, 4)
+
+
 def params_from_bytes(data: bytes) -> DecoderParams:
     r = Reader(data)
     r.expect_magic(WEIGHTS_MAGIC)
     version = r.u32("format version")
     if version != WEIGHTS_FORMAT_VERSION:
         raise FormatError(4, f"unsupported weights format version {version}")
-    d_raw = r.u32("d_raw")
-    d = r.u32("d")
-    num_blocks = r.u32("num_blocks")
-    enc_h = r.u32("encoder hidden")
-    blk_h = r.u32("block hidden")
-    head_h = r.u32("head hidden")
-    params = DecoderParams.init(np.random.default_rng(0), d_raw, d, num_blocks,
-                                enc_h, blk_h, head_h)
+    dims = [r.u32(what) for what in ("d_raw", "d", "num_blocks",
+                                     "encoder hidden", "block hidden",
+                                     "head hidden")]
+    if dims[1] == 0:
+        raise FormatError(r.offset, "feature width d is 0")
+    # every parameter value is stored as 4 bytes: check before allocating
+    if 4 * _param_count(*dims) > r.remaining:
+        raise FormatError(r.offset, f"dims {dims} need {_param_count(*dims)} "
+                                    f"values, more than the file holds")
+    params = DecoderParams.init(np.random.default_rng(0), *dims)
     named = params.named_parameters()
     count = r.u32("parameter count")
     if count != len(named):
@@ -259,14 +272,14 @@ def params_from_bytes(data: bytes) -> DecoderParams:
     for _ in range(count):
         nlen = r.u32("name length")
         name = r.raw(nlen, "parameter name").decode()
-        ndim = r.u32("ndim")
-        shape = tuple(r.u32("dim") for _ in range(ndim))
-        vals = r.f32_array(int(np.prod(shape)), f"values of {name}").reshape(shape)
         if name not in named:
             raise FormatError(r.offset, f"unknown parameter {name!r}")
+        ndim = r.u32("ndim")
+        shape = tuple(r.u32("dim") for _ in range(ndim))
         if named[name].values.shape != shape:
             raise FormatError(r.offset, f"shape mismatch for {name!r}")
-        named[name].values[...] = vals
+        vals = r.f32_array(int(np.prod(shape)), f"values of {name}")
+        named[name].values[...] = vals.reshape(shape)
         named[name].zero_grad()
     r.expect_end()
     return params

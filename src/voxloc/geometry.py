@@ -116,16 +116,12 @@ def _proper_rotation(u: np.ndarray, vt: np.ndarray) -> np.ndarray:
 
 
 def rotation_from_axis_angle(w: np.ndarray) -> np.ndarray:
-    """Rodrigues' formula; w may be a stack (..., 3)."""
-    w = np.asarray(w, dtype=np.float64)
-    theta = np.linalg.norm(w, axis=-1)
-    small = theta < 1e-12
-    k = skew(w / np.where(small, 1.0, theta)[..., None])
-    theta = theta[..., None, None]
-    r = np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
-    if np.any(small):
-        r[small] = nearest_rotation(np.eye(3) + skew(w[small]))
-    return r
+    """Rodrigues' formula for one axis-angle vector w (3,)."""
+    theta = np.linalg.norm(w)
+    if theta < 1e-12:
+        return nearest_rotation(np.eye(3) + skew(w))
+    k = skew(w / theta)
+    return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
 
 
 def skew(w: np.ndarray) -> np.ndarray:
@@ -163,7 +159,7 @@ def _camera_xyz(rot: np.ndarray, trans: np.ndarray, xs: np.ndarray):
 
 def _project(rot: np.ndarray, trans: np.ndarray, k: Intrinsics,
              xs: np.ndarray):
-    """project_many for stacks of poses."""
+    """project_many from a rotation and a translation."""
     x, y, z = _camera_xyz(rot, trans, xs)
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.where(z > MIN_DEPTH, k.fx * x / z + k.cx, np.nan)
@@ -251,11 +247,11 @@ def _pnp_dlt(world: np.ndarray, pixels: np.ndarray, k: Intrinsics):
 def _reprojection_residuals(rot: np.ndarray, trans: np.ndarray,
                             k: Intrinsics, world: np.ndarray,
                             pixels: np.ndarray) -> np.ndarray:
-    """Residuals (..., 2n) of points (..., n, 3) against pixels (..., n, 2)."""
+    """Residuals (2n,) of points (n, 3) against pixels (n, 2)."""
     pix, z = _project(rot, trans, k, world)
     res = pix - pixels
     res[z <= MIN_DEPTH] = 1e6  # behind-camera observations get a huge residual
-    return res.reshape(*res.shape[:-2], -1)
+    return res.ravel()
 
 
 def pnp_solve(corrs: list[Correspondence], k: Intrinsics,
@@ -263,14 +259,13 @@ def pnp_solve(corrs: list[Correspondence], k: Intrinsics,
     """DLT initialization + Gauss-Newton refinement on SE(3)."""
     if len(corrs) < 6:
         raise ValueError(f"PnP needs >= 6 correspondences, got {len(corrs)}")
-    world = np.array([[c.world for c in corrs]], dtype=np.float64)
-    pixels = np.array([[c.pixel for c in corrs]], dtype=np.float64)
-    rot, trans, ok = _pnp_dlt(world, pixels, k)
+    world = np.array([c.world for c in corrs], dtype=np.float64)
+    pixels = np.array([c.pixel for c in corrs], dtype=np.float64)
+    rot, trans, ok = _pnp_dlt(world[None], pixels[None], k)
     if not ok[0]:
         raise DegenerateGeometryError("rank-deficient or non-finite PnP "
                                       "design matrix")
-    rot, trans = _gauss_newton(rot, trans, k, world, pixels, max_iters)
-    return Pose(rot[0], trans[0])
+    return Pose(*_gauss_newton(rot[0], trans[0], k, world, pixels, max_iters))
 
 
 def _gauss_newton(rot: np.ndarray, trans: np.ndarray, k: Intrinsics,
@@ -278,49 +273,38 @@ def _gauss_newton(rot: np.ndarray, trans: np.ndarray, k: Intrinsics,
                   cauchy_scale: float | None = None):
     """Gauss-Newton on SE(3) over the reprojection residuals.
 
-    Refines rotations (b,3,3) and translations (b,3), each against its own
-    points (b,n,3) and pixels (b,n,2). A pose stops once its step norm is
-    below 1e-10 or its residuals or Jacobian are not finite; a zero
-    Jacobian (every point behind the camera) gives a zero step.
+    Refines a rotation (3,3) and translation (3,) against points (n,3) and
+    pixels (n,2). It stops once the step norm is below 1e-10 or the
+    residuals or Jacobian are not finite; a zero Jacobian (every point
+    behind the camera) gives a zero step.
 
     With `cauchy_scale` set this is IRLS: every step weights each point by
     1 / (1 + (e / cauchy_scale)^2) of its current reprojection error e, so
     far-off points pull little on the pose.
     """
-    rot, trans = rot.copy(), trans.copy()
-    active = np.arange(len(rot))
     for _ in range(max_iters):
-        if not active.size:
-            break
-        r, t = rot[active], trans[active]
-        res = _reprojection_residuals(r, t, k, world[active], pixels[active])
-        jac = _pnp_jacobian(r, t, k, world[active])
+        res = _reprojection_residuals(rot, trans, k, world, pixels)
+        jac = _pnp_jacobian(rot, trans, k, world)
         if cauchy_scale is not None:
-            err = np.hypot(res[:, 0::2], res[:, 1::2])
-            sqrt_w = np.repeat((1.0 + (err / cauchy_scale) ** 2) ** -0.5, 2,
-                               axis=1)
+            err = np.hypot(res[0::2], res[1::2])
+            sqrt_w = np.repeat((1.0 + (err / cauchy_scale) ** 2) ** -0.5, 2)
             res = res * sqrt_w
-            jac = jac * sqrt_w[..., None]
-        finite = (np.isfinite(res).all(axis=1)
-                  & np.isfinite(jac).all(axis=(1, 2)))
-        active, r, t = active[finite], r[finite], t[finite]
-        jac, res = jac[finite], res[finite]
-        # least squares with lstsq's cutoff; a zero or singular jacobian
-        # gives the minimum-norm step instead of raising for the stack
-        cutoff = max(jac.shape[1:]) * np.finfo(np.float64).eps
-        step = (np.linalg.pinv(jac, rcond=cutoff) @ -res[..., None])[..., 0]
+            jac = jac * sqrt_w[:, None]
+        if not (np.isfinite(res).all() and np.isfinite(jac).all()):
+            break
+        step = np.linalg.lstsq(jac, -res, rcond=None)[0]
         # left-multiplied update, matching the jacobian: cam' = exp(w) cam + dt
-        r_step = rotation_from_axis_angle(step[:, :3])
-        rot[active] = nearest_rotation(r_step @ r)
-        trans[active] = (r_step @ t[..., None])[..., 0] + step[:, 3:]
-        active = active[np.linalg.norm(step, axis=1) >= 1e-10]
+        r_step = rotation_from_axis_angle(step[:3])
+        rot = nearest_rotation(r_step @ rot)
+        trans = r_step @ trans + step[3:]
+        if np.linalg.norm(step) < 1e-10:
+            break
     return rot, trans
 
 
 def _pnp_jacobian(rot: np.ndarray, trans: np.ndarray, k: Intrinsics,
                   world: np.ndarray) -> np.ndarray:
-    """d(residual)/d(omega, t) (..., 2n, 6) for the left-multiplied SE(3)
-    update.
+    """d(residual)/d(omega, t) (2n, 6) for the left-multiplied SE(3) update.
 
     Rows of points behind the camera are zero: their residual is a huge
     constant with no useful gradient.
@@ -335,7 +319,7 @@ def _pnp_jacobian(rot: np.ndarray, trans: np.ndarray, k: Intrinsics,
                                       inv_z, zero, -xn * inv_z], axis=-1)
     jac[..., 1, :] = k.fy * np.stack([-one - yn * yn, xn * yn, xn,
                                       zero, inv_z, -yn * inv_z], axis=-1)
-    return jac.reshape(*z.shape[:-1], -1, 6)
+    return jac.reshape(-1, 6)
 
 
 def _inlier_masks(rot: np.ndarray, trans: np.ndarray, k: Intrinsics,
@@ -366,9 +350,11 @@ def ransac_pnp(corrs: list[Correspondence], k: Intrinsics,
     """Seeded RANSAC over minimal 6-point PnP samples, then refinement.
 
     Each trial draws one 6-point sample from the seeded generator. Trials
-    are solved (DLT, then Gauss-Newton) and scored against every
-    correspondence in stacks of _CHUNK; the most inliers wins, ties keep
-    the earlier trial, degenerate samples are skipped.
+    are solved by a bare DLT, with no Gauss-Newton, and scored against
+    every correspondence in stacks of _CHUNK; the most inliers wins, ties
+    keep the earlier trial, degenerate samples are skipped. Only the
+    winner is refined: Gauss-Newton on every minimal sample would cost
+    most of RANSAC's time without making the final pose more accurate.
 
     The best sample's pose is refit on its `inlier_tol` inliers and then
     refined by Cauchy-weighted IRLS over all correspondences, with
@@ -389,10 +375,7 @@ def ransac_pnp(corrs: list[Correspondence], k: Intrinsics,
     for start in range(0, max_iters, _CHUNK):
         picks = np.array([rng.choice(n, size=6, replace=False)
                           for _ in range(min(_CHUNK, max_iters - start))])
-        rot, trans, ok = _pnp_dlt(world[picks], pixels[picks], k)
-        picks = picks[ok]
-        rot, trans = _gauss_newton(rot, trans, k, world[picks],
-                                   pixels[picks], max_iters=20)
+        rot, trans, _ = _pnp_dlt(world[picks], pixels[picks], k)
         masks = _inlier_masks(rot, trans, k, world, pixels, inlier_tol)
         counts = masks.sum(axis=1)
         if len(counts) and counts.max() > best_count:
@@ -404,11 +387,9 @@ def ransac_pnp(corrs: list[Correspondence], k: Intrinsics,
     inlier_idx = np.flatnonzero(best_mask)
     try:
         refined = pnp_solve([corrs[i] for i in inlier_idx], k)
-        rot, trans = _gauss_newton(refined.rotation[None],
-                                   refined.translation[None], k, world[None],
-                                   pixels[None], max_iters=20,
-                                   cauchy_scale=inlier_tol)
-        refined = Pose(rot[0], trans[0])
+        refined = Pose(*_gauss_newton(refined.rotation, refined.translation,
+                                      k, world, pixels, max_iters=20,
+                                      cauchy_scale=inlier_tol))
     except (DegenerateGeometryError, ValueError):
         return RansacResult(False, None)
     final_mask = _inlier_masks(refined.rotation, refined.translation, k,

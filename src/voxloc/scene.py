@@ -298,6 +298,10 @@ def scene_from_bytes(data: bytes) -> SceneRepresentation:
     n = r.u32("N")
     d = r.u32("D")
     count = r.u32("voxel count")
+    # each voxel holds at least its header and a scale and mask byte per code
+    if count * (VOXEL_HEADER_BYTES + 5 * t * n) > r.remaining:
+        raise FormatError(r.offset, f"{count} voxels of {t}x{n} codes do not "
+                                    f"fit in the {r.remaining} bytes left")
     voxels = {}
     for _ in range(count):
         vid = VoxelId(r.i32("ix"), r.i32("iy"), r.i32("iz"))
@@ -313,10 +317,9 @@ def scene_from_bytes(data: bytes) -> SceneRepresentation:
             wvals = r.f32_array(n, f"scales block {bt}")
             mask = r.u8_array(n, f"pruned mask block {bt}").astype(bool)
             keep = np.flatnonzero(~mask)
+            kept = r.f32_array(len(keep) * d, f"codes block {bt}")
             vals = np.zeros((n, d))
-            if len(keep):
-                vals[keep] = r.f32_array(len(keep) * d,
-                                         f"codes block {bt}").reshape(len(keep), d)
+            vals[keep] = kept.reshape(len(keep), d)
             pruned[bt] = mask
             codes.append(DTensor(vals, name=f"{prefix}.codes.{bt}"))
             scales.append(DTensor(wvals[:, None],

@@ -10,7 +10,7 @@ error, never on the exact ground truth.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -286,6 +286,34 @@ def dataset_to_bytes(ds: ReferenceDataset) -> bytes:
     return w.getvalue()
 
 
+def _config_from_json(raw: bytes, offset: int) -> WorldConfig:
+    """The embedded config; FormatError unless it is a JSON object of
+    WorldConfig keys with numbers of the fields' types (extent: three)."""
+    try:
+        cfg = json.loads(raw.decode())
+    except ValueError as err:
+        raise FormatError(offset, f"config json: {err}") from err
+    types = {f.name: f.type for f in fields(WorldConfig)}
+    if not isinstance(cfg, dict) or not cfg.keys() <= types.keys():
+        raise FormatError(offset, "config json is not an object of "
+                                  "WorldConfig keys")
+
+    def real(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    for key, value in cfg.items():
+        if key == "extent":
+            ok = (isinstance(value, list) and len(value) == 3
+                  and all(map(real, value)))
+        else:
+            ok = real(value) and (types[key] != "int" or isinstance(value, int))
+        if not ok:
+            raise FormatError(offset, f"config json: bad {key} {value!r}")
+    if "extent" in cfg:
+        cfg["extent"] = tuple(cfg["extent"])
+    return WorldConfig(**cfg)
+
+
 def dataset_from_bytes(data: bytes) -> ReferenceDataset:
     r = Reader(data)
     r.expect_magic(DATASET_MAGIC)
@@ -293,9 +321,8 @@ def dataset_from_bytes(data: bytes) -> ReferenceDataset:
     if version != DATASET_FORMAT_VERSION:
         raise FormatError(4, f"unsupported dataset format version {version}")
     cfg_len = r.u32("config length")
-    cfg_raw = json.loads(r.raw(cfg_len, "config json").decode())
-    cfg_raw["extent"] = tuple(cfg_raw["extent"])
-    config = WorldConfig(**cfg_raw)
+    cfg_at = r.offset
+    config = _config_from_json(r.raw(cfg_len, "config json"), cfg_at)
     views = [_read_view(r) for _ in range(r.u32("view count"))]
     query_views = [_read_view(r) for _ in range(r.u32("query view count"))]
     points = {}

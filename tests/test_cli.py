@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from voxloc import cli
-from voxloc.scene import load_scene
+from voxloc.scene import load_scene, save_scene
 
 TINY_CONFIG = """\
 # tiny world for fast tests
@@ -127,12 +127,25 @@ class TestHappyPaths:
                          "--scene", str(d / "scene.bin"),
                          "--weights", str(d / "weights.bin"),
                          "--view", "0",
-                         # negative indices need the = form under argparse
                          f"--voxel={vid.ix},{vid.iy},{vid.iz}",
                          "--block", "0", "--code", "0",
                          "--csv", str(d / "heat.csv")]) == 0
         assert (d / "heat.csv").read_text().startswith("feature_index,")
 
+
+    def test_heatmap_negative_voxel_as_separate_value(self, workdir):
+        d, _ = workdir
+        vid = min(load_scene(d / "scene.bin").voxels)
+        assert vid.ix < 0  # a value argparse would read as a flag
+        assert cli.main(["heatmap",
+                         "--dataset", str(d / "ds.bin"),
+                         "--scene", str(d / "scene.bin"),
+                         "--weights", str(d / "weights.bin"),
+                         "--view", "0",
+                         "--voxel", f"{vid.ix},{vid.iy},{vid.iz}",
+                         "--block", "0", "--code", "0",
+                         "--csv", str(d / "heat-neg.csv")]) == 0
+        assert (d / "heat-neg.csv").read_text().startswith("feature_index,")
 
 class TestConfigParsing:
     def test_unknown_key_rejected(self, tmp_path, capsys):
@@ -245,6 +258,21 @@ class TestErrorExits:
                              f"--block={block}", "--code", "0",
                              "--csv", str(d / "h.csv")]) == 2
             assert "out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["origin", "scale", "code"])
+    def test_non_finite_scene_value_is_2(self, workdir, tmp_path, capsys,
+                                         field):
+        d, _ = workdir
+        scene = load_scene(d / "scene.bin")
+        v = scene.sorted_voxels()[0]
+        bank = v.codes
+        row = np.flatnonzero(~bank.pruned[0])[0]
+        target = {"origin": v.origin, "scale": bank.scales[0].values[row],
+                  "code": bank.codes[0].values[row]}[field]
+        target[0] = np.nan
+        save_scene(scene, tmp_path / "nan.bin")
+        assert cli.main(["inspect", "--scene", str(tmp_path / "nan.bin")]) == 2
+        assert "non-finite" in capsys.readouterr().err
 
     def test_prune_nan_threshold_is_2(self, workdir):
         d, _ = workdir

@@ -249,6 +249,19 @@ class TestWeightsPersistence:
         with pytest.raises(FormatError):
             params_from_bytes(blob[:-3])
 
+    @pytest.mark.parametrize("at, value", [(8, 2 ** 31), (12, 0)])
+    def test_bad_header_dims_rejected_before_init(self, monkeypatch, at,
+                                                  value):
+        # d_raw = 2**31 would allocate ~256 GiB; d = 0 divides by zero
+        blob = bytearray(params_to_bytes(make_params()))
+        blob[at:at + 4] = value.to_bytes(4, "little")
+
+        def spy(*args, **kwargs):
+            raise AssertionError("DecoderParams.init reached")
+        monkeypatch.setattr(DecoderParams, "init", spy)
+        with pytest.raises(FormatError):
+            params_from_bytes(bytes(blob))
+
     def test_loaded_grads_are_zero(self):
         loaded = params_from_bytes(params_to_bytes(make_params()))
         for p in loaded.named_parameters().values():

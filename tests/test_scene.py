@@ -5,9 +5,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from voxloc.containers import FormatError
+from voxloc.containers import FormatError, Writer
 from voxloc.geometry import Point3D
-from voxloc.scene import (CodeBank, SceneRepresentation, VoxelId,
+from voxloc.scene import (SCENE_FORMAT_VERSION, SCENE_MAGIC, CodeBank,
+                          SceneRepresentation, VoxelId,
                           assign_coverage, build_scene, drop_uncovered,
                           file_overhead_bytes, load_scene, prune, save_scene,
                           scene_from_bytes, scene_to_bytes, scenes_equal,
@@ -244,6 +245,35 @@ class TestPersistence:
         blob = scene_to_bytes(small_scene())
         with pytest.raises(FormatError):
             scene_from_bytes(blob[:-7])
+
+    @pytest.mark.parametrize("t, d", [(1, 2 ** 31), (2 ** 31, 1)])
+    def test_huge_header_counts_rejected_before_allocating(self, monkeypatch,
+                                                           t, d):
+        # one voxel of one kept code: 69 bytes claiming T x 1 x D codes
+        w = Writer()
+        w.magic(SCENE_MAGIC)
+        w.u32(SCENE_FORMAT_VERSION)
+        w.f32(2.0)
+        for count in (t, 1, d, 1):  # T, N, D, voxel count
+            w.u32(count)
+        for ix in (0, 0, 0):
+            w.i32(ix)
+        w.f32_array(np.zeros(3))
+        w.u32(0)  # members
+        w.u32(0)  # covering views
+        w.f32_array([1.0])  # scale
+        w.u8_array([0])  # not pruned
+        w.f32_array([0.5])  # the first value of its code
+        blob = w.getvalue()
+        assert len(blob) == 69
+        real_zeros = np.zeros
+
+        def spy(shape, *args, **kwargs):
+            assert np.prod(shape, dtype=float) < 2 ** 20, f"np.zeros{shape}"
+            return real_zeros(shape, *args, **kwargs)
+        monkeypatch.setattr(np, "zeros", spy)
+        with pytest.raises(FormatError):
+            scene_from_bytes(blob)
 
     def test_trailing_garbage(self):
         blob = scene_to_bytes(small_scene())

@@ -158,6 +158,19 @@ class TestDatasetPersistence:
         with pytest.raises(FormatError):
             dataset_from_bytes(blob[: len(blob) // 2])
 
+    @pytest.mark.parametrize("cfg", [b'{"extent": [1, 2, 3], "bogus": 1}',
+                                     b'[1, 2]', b'{"extent": [1, 2]}',
+                                     b'{"extent": [1, 2, 3], "seed": 1.5}',
+                                     b'{"extent": [1, 2, 3], "focal": true}',
+                                     b'{"extent": [1, 2, 3], '
+                                     b'"num_points": "many"}'])
+    def test_bad_config_json_rejected(self, cfg):
+        blob = dataset_to_bytes(generate_dataset(small_config()))
+        n = int.from_bytes(blob[8:12], "little")  # after magic and version
+        blob = blob[:8] + len(cfg).to_bytes(4, "little") + cfg + blob[12 + n:]
+        with pytest.raises(FormatError):
+            dataset_from_bytes(blob)
+
     def test_manifest(self, tmp_path):
         ds = generate_dataset(small_config())
         path = tmp_path / "manifest.json"
