@@ -108,8 +108,9 @@ class Reader:
 
     def f32_array(self, count: int, what: str = "f32 array") -> np.ndarray:
         raw = self._take(4 * count, what)
-        return self._finite(np.frombuffer(raw, dtype="<f4").astype(np.float64),
-                            what)
+        # checked before the cast, which warns on a signalling NaN
+        return self._finite(np.frombuffer(raw, dtype="<f4"),
+                            what).astype(np.float64)
 
     def f64(self, what: str = "f64") -> float:
         return struct.unpack("<d", self._take(8, what))[0]

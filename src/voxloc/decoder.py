@@ -8,7 +8,7 @@ Single-head attention, post-norm residual blocks, logits scaled by 1/sqrt(D).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,11 +103,6 @@ def encode_feature(tape, params: DecoderParams, raw: DTensor) -> DTensor:
     return params.encoder.forward(tape, raw)
 
 
-@dataclass
-class DecodeStats:
-    skipped_blocks: list[int] = field(default_factory=list)
-
-
 def _canonical_order(bank: CodeBank, t: int, idx: np.ndarray) -> np.ndarray:
     """Reorder active code rows lexicographically by (code, scale) values.
 
@@ -123,8 +118,8 @@ def _attention(tape, f: DTensor, bank: CodeBank, t: int,
                params: DecoderParams, idx: np.ndarray):
     """Softmax attention of features f over the block-t codes idx.
 
-    idx must already be in canonical order. Returns the (M, K) attention
-    matrix and the (K, D) scaled codes it attends over.
+    idx must already be in canonical order. Returns the (M, D) attended
+    values and the (M, K) attention matrix (a plain array, off the tape).
     """
     blk = params.blocks[t]
     codes = dc.take_rows(tape, bank.codes[t], idx)
@@ -132,27 +127,22 @@ def _attention(tape, f: DTensor, bank: CodeBank, t: int,
     scaled = dc.mul(tape, codes, w)
     q = dc.matmul(tape, f, blk.wq)
     k = dc.matmul(tape, scaled, blk.wk)
-    logits = dc.scale(tape, dc.matmul_nt(tape, q, k), 1.0 / np.sqrt(params.d))
-    return dc.softmax_rows(tape, logits), scaled
+    v = dc.matmul(tape, scaled, blk.wv)
+    return dc.attention(tape, q, k, v, 1.0 / np.sqrt(params.d))
 
 
 def cross_attention_block(tape, f: DTensor, bank: CodeBank, t: int,
-                          params: DecoderParams,
-                          stats: DecodeStats | None = None) -> DTensor:
+                          params: DecoderParams) -> DTensor:
     """One post-norm residual cross-attention block over block-t codes.
 
-    A block whose codes are all pruned acts as identity on f (skip) and is
-    recorded in stats.
+    A block whose codes are all pruned acts as identity on f (skip).
     """
     blk = params.blocks[t]
     idx = bank.active_rows(t)
     if len(idx) == 0:
-        if stats is not None:
-            stats.skipped_blocks.append(t)
         return f
-    attn, scaled = _attention(tape, f, bank, t, params,
-                              _canonical_order(bank, t, idx))
-    attended = dc.matmul(tape, attn, dc.matmul(tape, scaled, blk.wv))
+    attended, _ = _attention(tape, f, bank, t, params,
+                             _canonical_order(bank, t, idx))
     f1 = dc.layer_norm(tape, dc.add(tape, f, attended),
                        blk.ln1_gain, blk.ln1_bias)
     f2 = dc.layer_norm(tape, dc.add(tape, f1, blk.mlp.forward(tape, f1)),
@@ -166,7 +156,6 @@ class DecodeResult:
     local: DTensor        # (M, 3) coordinates in the voxel frame, meters
     confidence: DTensor   # (M, 1) sigmoid probabilities in (0, 1)
     origin: np.ndarray
-    stats: DecodeStats
 
     def world(self) -> np.ndarray:
         return self.local.values + self.origin
@@ -181,14 +170,13 @@ def decode(tape, params: DecoderParams, features: DTensor, bank: CodeBank,
     if bank.dims[2] != params.d:
         raise dc.DimensionError(
             f"code width {bank.dims} != decoder width {params.d}")
-    stats = DecodeStats()
     f = features
     for t in range(params.num_blocks):
-        f = cross_attention_block(tape, f, bank, t, params, stats)
+        f = cross_attention_block(tape, f, bank, t, params)
     out = params.head.forward(tape, f)
     local = dc.slice_cols(tape, out, 0, 3)
     conf = dc.sigmoid(tape, dc.slice_cols(tape, out, 3, 4))
-    return DecodeResult(local, conf, origin, stats)
+    return DecodeResult(local, conf, origin)
 
 
 def attention_scores(params: DecoderParams, features: DTensor,
@@ -210,8 +198,8 @@ def attention_scores(params: DecoderParams, features: DTensor,
     f = features
     for t in range(block):
         f = cross_attention_block(None, f, bank, t, params)
-    attn, _ = _attention(None, f, bank, block, params, idx)
-    s = attn.values[:, pos[0]].copy()
+    _, attn = _attention(None, f, bank, block, params, idx)
+    s = attn[:, pos[0]].copy()
     lo, hi = s.min(), s.max()
     if hi - lo == 0.0:
         return s, np.zeros_like(s)

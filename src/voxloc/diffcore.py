@@ -1,7 +1,8 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 Just enough machinery for the cross-attention decoder: dense tensors, a
-recording tape, the handful of primitives the decoder and losses need, and
+recording tape, the handful of primitives the decoder and losses need
+(single-head attention among them, as one op with a hand-written VJP), and
 an optimizer with parameter freezing. Everything is deterministic: fixed
 reduction orders, no threading, float64 throughout. Bit-identical
 invariance to code permutations is achieved upstream, where the decoder
@@ -145,17 +146,6 @@ def matmul(tape, a: DTensor, b: DTensor) -> DTensor:
     ])
 
 
-def matmul_nt(tape, a: DTensor, b: DTensor) -> DTensor:
-    """a @ b.T for (m,k) x (n,k) -> (m,n)."""
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise DimensionError(f"matmul_nt shape mismatch: {a.shape} x {b.shape}")
-    out = DTensor(a.values @ b.values.T)
-    return _rec(tape, out, [
-        (a, lambda g, bv=b.values: g @ bv),
-        (b, lambda g, av=a.values: g.T @ av),
-    ])
-
-
 def relu(tape, a: DTensor) -> DTensor:
     out = DTensor(np.maximum(a.values, 0.0))
     mask = (a.values > 0.0).astype(np.float64)
@@ -189,25 +179,39 @@ def abs_(tape, a: DTensor) -> DTensor:
     return _rec(tape, out, [(a, lambda g, s=sign: g * s)])
 
 
-def softmax_rows(tape, logits: DTensor) -> DTensor:
-    """Row-wise softmax with max-subtraction.
+def attention(tape, q: DTensor, k: DTensor, v: DTensor, c: float):
+    """Single-head attention softmax(c * q k^T) v as one primitive.
 
-    Reduction order is fixed by the caller's (canonical) column order, so
-    outputs are deterministic for a given ordering.
+    q is (m, e), k is (n, e) and v is (n, d) with n >= 1. Returns the (m, d)
+    output and the (m, n) row-softmax weights as a plain array off the tape.
+    The softmax subtracts each row's max; its reduction order follows the
+    caller's (canonical) row order of k, so outputs are deterministic.
     """
-    if logits.values.ndim != 2 or logits.shape[1] < 1:
-        raise DimensionError(f"softmax_rows needs (m,n) with n>=1, got {logits.shape}")
-    z = logits.values - logits.values.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    denom = e.sum(axis=1, keepdims=True)
-    p = e / denom
-    out = DTensor(p)
+    if (q.values.ndim != 2 or k.values.ndim != 2 or v.values.ndim != 2
+            or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]
+            or k.shape[0] < 1):
+        raise DimensionError(f"attention shape mismatch: q {q.shape}, "
+                             f"k {k.shape}, v {v.shape}")
+    logits = (q.values @ k.values.T) * c
+    _check_finite(logits, "attention logits")
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    out = DTensor(p @ v.values)
+    memo: list = [None, None]   # (adjoint, dS) of the latest sweep
 
-    def pull(g, pv=p):
-        dot = (g * pv).sum(axis=1, keepdims=True)
-        return pv * (g - dot)
+    def d_logits(g):
+        # dq and dk share dS, computed once per adjoint; memo holds g, so a
+        # later sweep's adjoint cannot be a new array at g's address
+        if memo[0] is not g:
+            dp = g @ v.values.T
+            memo[:] = g, p * (dp - (dp * p).sum(axis=1, keepdims=True)) * c
+        return memo[1]
 
-    return _rec(tape, out, [(logits, pull)])
+    return _rec(tape, out, [
+        (q, lambda g, kv=k.values: d_logits(g) @ kv),
+        (k, lambda g, qv=q.values: d_logits(g).T @ qv),
+        (v, lambda g: p.T @ g),
+    ]), p
 
 
 def layer_norm(tape, x: DTensor, gain: DTensor, bias: DTensor,

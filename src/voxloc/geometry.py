@@ -50,8 +50,12 @@ class Pose:
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=np.float64)
         self.translation = np.asarray(self.translation, dtype=np.float64)
-        err = np.abs(self.rotation.T @ self.rotation - np.eye(3)).max()
-        if err > 1e-9 or abs(np.linalg.det(self.rotation) - 1.0) > 1e-9:
+        r = self.rotation
+        # entries of a rotation lie in [-1, 1]; checked first, this also
+        # rejects NaN and keeps r.T @ r from overflowing
+        if not (np.abs(r).max() <= 1.0 + 1e-9
+                and np.abs(r.T @ r - np.eye(3)).max() <= 1e-9
+                and abs(np.linalg.det(r) - 1.0) <= 1e-9):
             raise ValueError("rotation is not a proper orthonormal matrix")
         if not np.all(np.isfinite(self.translation)):
             raise ValueError("non-finite translation")

@@ -1,12 +1,17 @@
 """End-to-end coverage of every CLI subcommand on a tiny world."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voxloc import cli
-from voxloc.scene import load_scene, save_scene
+from voxloc.containers import FormatError
+from voxloc.decoder import params_from_bytes
+from voxloc.scene import load_scene, save_scene, scene_from_bytes
+from voxloc.synthworld import dataset_from_bytes
 
 TINY_CONFIG = """\
 # tiny world for fast tests
@@ -331,3 +336,38 @@ class TestErrorExits:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert key in err and len(err.strip().splitlines()) == 1
+
+
+READERS = {"ds.bin": dataset_from_bytes, "scene.bin": scene_from_bytes,
+           "weights.bin": params_from_bytes}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(max_examples=200, deadline=2000, derandomize=True)
+@given(data=st.data())
+def test_damaged_files_raise_only_value_errors(workdir, name, data):
+    # a truncated or bit-flipped file is a data error (exit 2), read with
+    # bounded allocations and no warning on stderr; a flip in a float may
+    # still leave a valid file
+    blob = bytearray((workdir[0] / name).read_bytes())
+    end = data.draw(st.one_of(st.just(len(blob)),
+                              st.integers(0, len(blob) - 1)), label="end")
+    bits = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                        st.integers(0, 7)),
+                              max_size=3), label="flipped bits")
+    for at, bit in bits:
+        blob[at] ^= 1 << bit
+    real_zeros = np.zeros
+
+    def spy(shape, *args, **kwargs):
+        assert np.prod(shape, dtype=float) < 2 ** 20, f"np.zeros{shape}"
+        return real_zeros(shape, *args, **kwargs)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(np, "zeros", spy)
+        warnings.simplefilter("error")
+        try:
+            READERS[name](bytes(blob[:end]))
+        except ValueError as err:
+            assert bits or isinstance(err, FormatError)
+        else:
+            assert bits or end == len(blob)

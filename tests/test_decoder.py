@@ -5,9 +5,9 @@ import pytest
 
 from voxloc import diffcore as dc
 from voxloc.containers import FormatError
-from voxloc.decoder import (DecoderParams, attention_scores, decode,
-                            encode_feature, params_from_bytes,
-                            params_to_bytes)
+from voxloc.decoder import (DecoderParams, attention_scores,
+                            cross_attention_block, decode, encode_feature,
+                            params_from_bytes, params_to_bytes)
 from voxloc.diffcore import DTensor, DimensionError, Tape
 from voxloc.scene import CodeBank
 
@@ -112,8 +112,8 @@ class TestPrunedCodes:
         raw = np.random.default_rng(7).normal(size=(6, DRAW))
         bank = make_bank()
         bank.pruned[1][:] = True
-        res = run_decode(params, bank, raw)
-        assert res.stats.skipped_blocks == [1]
+        f = encode_feature(None, params, dc.constant(raw))
+        assert cross_attention_block(None, f, bank, 1, params) is f
 
     def test_pruned_rows_get_no_gradient(self):
         params = make_params()

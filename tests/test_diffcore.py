@@ -71,9 +71,6 @@ class TestPrimitiveGradients:
     def test_matmul(self):
         check_op(dc.matmul, [(3, 4), (4, 5)])
 
-    def test_matmul_nt(self):
-        check_op(dc.matmul_nt, [(3, 4), (5, 4)])
-
     def test_relu(self):
         check_op(dc.relu, [(4, 5)], seed=3)
 
@@ -89,8 +86,9 @@ class TestPrimitiveGradients:
     def test_abs(self):
         check_op(dc.abs_, [(4, 5)], seed=1)
 
-    def test_softmax_rows(self):
-        check_op(dc.softmax_rows, [(3, 6)])
+    def test_attention(self):
+        check_op(lambda t, q, k, v: dc.attention(t, q, k, v, 0.7)[0],
+                 [(3, 4), (6, 4), (6, 5)])
 
     def test_layer_norm(self):
         check_op(dc.layer_norm, [(3, 8), (1, 8), (1, 8)], tol=1e-5)
@@ -113,12 +111,15 @@ class TestPrimitiveGradients:
 
 
 class TestForwardValues:
-    def test_softmax_rows_matches_reference(self):
-        x = RNG(0).normal(size=(5, 7)) * 3
-        p = dc.softmax_rows(None, DTensor(x)).values
+    def test_attention_matches_reference(self):
+        rng = RNG(0)
+        q, k, v = (rng.normal(size=s) * 3 for s in ((5, 4), (7, 4), (7, 3)))
+        out, p = dc.attention(None, DTensor(q), DTensor(k), DTensor(v), 0.5)
+        x = 0.5 * (q @ k.T)
         e = np.exp(x - x.max(axis=1, keepdims=True))
-        np.testing.assert_allclose(p, e / e.sum(axis=1, keepdims=True),
-                                   rtol=0, atol=1e-15)
+        want = e / e.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(p, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(out.values, want @ v, rtol=0, atol=1e-14)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-14)
 
     def test_sigmoid_extreme_logits_stable(self):
@@ -180,6 +181,26 @@ class TestTape:
         tape.backward(dc.sum_all(tape, out))
         np.testing.assert_allclose(a.grad, [[5.0]])
 
+    def test_sweeps_of_two_losses_add_up(self):
+        # attention reuses dS within one sweep; a second sweep with another
+        # adjoint must not see the first sweep's dS
+        rng = RNG(4)
+        arrays = [rng.normal(size=s) for s in ((3, 4), (5, 4), (5, 2))]
+        w1, w2 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+
+        def grads(weights):
+            ins = [DTensor(a) for a in arrays]
+            tape = Tape()
+            out, _ = dc.attention(tape, *ins, 0.8)
+            for w in weights:
+                tape.backward(dc.sum_all(tape, dc.mul(tape, out,
+                                                      dc.constant(w))))
+            return [t.grad for t in ins]
+
+        both = grads([w1, w2])
+        for got, g1, g2 in zip(both, grads([w1]), grads([w2])):
+            np.testing.assert_allclose(got, g1 + g2, rtol=0, atol=1e-13)
+
 
 class TestNumericGuards:
     def test_non_finite_input_rejected(self):
@@ -196,6 +217,14 @@ class TestNumericGuards:
         a = DTensor(np.array([[1e308]]))
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             dc.mul(None, a, a)
+
+    def test_overflowing_attention_logits_abort(self):
+        q = DTensor(np.array([[1e200, 0.0]]))
+        k = DTensor(np.array([[1e200, 0.0], [0.0, 1.0]]))
+        v = DTensor(np.ones((2, 3)))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="logits"):
+            dc.attention(None, q, k, v, 1.0)
 
     def test_optimizer_rejects_nan_gradient(self):
         p = DTensor(np.zeros(3), name="p")
@@ -296,5 +325,8 @@ def test_dimension_errors():
     b = DTensor(np.ones((4, 5)))
     with pytest.raises(DimensionError):
         dc.matmul(None, a, b)
+    q, k, v = (DTensor(np.ones(s)) for s in ((2, 3), (4, 3), (4, 5)))
     with pytest.raises(DimensionError):
-        dc.matmul_nt(None, a, b)
+        dc.attention(None, q, DTensor(np.ones((4, 2))), v, 1.0)
+    with pytest.raises(DimensionError):
+        dc.attention(None, q, k, DTensor(np.ones((3, 5))), 1.0)

@@ -1,5 +1,7 @@
 """Oracle tests for poses, projection, triangulation, PnP, and RANSAC."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,13 @@ class TestPose:
             Pose(np.eye(3) * 1.001, np.zeros(3))
         with pytest.raises(ValueError):
             Pose(-np.eye(3), np.zeros(3))  # det = -1
+        nan_entry = np.eye(3)
+        nan_entry[0, 0] = np.nan
+        for bad in (nan_entry, np.eye(3) * 1e200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="orthonormal"):
+                    Pose(bad, np.zeros(3))
 
     def test_matrix_layout(self):
         pose = random_pose(np.random.default_rng(1))
@@ -336,9 +345,11 @@ class TestRansac:
             return pose, mask_for(pose)
 
         pose = look_at([4.0, 1.0, 2.0], [0.0, 0.0, 0.0])
-        # bare DLT counts tie with different masks only on the smaller set
+        # bare DLT counts tie with different masks only on the smaller set;
+        # in seeds 16, 18 and 58 a later chunk ties the best count of an
+        # earlier one with another mask, so the earlier chunk must keep it
         cases = [(seed, 40, 8) for seed in range(5)]
-        cases += [(seed, 20, 4) for seed in range(5)]
+        cases += [(seed, 20, 4) for seed in (0, 1, 2, 3, 4, 16, 18, 58)]
         for seed, size, outliers in cases:
             rng = np.random.default_rng(seed)
             points = rng.uniform(-1.5, 1.5, size=(size, 3))
