@@ -71,6 +71,12 @@ class TestPrimitiveGradients:
     def test_matmul(self):
         check_op(dc.matmul, [(3, 4), (4, 5)])
 
+    def test_matmul_nt(self):
+        # the q k^T products inside attention: dq and dk with v held fixed
+        v = dc.constant(RNG(7).normal(size=(5, 3)))
+        check_op(lambda t, q, k: dc.attention(t, q, k, v, 1.0)[0],
+                 [(3, 4), (5, 4)])
+
     def test_relu(self):
         check_op(dc.relu, [(4, 5)], seed=3)
 
@@ -85,6 +91,11 @@ class TestPrimitiveGradients:
 
     def test_abs(self):
         check_op(dc.abs_, [(4, 5)], seed=1)
+
+    def test_softmax_rows(self):
+        # with k = v = I the attention output is the row softmax of c q
+        eye = dc.constant(np.eye(6))
+        check_op(lambda t, x: dc.attention(t, x, eye, eye, 1.0)[0], [(3, 6)])
 
     def test_attention(self):
         check_op(lambda t, q, k, v: dc.attention(t, q, k, v, 0.7)[0],
