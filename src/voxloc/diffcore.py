@@ -28,22 +28,33 @@ def _check_finite(values: np.ndarray, where: str) -> None:
 
 
 class DTensor:
-    """Dense float64 array with a same-shape gradient buffer."""
+    """Dense float64 array with a same-shape gradient buffer.
 
-    __slots__ = ("values", "grad", "name")
+    The gradient buffer is allocated, zero-filled, on its first read, so
+    tensors that never receive or report a gradient never pay for one.
+    """
+
+    __slots__ = ("values", "_grad", "name")
 
     def __init__(self, values, name: str = ""):
         self.values = np.array(values, dtype=np.float64)
         _check_finite(self.values, name or "DTensor")
-        self.grad = np.zeros_like(self.values)
+        self._grad = None
         self.name = name
 
     @property
     def shape(self):
         return self.values.shape
 
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.values)
+        return self._grad
+
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self._grad is not None:
+            self._grad[...] = 0.0
 
     def __repr__(self):
         return f"DTensor(shape={self.values.shape}, name={self.name!r})"
@@ -88,7 +99,8 @@ class Tape:
                     touched[key] = inp
         for key, t in touched.items():
             _check_finite(adjoint[key], f"gradient of {t.name or 'tensor'}")
-            t.grad += adjoint[key]
+            g = t.grad
+            g += adjoint[key]
 
 
 def _rec(tape: Tape | None, out: DTensor, pulls) -> DTensor:
@@ -185,26 +197,35 @@ def attention(tape, q: DTensor, k: DTensor, v: DTensor, c: float):
     q is (m, e), k is (n, e) and v is (n, d) with n >= 1. Returns the (m, d)
     output and the (m, n) row-softmax weights as a plain array off the tape.
     The softmax subtracts each row's max; its reduction order follows the
-    caller's (canonical) row order of k, so outputs are deterministic.
+    caller's (canonical) row order of k, so outputs are deterministic. The
+    logits, softmax and their adjoint each live in one (m, n) buffer updated
+    in place, in the same operation order as the out-of-place formulas.
     """
     if (q.values.ndim != 2 or k.values.ndim != 2 or v.values.ndim != 2
             or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]
             or k.shape[0] < 1):
         raise DimensionError(f"attention shape mismatch: q {q.shape}, "
                              f"k {k.shape}, v {v.shape}")
-    logits = (q.values @ k.values.T) * c
-    _check_finite(logits, "attention logits")
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    p = e / e.sum(axis=1, keepdims=True)
+    p = q.values @ k.values.T
+    p *= c
+    _check_finite(p, "attention logits")
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
     out = DTensor(p @ v.values)
     memo: list = [None, None]   # (adjoint, dS) of the latest sweep
 
     def d_logits(g):
         # dq and dk share dS, computed once per adjoint; memo holds g, so a
-        # later sweep's adjoint cannot be a new array at g's address
+        # later sweep's adjoint cannot be a new array at g's address; dS is
+        # p * (dp - rowsum(dp * p)) * c, formed in dp's buffer
         if memo[0] is not g:
             dp = g @ v.values.T
-            memo[:] = g, p * (dp - (dp * p).sum(axis=1, keepdims=True)) * c
+            row = (dp * p).sum(axis=1, keepdims=True)
+            dp -= row
+            dp *= p
+            dp *= c
+            memo[:] = g, dp
         return memo[1]
 
     return _rec(tape, out, [

@@ -27,6 +27,9 @@ SCENE_FORMAT_VERSION = 1
 VOXEL_HEADER_BYTES = 32
 # file header: magic + version + side length + (T, N, D) + voxel count
 FILE_HEADER_BYTES = 28
+# largest code width D: a fully pruned block stores no code bytes, so only
+# this bounds the (N, D) array it is read into
+MAX_CODE_DIM = 1024
 
 
 class VoxelId(NamedTuple):
@@ -51,8 +54,9 @@ class CodeBank:
     @classmethod
     def init(cls, t: int, n: int, d: int, rng: np.random.Generator,
              prefix: str) -> "CodeBank":
-        if t < 1 or n < 1 or d < 2:
-            raise ValueError(f"bad code bank dims T={t}, N={n}, D={d}")
+        if t < 1 or n < 1 or not 2 <= d <= MAX_CODE_DIM:
+            raise ValueError(f"bad code bank dims T={t}, N={n}, D={d} "
+                             f"(D must be in [2, {MAX_CODE_DIM}])")
         codes = [DTensor(rng.normal(0.0, 0.02, size=(n, d)),
                          name=f"{prefix}.codes.{i}")
                  for i in range(t)]
@@ -297,6 +301,9 @@ def scene_from_bytes(data: bytes) -> SceneRepresentation:
     t = r.u32("T")
     n = r.u32("N")
     d = r.u32("D")
+    if d > MAX_CODE_DIM:
+        raise FormatError(r.offset - 4, f"code width D = {d} exceeds the "
+                                        f"format maximum {MAX_CODE_DIM}")
     count = r.u32("voxel count")
     # each voxel holds at least its header and a scale and mask byte per code
     if count * (VOXEL_HEADER_BYTES + 5 * t * n) > r.remaining:

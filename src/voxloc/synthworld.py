@@ -326,11 +326,20 @@ def dataset_from_bytes(data: bytes) -> ReferenceDataset:
     views = [_read_view(r) for _ in range(r.u32("view count"))]
     query_views = [_read_view(r) for _ in range(r.u32("query view count"))]
     points = {}
+    points_at = r.offset
     for _ in range(r.u32("point count")):
         pid = r.u32("point id")
         valid = bool(r.u8("valid"))
         pos = r.f64_array(3, "position") if valid else None
         points[pid] = Point3D(pid, pos, valid)
+    # one vectorized finiteness check; a per-point check would slow loading
+    valid_pts = [p for p in points.values() if p.valid]
+    finite = np.isfinite(np.reshape([p.position for p in valid_pts],
+                                    (-1, 3))).all(axis=1)
+    if not finite.all():
+        bad = valid_pts[int(np.argmin(finite))]
+        raise FormatError(points_at, f"point {bad.id} has a non-finite "
+                                     f"position {bad.position.tolist()}")
     gt_poses = [_read_pose(r) for _ in range(r.u32("gt pose count"))]
     npts = r.u32("gt point count")
     gt_pts = r.f64_array(3 * npts, "gt positions").reshape(npts, 3)

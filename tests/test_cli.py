@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voxloc import cli
-from voxloc.containers import FormatError
+from voxloc.containers import FormatError, Writer
 from voxloc.decoder import params_from_bytes
-from voxloc.scene import load_scene, save_scene, scene_from_bytes
-from voxloc.synthworld import dataset_from_bytes
+from voxloc.scene import (SCENE_FORMAT_VERSION, SCENE_MAGIC, load_scene,
+                          save_scene, scene_from_bytes)
+from voxloc.synthworld import dataset_from_bytes, load_dataset, save_dataset
 
 TINY_CONFIG = """\
 # tiny world for fast tests
@@ -278,6 +279,47 @@ class TestErrorExits:
         save_scene(scene, tmp_path / "nan.bin")
         assert cli.main(["inspect", "--scene", str(tmp_path / "nan.bin")]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+    def test_fully_pruned_scene_with_huge_d_is_2(self, workdir, tmp_path,
+                                                  capsys):
+        # 65 bytes: T = N = 1 and D = 2**31, its one code pruned, so no
+        # code bytes stand behind D
+        w = Writer()
+        w.magic(SCENE_MAGIC)
+        w.u32(SCENE_FORMAT_VERSION)
+        w.f32(4.0)
+        for count in (1, 1, 2 ** 31, 1):  # T, N, D, voxel count
+            w.u32(count)
+        for c in (0, 0, 0):
+            w.i32(c)
+        w.f32_array(np.zeros(3))
+        w.u32(0)  # members
+        w.u32(0)  # covering views
+        w.f32_array([0.0])  # scale
+        w.u8_array([1])  # pruned
+        (tmp_path / "huge.bin").write_bytes(w.getvalue())
+        assert (tmp_path / "huge.bin").stat().st_size == 65
+        d, cfg = workdir
+        assert cli.main(["eval", "--config", str(cfg),
+                         "--dataset", str(d / "ds.bin"),
+                         "--scene", str(tmp_path / "huge.bin"),
+                         "--weights", str(d / "weights.bin")]) == 2
+        err = capsys.readouterr().err
+        assert "D = 2147483648" in err and len(err.strip().splitlines()) == 1
+
+    def test_non_finite_point_position_is_2(self, workdir, tmp_path, capsys):
+        d, cfg = workdir
+        ds = load_dataset(d / "ds.bin")
+        pid = next(p.id for p in ds.points.values() if p.valid)
+        ds.points[pid].position[0] = np.nan
+        save_dataset(ds, tmp_path / "nan.bin")
+        assert cli.main(["train", "--config", str(cfg),
+                         "--dataset", str(tmp_path / "nan.bin"),
+                         "--out-scene", str(tmp_path / "s.bin"),
+                         "--out-weights", str(tmp_path / "w.bin")]) == 2
+        err = capsys.readouterr().err
+        assert f"point {pid} " in err and "non-finite" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_prune_nan_threshold_is_2(self, workdir):
         d, _ = workdir

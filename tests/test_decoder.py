@@ -158,6 +158,16 @@ class TestDecodeShape:
         with pytest.raises(DimensionError):
             decode(None, params, feats, make_bank(d=D + 2), np.zeros(3))
 
+    def test_untaped_decode_allocates_no_gradient_buffers(self, monkeypatch):
+        params, bank = make_params(), make_bank()
+        raw = np.random.default_rng(11).normal(size=(5, DRAW))
+
+        def spy(*args, **kwargs):
+            raise AssertionError("np.zeros_like called")
+        monkeypatch.setattr(np, "zeros_like", spy)
+        res = run_decode(params, bank, raw)
+        assert res.local.shape == (5, 3)
+
 
 class TestLinearEncoder:
     def test_hidden_zero_is_single_affine(self):

@@ -121,17 +121,40 @@ class TestPrimitiveGradients:
         check_op(dc.mean_all, [(3, 4)])
 
 
+def reference_softmax(q, k, c):
+    """Row softmax of c * q k^T, out of place, in attention's order."""
+    x = (q @ k.T) * c
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 class TestForwardValues:
     def test_attention_matches_reference(self):
+        # bit for bit: the in-place softmax keeps the out-of-place order;
+        # c = 0.3 is no power of two, so a reordered scaling rounds apart
         rng = RNG(0)
         q, k, v = (rng.normal(size=s) * 3 for s in ((5, 4), (7, 4), (7, 3)))
-        out, p = dc.attention(None, DTensor(q), DTensor(k), DTensor(v), 0.5)
-        x = 0.5 * (q @ k.T)
-        e = np.exp(x - x.max(axis=1, keepdims=True))
-        want = e / e.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(p, want, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(out.values, want @ v, rtol=0, atol=1e-14)
+        out, p = dc.attention(None, DTensor(q), DTensor(k), DTensor(v), 0.3)
+        want = reference_softmax(q, k, 0.3)
+        np.testing.assert_array_equal(p, want)
+        np.testing.assert_array_equal(out.values, want @ v)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-14)
+
+    def test_attention_gradients_match_reference_bits(self):
+        rng = RNG(5)
+        arrays = [rng.normal(size=s) * 3 for s in ((6, 4), (9, 4), (9, 3))]
+        w = rng.normal(size=(6, 3))
+        q, k, v = (DTensor(a) for a in arrays)
+        tape = Tape()
+        out, _ = dc.attention(tape, q, k, v, 0.3)
+        tape.backward(dc.sum_all(tape, dc.mul(tape, out, dc.constant(w))))
+        qa, ka, va = arrays
+        p = reference_softmax(qa, ka, 0.3)
+        dp = w @ va.T
+        ds = p * (dp - (dp * p).sum(axis=1, keepdims=True)) * 0.3
+        np.testing.assert_array_equal(q.grad, ds @ ka)
+        np.testing.assert_array_equal(k.grad, ds.T @ qa)
+        np.testing.assert_array_equal(v.grad, p.T @ w)
 
     def test_sigmoid_extreme_logits_stable(self):
         x = DTensor(np.array([[-800.0, 800.0, 0.0]]))
@@ -184,6 +207,18 @@ class TestTape:
         t = DTensor(np.ones((2, 3)))
         assert t.grad.shape == (2, 3)
         assert np.all(t.grad == 0.0)
+
+    def test_first_backward_leaves_grad_equal_to_adjoint(self):
+        a = DTensor(RNG(1).normal(size=(3, 2)))
+        w = RNG(2).normal(size=(3, 2))
+        tape = Tape()
+        tape.backward(dc.sum_all(tape, dc.mul(tape, a, dc.constant(w))))
+        np.testing.assert_array_equal(a.grad, w)
+
+    def test_zero_grad_before_any_read_is_harmless(self):
+        t = DTensor(np.ones((2, 3)))
+        t.zero_grad()
+        assert t.grad.shape == (2, 3) and np.all(t.grad == 0.0)
 
     def test_reused_tensor_accumulates(self):
         a = DTensor(np.array([[2.0]]))
@@ -308,6 +343,14 @@ class TestOptimizer:
         opt.step(active=["a"])
         assert opt.steps == {"a": 1, "b": 0}
         assert b.values[0] == 0.0 and np.all(b.grad == 0.0)
+
+    @pytest.mark.parametrize("method", ["adam", "sgd"])
+    def test_parameter_without_gradient_stays_put(self, method):
+        p = DTensor(np.array([1.0, -2.0]), name="p")
+        opt = Optimizer({"p": p}, lr=0.1, method=method)
+        opt.step()
+        np.testing.assert_array_equal(p.values, [1.0, -2.0])
+        assert np.all(p.grad == 0.0)
 
     def test_reset_moment_rows(self):
         p = DTensor(np.zeros((3, 2)), name="p")

@@ -7,8 +7,8 @@ import pytest
 
 from voxloc.containers import FormatError, Writer
 from voxloc.geometry import Point3D
-from voxloc.scene import (SCENE_FORMAT_VERSION, SCENE_MAGIC, CodeBank,
-                          SceneRepresentation, VoxelId,
+from voxloc.scene import (MAX_CODE_DIM, SCENE_FORMAT_VERSION, SCENE_MAGIC,
+                          CodeBank, SceneRepresentation, VoxelId,
                           assign_coverage, build_scene, drop_uncovered,
                           file_overhead_bytes, load_scene, prune, save_scene,
                           scene_from_bytes, scene_to_bytes, scenes_equal,
@@ -22,6 +22,43 @@ def make_points(rng, n=40, lo=-3.0, hi=3.0):
 def small_scene(seed=0, dims=(2, 4, 6), side=2.0, n=40):
     rng = np.random.default_rng(seed)
     return build_scene(make_points(rng, n), side, dims, rng)
+
+
+# one block of one code: (scales, pruned mask, stored code values)
+KEPT = ([1.0], [0], [0.5])  # kept, but only its first value stored
+PRUNED = ([0.0], [1], [])
+
+
+def raw_scene(t, n, d, blocks):
+    """Scene file bytes claiming T x N x D codes per voxel. Voxel i sits at
+    (i, 0, 0) with no members or views and holds blocks[i], whatever the
+    claimed dims."""
+    w = Writer()
+    w.magic(SCENE_MAGIC)
+    w.u32(SCENE_FORMAT_VERSION)
+    w.f32(2.0)
+    for count in (t, n, d, len(blocks)):  # T, N, D, voxel count
+        w.u32(count)
+    for ix, (scales, mask, codes) in enumerate(blocks):
+        for c in (ix, 0, 0):
+            w.i32(c)
+        w.f32_array(np.zeros(3))
+        w.u32(0)  # members
+        w.u32(0)  # covering views
+        w.f32_array(scales)
+        w.u8_array(mask)
+        w.f32_array(codes)
+    return w.getvalue()
+
+
+def spy_on_zeros(monkeypatch):
+    """Fail any np.zeros call of 2**20 or more elements."""
+    real_zeros = np.zeros
+
+    def spy(shape, *args, **kwargs):
+        assert np.prod(shape, dtype=float) < 2 ** 20, f"np.zeros{shape}"
+        return real_zeros(shape, *args, **kwargs)
+    monkeypatch.setattr(np, "zeros", spy)
 
 
 class TestVoxelize:
@@ -250,30 +287,37 @@ class TestPersistence:
     def test_huge_header_counts_rejected_before_allocating(self, monkeypatch,
                                                            t, d):
         # one voxel of one kept code: 69 bytes claiming T x 1 x D codes
-        w = Writer()
-        w.magic(SCENE_MAGIC)
-        w.u32(SCENE_FORMAT_VERSION)
-        w.f32(2.0)
-        for count in (t, 1, d, 1):  # T, N, D, voxel count
-            w.u32(count)
-        for ix in (0, 0, 0):
-            w.i32(ix)
-        w.f32_array(np.zeros(3))
-        w.u32(0)  # members
-        w.u32(0)  # covering views
-        w.f32_array([1.0])  # scale
-        w.u8_array([0])  # not pruned
-        w.f32_array([0.5])  # the first value of its code
-        blob = w.getvalue()
+        blob = raw_scene(t, 1, d, [KEPT])
         assert len(blob) == 69
-        real_zeros = np.zeros
-
-        def spy(shape, *args, **kwargs):
-            assert np.prod(shape, dtype=float) < 2 ** 20, f"np.zeros{shape}"
-            return real_zeros(shape, *args, **kwargs)
-        monkeypatch.setattr(np, "zeros", spy)
+        spy_on_zeros(monkeypatch)
         with pytest.raises(FormatError):
             scene_from_bytes(blob)
+
+    @pytest.mark.parametrize("d", [MAX_CODE_DIM + 1, 2 ** 31])
+    def test_fully_pruned_block_cannot_claim_a_huge_d(self, monkeypatch, d):
+        # a pruned code stores no code bytes, so only the format bounds D
+        blob = raw_scene(1, 1, d, [PRUNED])
+        assert len(blob) == 65
+        spy_on_zeros(monkeypatch)
+        with pytest.raises(FormatError, match="format maximum"):
+            scene_from_bytes(blob)
+
+    def test_fully_pruned_first_voxel_cannot_claim_a_huge_d(self, monkeypatch):
+        # the second voxel's code would show D too big, but only after the
+        # first voxel's block had been allocated
+        blob = raw_scene(1, 1, 2 ** 31, [PRUNED, KEPT])
+        spy_on_zeros(monkeypatch)
+        with pytest.raises(FormatError, match="format maximum"):
+            scene_from_bytes(blob)
+
+    def test_largest_code_dim_roundtrips(self):
+        scene = small_scene(dims=(1, 2, MAX_CODE_DIM))
+        for v in scene.voxels.values():
+            v.codes.scales[0].values[...] = 0.0
+        prune(scene, 1e-9)
+        assert scenes_equal(scene, scene_from_bytes(scene_to_bytes(scene)))
+        with pytest.raises(ValueError, match="D must be in"):
+            small_scene(dims=(1, 2, MAX_CODE_DIM + 1))
 
     def test_trailing_garbage(self):
         blob = scene_to_bytes(small_scene())
