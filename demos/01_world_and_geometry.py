@@ -9,8 +9,7 @@ Run:  python3 demos/01_world_and_geometry.py
 
 import numpy as np
 
-from voxloc.geometry import (Correspondence, pose_error, project,
-                             ransac_pnp)
+from voxloc.geometry import pose_error, project, ransac_pnp
 from voxloc.synthworld import WorldConfig, build_dataset, generate_world
 
 config = WorldConfig(num_points=400, num_ref_views=30, num_query_views=3,
@@ -37,11 +36,12 @@ print("(training only ever sees these triangulated coordinates, "
 
 # --- PnP + RANSAC under outliers --------------------------------------------
 # build correspondences for one query camera: 70% lightly noisy pixels,
-# 30% uniform garbage, as if a matcher had produced bad associations
+# 30% uniform garbage, as if a matcher had produced bad associations; row i
+# of `points` is seen at row i of `pixels`
 truth = world.query_poses[0]
 rng = np.random.default_rng(0)
 k = world.intrinsics
-corrs = []
+points, pixels = [], []
 for x in world.points:
     pix = project(truth, k, x)
     if pix is None:
@@ -52,11 +52,13 @@ for x in world.points:
         pix = np.array([rng.uniform(0, k.width), rng.uniform(0, k.height)])
     else:
         pix = pix + rng.normal(0.0, 1.0, size=2)
-    corrs.append(Correspondence(pix, x))
+    points.append(x)
+    pixels.append(pix)
 
-result = ransac_pnp(corrs, k, inlier_tol=3.0, max_iters=500, seed=0)
+result = ransac_pnp(np.array(points), np.array(pixels), k, inlier_tol=3.0,
+                    max_iters=500, seed=0)
 dt, dr = pose_error(result.pose, truth)
-print(f"\nPnP+RANSAC from {len(corrs)} correspondences (30% outliers): "
+print(f"\nPnP+RANSAC from {len(points)} correspondences (30% outliers): "
       f"{result.num_inliers} inliers")
 print(f"recovered camera center within {dt * 1000:.1f} mm, "
       f"rotation within {dr:.3f} deg")

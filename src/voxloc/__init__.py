@@ -8,9 +8,9 @@ from .decoder import (DecoderParams, DecodeResult, attention_scores, decode,
                       encode_feature, load_params, save_params)
 from .diffcore import (DimensionError, DTensor, MLP, NumericError, Optimizer,
                        Tape, halved_lr)
-from .geometry import (Correspondence, DegenerateGeometryError, Intrinsics,
-                       Point3D, Pose, look_at, pnp_solve, pose_error, project,
-                       ransac_pnp, triangulate_dlt)
+from .geometry import (DegenerateGeometryError, Intrinsics, Point3D, Pose,
+                       look_at, pnp_solve, pose_error, project, ransac_pnp,
+                       triangulate_dlt)
 from .initialization import (InitConfig, aligned_decoder_init, inject_codes,
                              mean_observed_descriptors)
 from .pipeline import (DEFAULT_THRESHOLDS, EvalReport, LocalizationResult,
@@ -29,7 +29,7 @@ from .training import (TrainConfig, TrainingLog, adapt_scene, run_training,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CodeBank", "Correspondence", "DEFAULT_THRESHOLDS", "DTensor",
+    "CodeBank", "DEFAULT_THRESHOLDS", "DTensor",
     "DecodeResult", "DecoderParams", "DegenerateGeometryError",
     "DimensionError", "EvalReport", "FormatError", "InitConfig", "Intrinsics",
     "LocalizationResult", "LocalizeOptions", "MLP", "NumericError",

@@ -64,7 +64,8 @@ class Tape:
     """Ordered record of primitive ops; inputs always precede outputs.
 
     The reverse sweep propagates per-sweep adjoints and then adds them into
-    each tensor's .grad, so sweeping twice without re-running the forward
+    the .grad of each leaf, a tensor no op on this tape produced; op results
+    get no gradient buffer. Sweeping twice without re-running the forward
     pass accumulates exactly double gradients.
     """
 
@@ -86,6 +87,9 @@ class Tape:
         adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
         touched: dict[int, DTensor] = {id(loss): loss}
         for out, pulls in reversed(self._ops):
+            # every consumer of out comes later on the tape, so out is
+            # already touched if it ever will be; op results get no .grad
+            touched.pop(id(out), None)
             g = adjoint.get(id(out))
             if g is None:
                 continue
@@ -382,12 +386,6 @@ class Optimizer:
 
     def unfreeze(self, name: str) -> None:
         self.frozen.discard(name)
-
-    def reset_moment_rows(self, name: str, rows) -> None:
-        """Clear Adam state for specific rows (used after code pruning)."""
-        if self.method == "adam":
-            self.m[name][rows] = 0.0
-            self.v[name][rows] = 0.0
 
     def step(self, active=None) -> None:
         names = sorted(self.params) if active is None else sorted(active)

@@ -31,7 +31,7 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
+        if not (self.fx > 0 and self.fy > 0):  # also rejects NaN
             raise ValueError("focal lengths must be positive")
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
             raise ValueError("principal point outside image")
@@ -78,17 +78,6 @@ class Point3D:
     id: int
     position: np.ndarray | None
     valid: bool
-
-
-@dataclass
-class Correspondence:
-    pixel: np.ndarray  # (2,)
-    world: np.ndarray  # (3,)
-    confidence: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0,1]")
 
 
 def look_at(center: np.ndarray, target: np.ndarray,
@@ -258,13 +247,22 @@ def _reprojection_residuals(rot: np.ndarray, trans: np.ndarray,
     return res.ravel()
 
 
-def pnp_solve(corrs: list[Correspondence], k: Intrinsics,
+def _aligned(world, pixels) -> tuple[np.ndarray, np.ndarray]:
+    """world (n, 3) and pixels (n, 2) as float64, a correspondence a row."""
+    world, pixels = np.asarray(world, float), np.asarray(pixels, float)
+    if world.shape[1:] != (3,) or pixels.shape != (len(world), 2):
+        raise ValueError(f"need world (n, 3) and pixels (n, 2), got "
+                         f"{world.shape} and {pixels.shape}")
+    return world, pixels
+
+
+def pnp_solve(world: np.ndarray, pixels: np.ndarray, k: Intrinsics,
               max_iters: int = 20) -> Pose:
-    """DLT initialization + Gauss-Newton refinement on SE(3)."""
-    if len(corrs) < 6:
-        raise ValueError(f"PnP needs >= 6 correspondences, got {len(corrs)}")
-    world = np.array([c.world for c in corrs], dtype=np.float64)
-    pixels = np.array([c.pixel for c in corrs], dtype=np.float64)
+    """DLT initialization + Gauss-Newton refinement on SE(3) from n >= 6
+    rows of world points (n, 3) and their pixels (n, 2)."""
+    world, pixels = _aligned(world, pixels)
+    if len(world) < 6:
+        raise ValueError(f"PnP needs >= 6 correspondences, got {len(world)}")
     rot, trans, ok = _pnp_dlt(world[None], pixels[None], k)
     if not ok[0]:
         raise DegenerateGeometryError("rank-deficient or non-finite PnP "
@@ -348,10 +346,11 @@ class RansacResult:
         return int(self.inlier_mask.sum())
 
 
-def ransac_pnp(corrs: list[Correspondence], k: Intrinsics,
+def ransac_pnp(world: np.ndarray, pixels: np.ndarray, k: Intrinsics,
                inlier_tol: float = 3.0, max_iters: int = 1000,
                seed: int = 0) -> RansacResult:
-    """Seeded RANSAC over minimal 6-point PnP samples, then refinement.
+    """Seeded RANSAC over rows of world points (n, 3) and their pixels
+    (n, 2): minimal 6-point PnP samples, then refinement.
 
     Each trial draws one 6-point sample from the seeded generator. Trials
     are solved by a bare DLT, with no Gauss-Newton, and scored against
@@ -365,14 +364,14 @@ def ransac_pnp(corrs: list[Correspondence], k: Intrinsics,
     `inlier_tol` as the Cauchy scale: imprecise but correct points still
     inform the pose, outliers barely do. The returned inlier mask is
     taken at `inlier_tol` from the refined pose. Returns a failure result
-    (never raises) when no model reaches 6 inliers.
+    when fewer than 6 rows are given or no model reaches 6 inliers; raises
+    ValueError only when the two arrays do not pair up row by row.
     """
-    if len(corrs) < 6:
+    world, pixels = _aligned(world, pixels)
+    n = len(world)
+    if n < 6:
         return RansacResult(False, None)
-    world = np.array([c.world for c in corrs], dtype=np.float64)
-    pixels = np.array([c.pixel for c in corrs], dtype=np.float64)
     rng = np.random.default_rng(seed)
-    n = len(corrs)
 
     best_mask = None
     best_count = 0
@@ -388,9 +387,8 @@ def ransac_pnp(corrs: list[Correspondence], k: Intrinsics,
     if best_mask is None or best_count < 6:
         return RansacResult(False, None)
 
-    inlier_idx = np.flatnonzero(best_mask)
     try:
-        refined = pnp_solve([corrs[i] for i in inlier_idx], k)
+        refined = pnp_solve(world[best_mask], pixels[best_mask], k)
         refined = Pose(*_gauss_newton(refined.rotation, refined.translation,
                                       k, world, pixels, max_iters=20,
                                       cauchy_scale=inlier_tol))

@@ -3,7 +3,7 @@
 Retrieval ranks reference views by mean-descriptor cosine similarity; the
 retrieved views activate voxels via the coverage rule; every keypoint is
 decoded against every activated voxel; candidates with confidence >= 0.5
-become 2D-3D correspondences for PnP+RANSAC, whose pose is refined by
+become row-aligned 2D-3D arrays for PnP+RANSAC, whose pose is refined by
 Cauchy-weighted IRLS over all of them, not only the inliers. Failure is a
 first-class result value, never an exception.
 """
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .decoder import DecoderParams, attention_scores, decode, encode_feature
-from .geometry import Correspondence, Pose, pose_error, ransac_pnp
+from .geometry import Pose, pose_error, ransac_pnp
 from .scene import SceneRepresentation, VoxelId, size_bytes
 from .synthworld import ReferenceDataset, ViewObservations
 
@@ -99,16 +99,16 @@ def localize(query: ViewObservations, scene: SceneRepresentation,
              opts: LocalizeOptions | None = None) -> LocalizationResult:
     """Decode every (keypoint, activated voxel) pair and solve PnP+RANSAC.
 
-    A keypoint may contribute candidates in several voxels; RANSAC
+    Confident candidates reach RANSAC in voxel-id order, then keypoint
+    order; a keypoint may contribute in several voxels, and RANSAC
     arbitrates. With bypass_retrieval (or no dataset) all voxels activate.
     """
     opts = opts or LocalizeOptions()
     start = time.perf_counter()
 
-    def fail(activated=0, candidates=0, confident=0):
-        return LocalizationResult(False, None, activated, candidates,
-                                  confident, 0,
-                                  time.perf_counter() - start)
+    def fail():
+        return LocalizationResult(False, None,
+                                  wall_time_s=time.perf_counter() - start)
 
     if query.num_keypoints == 0:
         return fail()
@@ -121,27 +121,22 @@ def localize(query: ViewObservations, scene: SceneRepresentation,
         return fail()
 
     feats = encode_feature(None, params, dc.constant(query.descriptors))
-    corrs: list[Correspondence] = []
-    num_candidates = 0
+    world, pixels = [], []
     for vid in voxel_ids:
         voxel = scene.voxels[vid]
         result = decode(None, params, feats, voxel.codes, voxel.origin)
-        conf = result.confidence.values[:, 0]
-        world = result.world()
-        num_candidates += query.num_keypoints
-        for i in np.flatnonzero(conf >= opts.confidence_min):
-            corrs.append(Correspondence(query.pixels[i], world[i],
-                                        float(conf[i])))
-    if len(corrs) < 6:
-        return fail(len(voxel_ids), num_candidates, len(corrs))
+        keep = result.confidence.values[:, 0] >= opts.confidence_min
+        world.append(result.world()[keep])
+        pixels.append(query.pixels[keep])
+    world, pixels = np.concatenate(world), np.concatenate(pixels)
 
-    ransac = ransac_pnp(corrs, query.intrinsics, inlier_tol=opts.inlier_tol,
+    # a failed RANSAC has no pose and no inliers
+    ransac = ransac_pnp(world, pixels, query.intrinsics,
+                        inlier_tol=opts.inlier_tol,
                         max_iters=opts.ransac_iters, seed=opts.seed)
-    if not ransac.success:
-        return fail(len(voxel_ids), num_candidates, len(corrs))
-    return LocalizationResult(True, ransac.pose, len(voxel_ids),
-                              num_candidates, len(corrs),
-                              ransac.num_inliers,
+    return LocalizationResult(ransac.success, ransac.pose, len(voxel_ids),
+                              len(voxel_ids) * query.num_keypoints,
+                              len(world), ransac.num_inliers,
                               time.perf_counter() - start)
 
 

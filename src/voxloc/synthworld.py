@@ -42,6 +42,11 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if "float" in f.type and not np.all(np.isfinite(value)):
+                raise ValueError(f"world.{f.name} must be finite, got "
+                                 f"{value}")
         if min(self.num_points, self.num_ref_views, self.num_query_views) < 1:
             raise ValueError("counts must be >= 1")
         if min(self.extent) <= 0:

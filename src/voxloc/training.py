@@ -284,13 +284,8 @@ def run_training(scene: SceneRepresentation, dataset: ReferenceDataset,
         raise ValueError("pruning removed every code; threshold "
                          f"{config.prune_threshold} is degenerate for this scene")
     for v in scene.voxels.values():
-        bank = v.codes
-        for t in range(scene.dims[0]):
-            rows = np.flatnonzero(bank.pruned[t])
-            if len(rows):
-                opt_codes.reset_moment_rows(bank.codes[t].name, rows)
-                opt_codes.reset_moment_rows(bank.scales[t].name, rows)
-            opt_codes.freeze(bank.scales[t].name)  # stage 2 freezes scales
+        for w in v.codes.scales:
+            opt_codes.freeze(w.name)  # stage 2 freezes scales
 
     _run_epochs(scene, dataset, params, config, stage=2,
                 epochs=config.epochs_stage2, epoch_offset=epoch,

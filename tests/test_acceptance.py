@@ -17,10 +17,9 @@ from voxloc import cli, pipeline, synthworld, training
 from voxloc import diffcore as dcc
 from voxloc.decoder import (DecoderParams, cross_attention_block, decode,
                             encode_feature, params_from_bytes, params_to_bytes)
-from voxloc.geometry import (Correspondence, Intrinsics, Point3D, Pose,
-                             look_at, pnp_solve, pose_error, project,
-                             ransac_pnp, rotation_from_axis_angle,
-                             triangulate_dlt)
+from voxloc.geometry import (Intrinsics, Point3D, Pose, look_at, pnp_solve,
+                             pose_error, project, ransac_pnp,
+                             rotation_from_axis_angle, triangulate_dlt)
 from voxloc.pipeline import (LocalizationResult, LocalizeOptions, evaluate,
                              evaluate_scene, retrieve_views)
 from voxloc.scene import (CodeBank, Voxel, VoxelId, assign_coverage,
@@ -119,8 +118,8 @@ def test_criterion_2_geometric_exactness(capsys):
         pose = look_at(np.array([6.0 + trial, 2.0 - trial, 1.5]),
                        rng.normal(0.0, 0.3, size=3))
         world = rng.uniform(-2.0, 2.0, size=(20, 3))
-        corrs = [Correspondence(project(pose, K, x), x) for x in world]
-        est = pnp_solve(corrs, K)
+        pixels = np.array([project(pose, K, x) for x in world])
+        est = pnp_solve(world, pixels, K)
         dt, ddeg = pose_error(est, pose)
         worst_t = max(worst_t, dt)
         worst_r = max(worst_r, math.radians(ddeg))
@@ -148,7 +147,7 @@ def test_criterion_2_geometric_exactness(capsys):
                                  trng.uniform(-1.0, 1.0)]),
                        trng.normal(0.0, 0.2, size=3))
         world = trng.uniform(-2.0, 2.0, size=(200, 3))
-        corrs = []
+        pixels = []
         for i, x in enumerate(world):
             pix = project(pose, K, x)
             if i < 140:  # inliers with 1 px noise
@@ -156,8 +155,9 @@ def test_criterion_2_geometric_exactness(capsys):
             else:        # uniform outliers
                 pix = np.array([trng.uniform(0, K.width),
                                 trng.uniform(0, K.height)])
-            corrs.append(Correspondence(pix, x))
-        res = ransac_pnp(corrs, K, inlier_tol=3.0, max_iters=100, seed=seed)
+            pixels.append(pix)
+        res = ransac_pnp(world, np.array(pixels), K, inlier_tol=3.0,
+                         max_iters=100, seed=seed)
         if res.success and \
                 float(np.linalg.norm(res.pose.center - pose.center)) < 0.05:
             hits += 1

@@ -321,6 +321,24 @@ class TestErrorExits:
         assert f"point {pid} " in err and "non-finite" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("extra, key", [
+        ("world.extent = nan,1,1", "world.extent"),
+        ("world.focal = nan", "world.focal"),
+        ("world.descriptor_noise_sigma = inf",
+         "world.descriptor_noise_sigma"),
+        ("world.pixel_noise_sigma = nan", "world.pixel_noise_sigma"),
+    ])
+    def test_non_finite_world_config_is_2(self, tmp_path, capsys, extra,
+                                          key):
+        cfg = tiny_config_with(tmp_path, extra + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["gen", "--config", cfg,
+                             "--out", str(tmp_path / "x.bin")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x.bin").exists()
+
     def test_prune_nan_threshold_is_2(self, workdir):
         d, _ = workdir
         assert cli.main(["prune", "--scene", str(d / "scene.bin"),

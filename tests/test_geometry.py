@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from voxloc.geometry import (_CHUNK, Correspondence,
-                             DegenerateGeometryError, Intrinsics, Point3D,
+from voxloc.geometry import (_CHUNK, DegenerateGeometryError, Intrinsics,
+                             Point3D,
                              Pose, _gauss_newton, _pnp_dlt, _pnp_jacobian,
                              _reprojection_residuals, look_at,
                              nearest_rotation, pnp_solve, pose_error, project,
@@ -165,14 +165,16 @@ class TestTriangulation:
 
 
 def synthetic_corrs(pose, points, outliers=0, rng=None):
-    corrs = []
+    """(world (n, 3), pixels (n, 2)); the first `outliers` pixels are
+    uniform garbage."""
+    pixels = []
     for i, x in enumerate(points):
         pix = project(pose, K, x)
         assert pix is not None
         if i < outliers:
             pix = rng.uniform([0, 0], [K.width, K.height])
-        corrs.append(Correspondence(pix, np.asarray(x, float)))
-    return corrs
+        pixels.append(pix)
+    return np.asarray(points, float), np.array(pixels)
 
 
 class TestPnP:
@@ -180,7 +182,7 @@ class TestPnP:
         rng = np.random.default_rng(5)
         pose = look_at([4.0, 2.0, 3.0], [0.0, 0.0, 0.5])
         points = rng.uniform(-1.5, 1.5, size=(30, 3))
-        est = pnp_solve(synthetic_corrs(pose, points), K)
+        est = pnp_solve(*synthetic_corrs(pose, points), K)
         dt, dr = pose_error(est, pose)
         assert dt < 1e-6 and dr < 1e-6
 
@@ -188,29 +190,30 @@ class TestPnP:
         rng = np.random.default_rng(6)
         pose = look_at([3.0, -2.0, 2.0], [0.0, 0.0, 0.0])
         points = rng.uniform(-1.0, 1.0, size=(6, 3))
-        est = pnp_solve(synthetic_corrs(pose, points), K)
+        est = pnp_solve(*synthetic_corrs(pose, points), K)
         dt, dr = pose_error(est, pose)
         assert dt < 1e-5 and dr < 1e-4
 
     def test_too_few_points_raises(self):
         pose = look_at([3.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-        corrs = synthetic_corrs(pose, np.eye(3) * 0.2)
+        world, pixels = synthetic_corrs(pose, np.eye(3) * 0.2)
         with pytest.raises(ValueError):
-            pnp_solve(corrs, K)
+            pnp_solve(world, pixels, K)
 
     def test_collinear_points_degenerate(self):
         pose = look_at([3.0, 0.0, 0.0], [0.0, 0.0, 0.0])
         points = np.outer(np.linspace(-1, 1, 8), [0.0, 1.0, 0.3])
         with pytest.raises(DegenerateGeometryError):
-            pnp_solve(synthetic_corrs(pose, points), K)
+            pnp_solve(*synthetic_corrs(pose, points), K)
 
     def test_non_finite_points_degenerate(self):
         rng = np.random.default_rng(13)
         pose = look_at([3.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-        corrs = synthetic_corrs(pose, rng.uniform(-1.0, 1.0, size=(8, 3)))
-        corrs[3].world = np.array([np.nan, 0.0, 0.0])
+        world, pixels = synthetic_corrs(pose,
+                                        rng.uniform(-1.0, 1.0, size=(8, 3)))
+        world[3] = np.array([np.nan, 0.0, 0.0])
         with pytest.raises(DegenerateGeometryError):
-            pnp_solve(corrs, K)
+            pnp_solve(world, pixels, K)
 
     def test_gauss_newton_bad_starts_stop_quietly(self):
         pose = look_at([4.0, 1.0, 2.0], [0.0, 0.0, 0.0])
@@ -271,8 +274,9 @@ class TestRansac:
         rng = np.random.default_rng(7)
         pose = look_at([4.0, 1.0, 2.0], [0.0, 0.0, 0.0])
         points = rng.uniform(-1.5, 1.5, size=(60, 3))
-        corrs = synthetic_corrs(pose, points, outliers=18, rng=rng)
-        res = ransac_pnp(corrs, K, inlier_tol=2.0, max_iters=300, seed=1)
+        world, pixels = synthetic_corrs(pose, points, outliers=18, rng=rng)
+        res = ransac_pnp(world, pixels, K, inlier_tol=2.0, max_iters=300,
+                         seed=1)
         assert res.success
         dt, dr = pose_error(res.pose, pose)
         assert dt < 0.01 and dr < 0.1
@@ -285,8 +289,8 @@ class TestRansac:
         pose = look_at([4.0, 1.0, 2.0], [0.0, 0.0, 0.0])
         points = rng.uniform(-1.5, 1.5, size=(30, 3))
         corrs = synthetic_corrs(pose, points, outliers=8, rng=rng)
-        a = ransac_pnp(corrs, K, max_iters=100, seed=3)
-        b = ransac_pnp(corrs, K, max_iters=100, seed=3)
+        a = ransac_pnp(*corrs, K, max_iters=100, seed=3)
+        b = ransac_pnp(*corrs, K, max_iters=100, seed=3)
         assert a.success and b.success
         np.testing.assert_array_equal(a.pose.rotation, b.pose.rotation)
         np.testing.assert_array_equal(a.inlier_mask, b.inlier_mask)
@@ -299,14 +303,14 @@ class TestRansac:
         errors = []
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            corrs = [Correspondence(project(pose, K, x),
-                                    x + rng.normal(0.0, 0.05, size=3))
-                     for x in rng.uniform(-2.0, 2.0, size=(300, 3))]
-            corrs += [Correspondence(rng.uniform([0, 0], [K.width, K.height]),
-                                     x)
-                      for x in rng.uniform(-2.0, 2.0, size=(100, 3))]
-            res = ransac_pnp(corrs, K, inlier_tol=3.0, max_iters=200,
-                             seed=seed)
+            xs = rng.uniform(-2.0, 2.0, size=(300, 3))
+            pixels = [project(pose, K, x) for x in xs]
+            world = [x + rng.normal(0.0, 0.05, size=3) for x in xs]
+            xs = rng.uniform(-2.0, 2.0, size=(100, 3))
+            pixels += [rng.uniform([0, 0], [K.width, K.height]) for _ in xs]
+            world += list(xs)
+            res = ransac_pnp(np.array(world), np.array(pixels), K,
+                             inlier_tol=3.0, max_iters=200, seed=seed)
             assert res.success
             errors.append(pose_error(res.pose, pose)[0])
         assert np.median(errors) < 0.06
@@ -317,10 +321,7 @@ class TestRansac:
         # reference: one bare DLT per drawn sample, degenerate samples
         # skipped, the first maximum inlier count wins; then the same refit
         # and IRLS
-        def reference(corrs, seed):
-            world = np.array([c.world for c in corrs])
-            pixels = np.array([c.pixel for c in corrs])
-
+        def reference(world, pixels, seed):
             def mask_for(pose):
                 pix, z = project_many(pose, K, world)
                 err = np.linalg.norm(pix - pixels, axis=1)
@@ -329,7 +330,7 @@ class TestRansac:
             rng = np.random.default_rng(seed)
             best_mask, best_count = None, 0
             for _ in range(max_iters):
-                pick = rng.choice(len(corrs), size=6, replace=False)
+                pick = rng.choice(len(world), size=6, replace=False)
                 rot, trans, ok = _pnp_dlt(world[pick][None],
                                           pixels[pick][None], K)
                 if not ok[0]:
@@ -339,7 +340,7 @@ class TestRansac:
                     best_mask, best_count = mask, mask.sum()
             if best_count < 6:
                 return None
-            pose = pnp_solve([c for c, m in zip(corrs, best_mask) if m], K)
+            pose = pnp_solve(world[best_mask], pixels[best_mask], K)
             pose = Pose(*_gauss_newton(pose.rotation, pose.translation, K,
                                        world, pixels, 20, cauchy_scale=1.0))
             return pose, mask_for(pose)
@@ -353,12 +354,13 @@ class TestRansac:
         for seed, size, outliers in cases:
             rng = np.random.default_rng(seed)
             points = rng.uniform(-1.5, 1.5, size=(size, 3))
-            corrs = synthetic_corrs(pose, points, outliers, rng=rng)
-            for c in corrs[outliers:]:  # sub-pixel noise: counts vary
-                c.pixel = c.pixel + rng.normal(0.0, 0.4, size=2)
-            res = ransac_pnp(corrs, K, inlier_tol=1.0, max_iters=max_iters,
-                             seed=seed)
-            ref = reference(corrs, seed)
+            world, pixels = synthetic_corrs(pose, points, outliers, rng=rng)
+            # sub-pixel noise: counts vary
+            pixels[outliers:] += rng.normal(0.0, 0.4,
+                                            size=(size - outliers, 2))
+            res = ransac_pnp(world, pixels, K, inlier_tol=1.0,
+                             max_iters=max_iters, seed=seed)
+            ref = reference(world, pixels, seed)
             assert res.success == (ref is not None)
             if ref is not None:
                 assert res.pose.rotation.tobytes() == ref[0].rotation.tobytes()
@@ -372,37 +374,48 @@ class TestRansac:
         def hostile(rng, clean):
             points = rng.uniform(-1.5, 1.5, size=(60, 3))
             pix = project_many(pose, K, points)[0]
-            corrs = [Correspondence(p, x) for p, x in zip(pix, points)]
-            corrs = corrs[:clean]
             # reflected through the camera centre: same pixel, behind it
-            corrs += [Correspondence(p, 2.0 * pose.center - x)
-                      for p, x in zip(pix[40:52], points[40:52])]
-            corrs += [Correspondence(p, rng.normal(size=3) * 1e200)
-                      for p in pix[52:]]
+            world = np.concatenate([points[:clean],
+                                    2.0 * pose.center - points[40:52],
+                                    rng.normal(size=(8, 3)) * 1e200])
+            pixels = np.concatenate([pix[:clean], pix[40:52], pix[52:]])
             # repeated points make rank-deficient samples
-            return corrs + [corrs[-1]] * 4 + [corrs[-9]] * 4
+            n = len(world)
+            rows = list(range(n)) + [n - 1] * 4 + [n - 9] * 4
+            return world[rows], pixels[rows]
 
         for seed in range(5):
             corrs = hostile(np.random.default_rng(seed), clean=60)
-            assert len(corrs) == 88  # 60 / 88 = 68% clean
-            res = ransac_pnp(corrs, K, max_iters=_CHUNK, seed=seed)
+            assert len(corrs[0]) == 88  # 60 / 88 = 68% clean
+            res = ransac_pnp(*corrs, K, max_iters=_CHUNK, seed=seed)
             assert res.success
             dt, dr = pose_error(res.pose, pose)
             assert dt < 0.05 and dr < 1.0
-            res = ransac_pnp(hostile(np.random.default_rng(seed), clean=0),
+            res = ransac_pnp(*hostile(np.random.default_rng(seed), clean=0),
                              K, max_iters=_CHUNK, seed=seed)
             assert not res.success and res.pose is None
 
+    def test_misaligned_arrays_rejected(self):
+        pose = look_at([4.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+        points = np.random.default_rng(15).uniform(-1.5, 1.5, size=(10, 3))
+        world, pixels = synthetic_corrs(pose, points)
+        for solve in (pnp_solve, ransac_pnp):
+            for w, p in ((world, pixels[:-1]), (world[:3], pixels[:2])):
+                with pytest.raises(ValueError, match="pixels"):
+                    solve(w, p, K)
+
     def test_too_few_correspondences_fails_cleanly(self):
-        res = ransac_pnp([], K)
+        res = ransac_pnp(np.zeros((0, 3)), np.zeros((0, 2)), K)
         assert not res.success and res.pose is None and res.num_inliers == 0
 
     def test_pure_noise_fails_cleanly(self):
         rng = np.random.default_rng(9)
-        corrs = [Correspondence(rng.uniform([0, 0], [640, 480]),
-                                rng.uniform(-100, 100, size=3))
-                 for _ in range(8)]
-        res = ransac_pnp(corrs, K, inlier_tol=0.01, max_iters=20, seed=0)
+        draws = [(rng.uniform([0, 0], [640, 480]),
+                  rng.uniform(-100, 100, size=3)) for _ in range(8)]
+        world = np.array([x for _, x in draws])
+        pixels = np.array([p for p, _ in draws])
+        res = ransac_pnp(world, pixels, K, inlier_tol=0.01, max_iters=20,
+                         seed=0)
         assert not res.success
 
 
@@ -418,7 +431,3 @@ class TestPoseError:
         dt, dr = pose_error(moved, pose)
         np.testing.assert_allclose(dt, 0.2, atol=1e-12)
         np.testing.assert_allclose(dr, 5.0, atol=1e-9)
-
-    def test_confidence_range_enforced(self):
-        with pytest.raises(ValueError):
-            Correspondence(np.zeros(2), np.zeros(3), confidence=1.5)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from voxloc import pipeline
-from voxloc.decoder import DecoderParams
+from voxloc import diffcore as dc
+from voxloc.decoder import DecoderParams, decode, encode_feature
 from voxloc.diffcore import DTensor
-from voxloc.geometry import Intrinsics, Pose, look_at, project, pose_error, \
-    rotation_from_axis_angle
+from voxloc.geometry import Intrinsics, Pose, RansacResult, look_at, \
+    project, pose_error, rotation_from_axis_angle
 from voxloc.pipeline import (DEFAULT_THRESHOLDS, EvalReport,
                              LocalizationResult, LocalizeOptions,
                              activate_voxels, evaluate, export_heatmap,
@@ -212,6 +213,42 @@ class TestLocalize:
         assert not res.success
         assert res.num_confident_points == 0
         assert res.num_candidate_points > 0
+
+    def test_ransac_gets_confident_rows_in_voxel_order(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        pts, scene = make_world_scene(rng)
+        # dict order opposite to voxel-id order: localize must sort
+        scene.voxels = dict(reversed(list(scene.voxels.items())))
+        query = query_for(pts, look_at([5.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
+                          rng)
+        params = DecoderParams.init(rng, d_raw=16, d=8, num_blocks=2,
+                                    encoder_hidden=8, block_hidden=8,
+                                    head_hidden=8)
+        feats = encode_feature(None, params, dc.constant(query.descriptors))
+        results = [decode(None, params, feats, scene.voxels[vid].codes,
+                          scene.voxels[vid].origin)
+                   for vid in sorted(scene.voxels)]
+        confs = [r.confidence.values[:, 0] for r in results]
+        conf_min = float(np.median(np.concatenate(confs)))
+        world = np.concatenate([r.world()[c >= conf_min]
+                                for r, c in zip(results, confs)])
+        pixels = np.concatenate([query.pixels[c >= conf_min] for c in confs])
+        assert 0 < len(world) < len(scene.voxels) * query.num_keypoints
+
+        captured = {}
+
+        def stub(world, pixels, k, **kwargs):
+            captured.update(world=world, pixels=pixels)
+            return RansacResult(False, None)
+
+        monkeypatch.setattr(pipeline, "ransac_pnp", stub)
+        res = localize(query, scene, params, None,
+                       LocalizeOptions(bypass_retrieval=True,
+                                       confidence_min=conf_min))
+        for name, expected in (("world", world), ("pixels", pixels)):
+            assert captured[name].shape == expected.shape
+            assert captured[name].tobytes() == expected.tobytes()
+        assert not res.success and res.num_confident_points == len(world)
 
     def test_counting_chain_validated(self):
         with pytest.raises(ValueError):
