@@ -409,8 +409,7 @@ def main(argv=None) -> int:
     except NumericError as err:
         print(f"numeric abort: {err}", file=sys.stderr)
         return 3
-    except (ConfigError, FormatError, ValueError, KeyError,
-            FileNotFoundError) as err:
+    except (ConfigError, FormatError, ValueError, KeyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

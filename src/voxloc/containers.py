@@ -8,7 +8,10 @@ little-endian u32/i32.
 
 from __future__ import annotations
 
+import io
+import os
 import struct
+from typing import BinaryIO
 
 import numpy as np
 
@@ -64,16 +67,41 @@ class Writer:
 
 
 class Reader:
-    def __init__(self, data: bytes):
-        self._data = data
+    """Reads a stream of known size: an open binary file, or bytes-like
+    data wrapped in a BytesIO. Every read is bounds-checked against the
+    size first, so a corrupt count never allocates beyond the file."""
+
+    def __init__(self, source: bytes | BinaryIO):
+        if isinstance(source, io.IOBase):
+            self._size = os.fstat(source.fileno()).st_size
+        else:
+            self._size = memoryview(source).nbytes
+            source = io.BytesIO(source)
+        self._stream = source
         self.offset = 0
 
-    def _take(self, n: int, what: str) -> bytes:
-        if self.offset + n > len(self._data):
+    def _check(self, n: int, what: str) -> None:
+        if self.offset + n > self._size:
             raise FormatError(self.offset, f"truncated file while reading {what}")
-        chunk = self._data[self.offset:self.offset + n]
+
+    def _advance(self, got: int, n: int, what: str) -> None:
+        if got != n:  # the file shrank below its size since it was opened
+            raise FormatError(self.offset, f"truncated file while reading {what}")
         self.offset += n
+
+    def _take(self, n: int, what: str) -> bytes:
+        self._check(n, what)
+        chunk = self._stream.read(n)
+        self._advance(len(chunk), n, what)
         return chunk
+
+    def _array(self, count: int, dtype: str, what: str) -> np.ndarray:
+        """count values of dtype, read straight into one new array."""
+        n = count * np.dtype(dtype).itemsize
+        self._check(n, what)
+        out = np.empty(count, dtype=dtype)
+        self._advance(self._stream.readinto(out), n, what)
+        return out
 
     def _finite(self, values, what: str):
         """float32 values just read, unless one is NaN or infinite."""
@@ -84,7 +112,7 @@ class Reader:
 
     @property
     def remaining(self) -> int:
-        return len(self._data) - self.offset
+        return self._size - self.offset
 
     def raw(self, n: int, what: str = "bytes") -> bytes:
         return self._take(n, what)
@@ -107,26 +135,22 @@ class Reader:
         return self._take(1, what)[0]
 
     def f32_array(self, count: int, what: str = "f32 array") -> np.ndarray:
-        raw = self._take(4 * count, what)
         # checked before the cast, which warns on a signalling NaN
-        return self._finite(np.frombuffer(raw, dtype="<f4"),
+        return self._finite(self._array(count, "<f4", what),
                             what).astype(np.float64)
 
     def f64(self, what: str = "f64") -> float:
         return struct.unpack("<d", self._take(8, what))[0]
 
     def f64_array(self, count: int, what: str = "f64 array") -> np.ndarray:
-        raw = self._take(8 * count, what)
-        return np.frombuffer(raw, dtype="<f8").copy()
+        return self._array(count, "<f8", what)
 
     def u32_array(self, count: int, what: str = "u32 array") -> np.ndarray:
-        raw = self._take(4 * count, what)
-        return np.frombuffer(raw, dtype="<u4").astype(np.int64)
+        return self._array(count, "<u4", what).astype(np.int64)
 
     def u8_array(self, count: int, what: str = "u8 array") -> np.ndarray:
-        raw = self._take(count, what)
-        return np.frombuffer(raw, dtype="u1").copy()
+        return self._array(count, "u1", what)
 
     def expect_end(self) -> None:
-        if self.offset != len(self._data):
+        if self.offset != self._size:
             raise FormatError(self.offset, "trailing bytes after payload")

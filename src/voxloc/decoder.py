@@ -9,6 +9,7 @@ Single-head attention, post-norm residual blocks, logits scaled by 1/sqrt(D).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -237,7 +238,7 @@ def _param_count(d_raw: int, d: int, num_blocks: int, encoder_hidden: int,
     return encoder + num_blocks * block + mlp(d, head_hidden, 4)
 
 
-def params_from_bytes(data: bytes) -> DecoderParams:
+def params_from_bytes(data: bytes | BinaryIO) -> DecoderParams:
     r = Reader(data)
     r.expect_magic(WEIGHTS_MAGIC)
     version = r.u32("format version")
@@ -280,4 +281,4 @@ def save_params(params: DecoderParams, path) -> None:
 
 def load_params(path) -> DecoderParams:
     with open(path, "rb") as f:
-        return params_from_bytes(f.read())
+        return params_from_bytes(f)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -291,7 +291,7 @@ def scene_to_bytes(scene: SceneRepresentation) -> bytes:
     return w.getvalue()
 
 
-def scene_from_bytes(data: bytes) -> SceneRepresentation:
+def scene_from_bytes(data: bytes | BinaryIO) -> SceneRepresentation:
     r = Reader(data)
     r.expect_magic(SCENE_MAGIC)
     version = r.u32("format version")
@@ -344,7 +344,7 @@ def save_scene(scene: SceneRepresentation, path) -> None:
 
 def load_scene(path) -> SceneRepresentation:
     with open(path, "rb") as f:
-        return scene_from_bytes(f.read())
+        return scene_from_bytes(f)
 
 
 def scenes_equal(a: SceneRepresentation, b: SceneRepresentation) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from typing import BinaryIO
 
 import numpy as np
 
@@ -47,8 +48,23 @@ class WorldConfig:
             if "float" in f.type and not np.all(np.isfinite(value)):
                 raise ValueError(f"world.{f.name} must be finite, got "
                                  f"{value}")
-        if min(self.num_points, self.num_ref_views, self.num_query_views) < 1:
-            raise ValueError("counts must be >= 1")
+        for key in ("num_points", "num_ref_views", "num_query_views",
+                    "image_width", "image_height", "descriptor_dim"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"world.{key} must be >= 1, got "
+                                 f"{getattr(self, key)}")
+        if self.focal <= 0:
+            raise ValueError(f"world.focal must be > 0, got {self.focal}")
+        if not 0 < self.min_depth < self.max_depth:
+            raise ValueError(f"world.min_depth must be in (0, world.max_depth "
+                             f"= {self.max_depth}), got {self.min_depth}")
+        half = min(self.image_width, self.image_height) / 2.0
+        if not 0 <= self.frustum_margin < half:
+            raise ValueError(f"world.frustum_margin must be in [0, {half}) to "
+                             f"leave an image area, got {self.frustum_margin}")
+        if self.triangulation_tol <= 0:
+            raise ValueError(f"world.triangulation_tol must be > 0, got "
+                             f"{self.triangulation_tol}")
         if min(self.extent) <= 0:
             raise ValueError(f"degenerate extent {self.extent}")
         for s in (self.pixel_noise_sigma, self.descriptor_noise_sigma,
@@ -319,7 +335,7 @@ def _config_from_json(raw: bytes, offset: int) -> WorldConfig:
     return WorldConfig(**cfg)
 
 
-def dataset_from_bytes(data: bytes) -> ReferenceDataset:
+def dataset_from_bytes(data: bytes | BinaryIO) -> ReferenceDataset:
     r = Reader(data)
     r.expect_magic(DATASET_MAGIC)
     version = r.u32("format version")
@@ -360,7 +376,7 @@ def save_dataset(ds: ReferenceDataset, path) -> None:
 
 def load_dataset(path) -> ReferenceDataset:
     with open(path, "rb") as f:
-        return dataset_from_bytes(f.read())
+        return dataset_from_bytes(f)
 
 
 def write_manifest(ds: ReferenceDataset, path) -> None:

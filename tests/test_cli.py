@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from voxloc import cli
 from voxloc.containers import FormatError, Writer
-from voxloc.decoder import params_from_bytes
+from voxloc.decoder import load_params, params_from_bytes
 from voxloc.scene import (SCENE_FORMAT_VERSION, SCENE_MAGIC, load_scene,
                           save_scene, scene_from_bytes)
 from voxloc.synthworld import dataset_from_bytes, load_dataset, save_dataset
@@ -224,6 +224,18 @@ def tiny_config_with(tmp_path, extra):
     return str(cfg)
 
 
+def assert_gen_rejects(tmp_path, capsys, extra, key):
+    """voxloc gen exits 2 on the config line, naming its key on one line."""
+    cfg = tiny_config_with(tmp_path, extra + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["gen", "--config", cfg,
+                         "--out", str(tmp_path / "x.bin")]) == 2
+    err = capsys.readouterr().err
+    assert key in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "x.bin").exists()
+
+
 class TestErrorExits:
     def test_usage_error_is_1(self):
         assert cli.main(["no-such-command"]) == 1
@@ -330,14 +342,37 @@ class TestErrorExits:
     ])
     def test_non_finite_world_config_is_2(self, tmp_path, capsys, extra,
                                           key):
-        cfg = tiny_config_with(tmp_path, extra + "\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cli.main(["gen", "--config", cfg,
-                             "--out", str(tmp_path / "x.bin")]) == 2
+        assert_gen_rejects(tmp_path, capsys, extra, key)
+
+    @pytest.mark.parametrize("extra, key", [
+        ("world.image_width = 0", "world.image_width"),
+        ("world.image_height = 0", "world.image_height"),
+        ("world.focal = -1", "world.focal"),
+        ("world.min_depth = 0", "world.min_depth"),
+        ("world.min_depth = 50", "world.min_depth"),
+        ("world.frustum_margin = -1", "world.frustum_margin"),
+        ("world.frustum_margin = 240", "world.frustum_margin"),
+        ("world.triangulation_tol = -1", "world.triangulation_tol"),
+        ("world.descriptor_dim = 0", "world.descriptor_dim"),
+    ])
+    def test_degenerate_world_config_is_2(self, tmp_path, capsys, extra,
+                                          key):
+        # finite, but leaves no image area, depth range, triangulation
+        # tolerance or descriptor
+        assert_gen_rejects(tmp_path, capsys, extra, key)
+
+    @pytest.mark.parametrize("flag", ["--dataset", "--scene", "--weights"])
+    def test_unreadable_input_is_2(self, workdir, tmp_path, capsys, flag):
+        d, cfg = workdir
+        files = {"--dataset": d / "ds.bin", "--scene": d / "scene.bin",
+                 "--weights": d / "weights.bin", flag: tmp_path}
+        argv = ["eval", "--config", str(cfg)]
+        for name, path in files.items():
+            argv += [name, str(path)]
+        assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert key in err and len(err.strip().splitlines()) == 1
-        assert not (tmp_path / "x.bin").exists()
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_prune_nan_threshold_is_2(self, workdir):
         d, _ = workdir
@@ -398,8 +433,9 @@ class TestErrorExits:
         assert key in err and len(err.strip().splitlines()) == 1
 
 
-READERS = {"ds.bin": dataset_from_bytes, "scene.bin": scene_from_bytes,
-           "weights.bin": params_from_bytes}
+READERS = {"ds.bin": (dataset_from_bytes, load_dataset),
+           "scene.bin": (scene_from_bytes, load_scene),
+           "weights.bin": (params_from_bytes, load_params)}
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
@@ -407,8 +443,8 @@ READERS = {"ds.bin": dataset_from_bytes, "scene.bin": scene_from_bytes,
 @given(data=st.data())
 def test_damaged_files_raise_only_value_errors(workdir, name, data):
     # a truncated or bit-flipped file is a data error (exit 2), read with
-    # bounded allocations and no warning on stderr; a flip in a float may
-    # still leave a valid file
+    # bounded allocations and no warning on stderr, from its bytes and from
+    # disk alike; a flip in a float may still leave a valid file
     blob = bytearray((workdir[0] / name).read_bytes())
     end = data.draw(st.one_of(st.just(len(blob)),
                               st.integers(0, len(blob) - 1)), label="end")
@@ -417,17 +453,27 @@ def test_damaged_files_raise_only_value_errors(workdir, name, data):
                               max_size=3), label="flipped bits")
     for at, bit in bits:
         blob[at] ^= 1 << bit
-    real_zeros = np.zeros
+    path = workdir[0] / f"damaged-{name}"
+    path.write_bytes(blob[:end])
 
-    def spy(shape, *args, **kwargs):
-        assert np.prod(shape, dtype=float) < 2 ** 20, f"np.zeros{shape}"
-        return real_zeros(shape, *args, **kwargs)
+    def bounded(alloc, real):
+        def spy(shape, *args, **kwargs):
+            assert np.prod(shape, dtype=float) < 2 ** 20, f"np.{alloc}{shape}"
+            return real(shape, *args, **kwargs)
+        return spy
+    from_bytes, load = READERS[name]
+    outcomes = []
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-        mp.setattr(np, "zeros", spy)
+        for alloc in ("zeros", "empty"):
+            mp.setattr(np, alloc, bounded(alloc, getattr(np, alloc)))
         warnings.simplefilter("error")
-        try:
-            READERS[name](bytes(blob[:end]))
-        except ValueError as err:
-            assert bits or isinstance(err, FormatError)
-        else:
-            assert bits or end == len(blob)
+        for read, source in ((from_bytes, bytes(blob[:end])), (load, path)):
+            try:
+                read(source)
+            except ValueError as err:
+                assert bits or isinstance(err, FormatError)
+                outcomes.append(repr(err))
+            else:
+                assert bits or end == len(blob)
+                outcomes.append(None)
+    assert outcomes[0] == outcomes[1]

@@ -51,14 +51,15 @@ def raw_scene(t, n, d, blocks):
     return w.getvalue()
 
 
-def spy_on_zeros(monkeypatch):
-    """Fail any np.zeros call of 2**20 or more elements."""
-    real_zeros = np.zeros
-
-    def spy(shape, *args, **kwargs):
-        assert np.prod(shape, dtype=float) < 2 ** 20, f"np.zeros{shape}"
-        return real_zeros(shape, *args, **kwargs)
-    monkeypatch.setattr(np, "zeros", spy)
+def spy_on_allocations(monkeypatch):
+    """Fail any np.zeros or np.empty call of 2**20 or more elements."""
+    def bounded(alloc, real):
+        def spy(shape, *args, **kwargs):
+            assert np.prod(shape, dtype=float) < 2 ** 20, f"np.{alloc}{shape}"
+            return real(shape, *args, **kwargs)
+        return spy
+    for alloc in ("zeros", "empty"):
+        monkeypatch.setattr(np, alloc, bounded(alloc, getattr(np, alloc)))
 
 
 class TestVoxelize:
@@ -289,7 +290,7 @@ class TestPersistence:
         # one voxel of one kept code: 69 bytes claiming T x 1 x D codes
         blob = raw_scene(t, 1, d, [KEPT])
         assert len(blob) == 69
-        spy_on_zeros(monkeypatch)
+        spy_on_allocations(monkeypatch)
         with pytest.raises(FormatError):
             scene_from_bytes(blob)
 
@@ -298,7 +299,7 @@ class TestPersistence:
         # a pruned code stores no code bytes, so only the format bounds D
         blob = raw_scene(1, 1, d, [PRUNED])
         assert len(blob) == 65
-        spy_on_zeros(monkeypatch)
+        spy_on_allocations(monkeypatch)
         with pytest.raises(FormatError, match="format maximum"):
             scene_from_bytes(blob)
 
@@ -306,7 +307,7 @@ class TestPersistence:
         # the second voxel's code would show D too big, but only after the
         # first voxel's block had been allocated
         blob = raw_scene(1, 1, 2 ** 31, [PRUNED, KEPT])
-        spy_on_zeros(monkeypatch)
+        spy_on_allocations(monkeypatch)
         with pytest.raises(FormatError, match="format maximum"):
             scene_from_bytes(blob)
 

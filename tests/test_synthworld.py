@@ -1,6 +1,7 @@
 """Synthetic world generation, observation model, and dataset persistence."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,53 @@ class TestDatasetPersistence:
         for pa, pb in zip(gt_a.query_poses, gt_b.query_poses):
             np.testing.assert_array_equal(pa.rotation, pb.rotation)
             np.testing.assert_array_equal(pa.translation, pb.translation)
+
+    def test_file_load_matches_bytes_load(self, tmp_path):
+        path = tmp_path / "ds.bin"
+        save_dataset(generate_dataset(small_config()), path)
+        blob = path.read_bytes()
+        loaded = load_dataset(path)
+        assert dataset_to_bytes(loaded) == blob
+        assert dataset_to_bytes(dataset_from_bytes(blob)) == blob
+        gt = loaded.evaluation_ground_truth()
+        arrays = [(gt.point_positions, np.float64)]
+        arrays += [(p.position, np.float64) for p in loaded.points.values()
+                   if p.valid]
+        for pose in [v.pose for v in loaded.views] + gt.query_poses:
+            arrays += [(pose.rotation, np.float64),
+                       (pose.translation, np.float64)]
+        for v in loaded.views + loaded.query_views:
+            arrays += [(v.pixels, np.float64), (v.descriptors, np.float64),
+                       (v.point_ids, np.int64)]
+        for a, dtype in arrays:
+            assert a.dtype == dtype
+            assert a.flags.writeable and a.flags.aligned
+
+    def test_truncated_file_fails_where_truncated_bytes_do(self, tmp_path):
+        blob = dataset_to_bytes(generate_dataset(small_config()))
+        for end in (2, 20, len(blob) // 2, len(blob) - 1):
+            path = tmp_path / f"cut{end}.bin"
+            path.write_bytes(blob[:end])
+            with pytest.raises(FormatError, match="truncated") as from_bytes:
+                dataset_from_bytes(blob[:end])
+            with pytest.raises(FormatError, match="truncated") as from_file:
+                load_dataset(path)
+            assert from_file.value.offset == from_bytes.value.offset
+            assert str(from_file.value) == str(from_bytes.value)
+
+    def test_load_holds_no_second_copy_of_the_file(self, tmp_path):
+        # arrays are read straight from the file into their final buffers,
+        # so at the peak little beyond the result itself is alive
+        path = tmp_path / "ds.bin"
+        save_dataset(generate_dataset(small_config()), path)
+        tracemalloc.start()
+        try:
+            ds = load_dataset(path)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ds.views) == SMALL["num_ref_views"]
+        assert peak - live < 0.1 * path.stat().st_size
 
     def test_bad_magic(self):
         blob = bytearray(dataset_to_bytes(generate_dataset(small_config())))
