@@ -18,17 +18,20 @@ import numpy as np
 
 from . import (decoder, initialization, pipeline, scene as scene_mod,
                synthworld, training)
-from .containers import FormatError
+from .containers import FormatError, bound, check_bounds
 from .diffcore import NumericError
-from .scene import VoxelId
+from .scene import MAX_CODE_DIM, VoxelId
 
 
 @dataclasses.dataclass
 class SceneConfig:
-    side_length: float = 4.0
-    blocks: int = 6
-    codes_per_block: int = 256
-    code_dim: int = 32
+    side_length: float = bound(4.0, 0, strict=True)
+    blocks: int = bound(6, 1)
+    codes_per_block: int = bound(256, 1)
+    code_dim: int = bound(32, 2, MAX_CODE_DIM)
+
+    def __post_init__(self):
+        check_bounds(self, "scene")
 
 
 @dataclasses.dataclass
@@ -38,12 +41,15 @@ class DecoderConfig:
     # initialization.py); disabling it falls back to random initialization,
     # which needs a far longer schedule to converge
     structured_init: bool = True
-    desc_scale: float = 3.0
-    coord_scale: float = 0.5
-    attn_scale: float = 4.0
-    encoder_hidden: int = 64
-    block_hidden: int = 32
-    head_hidden: int = 32
+    desc_scale: float = bound(3.0, 0, strict=True)
+    coord_scale: float = bound(0.5, 0, strict=True)
+    attn_scale: float = bound(4.0, 0, strict=True)
+    encoder_hidden: int = bound(64, 0)   # 0: one linear layer
+    block_hidden: int = bound(32, 1)
+    head_hidden: int = bound(32, 1)
+
+    def __post_init__(self):
+        check_bounds(self, "decoder")
 
 
 _SECTIONS = {

@@ -1,4 +1,5 @@
-"""Framed little-endian binary container helpers.
+"""Framed little-endian binary container helpers, and the range checks
+shared by the config dataclasses.
 
 All scene/weight/dataset files share the same primitive encoding: 4-byte
 magic, u32 version, then fixed-layout sections. Reals are persisted as
@@ -8,6 +9,7 @@ little-endian u32/i32.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import os
 import struct
@@ -22,6 +24,37 @@ class FormatError(ValueError):
     def __init__(self, offset: int, message: str):
         super().__init__(f"at byte {offset}: {message}")
         self.offset = offset
+
+
+def bound(default, lo=None, hi=None, *, strict=False, choices=None):
+    """A config field whose value check_bounds keeps in choices, or at or
+    above lo and at or below hi (strictly when strict). lo and hi are
+    numbers or the name of another field of the same config."""
+    return dataclasses.field(default=default,
+                             metadata={"bound": (lo, hi, strict, choices)})
+
+
+_COMPARE = {">": np.greater, ">=": np.greater_equal,
+            "<": np.less, "<=": np.less_equal}
+
+
+def check_bounds(config, section: str) -> None:
+    """ValueError naming section.key unless every float (and float-tuple
+    entry) of a config dataclass is finite and every bound() holds."""
+    for f in dataclasses.fields(config):
+        key, value = f"{section}.{f.name}", getattr(config, f.name)
+        if "float" in f.type and not np.all(np.isfinite(value)):
+            raise ValueError(f"{key} must be finite, got {value}")
+        lo, hi, strict, choices = f.metadata.get("bound", (None,) * 4)
+        if choices is not None and value not in choices:
+            raise ValueError(f"{key} must be one of {choices}, got {value!r}")
+        for end, op in ((lo, ">"), (hi, "<")):
+            other = isinstance(end, str)
+            limit = getattr(config, end) if other else end
+            op += "" if strict else "="
+            if end is not None and not np.all(_COMPARE[op](value, limit)):
+                name = f"{section}.{end} = {limit}" if other else end
+                raise ValueError(f"{key} must be {op} {name}, got {value}")
 
 
 class Writer:

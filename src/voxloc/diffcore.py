@@ -210,8 +210,9 @@ def attention(tape, q: DTensor, k: DTensor, v: DTensor, c: float):
             or k.shape[0] < 1):
         raise DimensionError(f"attention shape mismatch: q {q.shape}, "
                              f"k {k.shape}, v {v.shape}")
-    p = q.values @ k.values.T
-    p *= c
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        p = q.values @ k.values.T
+        p *= c
     _check_finite(p, "attention logits")
     p -= p.max(axis=1, keepdims=True)
     np.exp(p, out=p)
@@ -309,10 +310,6 @@ def mean_all(tape, a: DTensor) -> DTensor:
     return _rec(tape, out, [
         (a, lambda g, s=a.shape, kk=k: np.broadcast_to(g / kk, s).copy())
     ])
-
-
-def constant(values) -> DTensor:
-    return DTensor(values)
 
 
 class MLP:

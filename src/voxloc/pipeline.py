@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import diffcore as dc
+from .containers import bound, check_bounds
 from .decoder import DecoderParams, attention_scores, decode, encode_feature
+from .diffcore import DTensor
 from .geometry import Pose, pose_error, ransac_pnp
 from .scene import SceneRepresentation, VoxelId, size_bytes
 from .synthworld import ReferenceDataset, ViewObservations
@@ -27,25 +28,15 @@ DEFAULT_THRESHOLDS = ((0.25, 2.0), (0.5, 5.0), (5.0, 10.0))
 
 @dataclass
 class LocalizeOptions:
-    top_k: int = 10
+    top_k: int = bound(10, 1)
     bypass_retrieval: bool = False  # small scenes may activate all voxels
-    confidence_min: float = 0.5     # candidates with c >= this are kept
-    inlier_tol: float = 3.0
-    ransac_iters: int = 1000
-    seed: int = 0
+    confidence_min: float = bound(0.5, 0, 1)  # c >= this is kept
+    inlier_tol: float = bound(3.0, 0, strict=True)
+    ransac_iters: int = bound(1000, 1)
+    seed: int = bound(0, 0)
 
     def __post_init__(self):
-        if self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-        if not 0.0 <= self.confidence_min <= 1.0:
-            raise ValueError("confidence_min must be in [0, 1], "
-                             f"got {self.confidence_min}")
-        if not 0.0 < self.inlier_tol < np.inf:
-            raise ValueError("inlier_tol must be positive and finite, "
-                             f"got {self.inlier_tol}")
-        if self.ransac_iters < 1:
-            raise ValueError("ransac_iters must be >= 1, "
-                             f"got {self.ransac_iters}")
+        check_bounds(self, "localize")
 
 
 @dataclass
@@ -120,7 +111,7 @@ def localize(query: ViewObservations, scene: SceneRepresentation,
     if not voxel_ids:
         return fail()
 
-    feats = encode_feature(None, params, dc.constant(query.descriptors))
+    feats = encode_feature(None, params, DTensor(query.descriptors))
     world, pixels = [], []
     for vid in voxel_ids:
         voxel = scene.voxels[vid]
@@ -233,7 +224,7 @@ def export_heatmap(view: ViewObservations, scene: SceneRepresentation,
     the keypoints form a pixel lattice. Returns True when the PGM was written.
     """
     bank = scene.voxels[voxel].codes
-    feats = encode_feature(None, params, dc.constant(view.descriptors))
+    feats = encode_feature(None, params, DTensor(view.descriptors))
     s, s_norm = attention_scores(params, feats, bank, block, code)
     with open(csv_path, "w", newline="") as f:
         w = csv.writer(f)

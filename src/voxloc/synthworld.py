@@ -15,7 +15,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .containers import FormatError, Reader, Writer
+from .containers import FormatError, Reader, Writer, bound, check_bounds
 from .geometry import Intrinsics, Point3D, Pose, look_at, triangulate_dlt
 
 DATASET_MAGIC = b"NMDS"
@@ -24,53 +24,30 @@ DATASET_FORMAT_VERSION = 1
 
 @dataclass
 class WorldConfig:
-    num_points: int = 2000
-    extent: tuple[float, float, float] = (8.0, 8.0, 4.0)
-    num_ref_views: int = 100
-    num_query_views: int = 20
-    pixel_noise_sigma: float = 0.5
-    descriptor_dim: int = 64
-    descriptor_noise_sigma: float = 0.05
-    illumination_shift_sigma: float = 0.05
-    min_depth: float = 1.0
-    max_depth: float = 30.0
-    frustum_margin: float = 4.0
-    min_query_baseline: float = 0.3
-    image_width: int = 640
-    image_height: int = 480
-    focal: float = 525.0
-    triangulation_tol: float = 2.0
-    seed: int = 0
+    num_points: int = bound(2000, 1)
+    extent: tuple[float, float, float] = bound((8.0, 8.0, 4.0), 0, strict=True)
+    num_ref_views: int = bound(100, 1)
+    num_query_views: int = bound(20, 1)
+    pixel_noise_sigma: float = bound(0.5, 0)
+    descriptor_dim: int = bound(64, 1)
+    descriptor_noise_sigma: float = bound(0.05, 0)
+    illumination_shift_sigma: float = bound(0.05, 0)
+    min_depth: float = bound(1.0, 0, strict=True)
+    max_depth: float = bound(30.0, "min_depth", strict=True)
+    frustum_margin: float = bound(4.0, 0)
+    min_query_baseline: float = bound(0.3, 0)
+    image_width: int = bound(640, 1)
+    image_height: int = bound(480, 1)
+    focal: float = bound(525.0, 0, strict=True)
+    triangulation_tol: float = bound(2.0, 0, strict=True)
+    seed: int = bound(0, 0)
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if "float" in f.type and not np.all(np.isfinite(value)):
-                raise ValueError(f"world.{f.name} must be finite, got "
-                                 f"{value}")
-        for key in ("num_points", "num_ref_views", "num_query_views",
-                    "image_width", "image_height", "descriptor_dim"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"world.{key} must be >= 1, got "
-                                 f"{getattr(self, key)}")
-        if self.focal <= 0:
-            raise ValueError(f"world.focal must be > 0, got {self.focal}")
-        if not 0 < self.min_depth < self.max_depth:
-            raise ValueError(f"world.min_depth must be in (0, world.max_depth "
-                             f"= {self.max_depth}), got {self.min_depth}")
+        check_bounds(self, "world")
         half = min(self.image_width, self.image_height) / 2.0
-        if not 0 <= self.frustum_margin < half:
-            raise ValueError(f"world.frustum_margin must be in [0, {half}) to "
-                             f"leave an image area, got {self.frustum_margin}")
-        if self.triangulation_tol <= 0:
-            raise ValueError(f"world.triangulation_tol must be > 0, got "
-                             f"{self.triangulation_tol}")
-        if min(self.extent) <= 0:
-            raise ValueError(f"degenerate extent {self.extent}")
-        for s in (self.pixel_noise_sigma, self.descriptor_noise_sigma,
-                  self.illumination_shift_sigma):
-            if s < 0:
-                raise ValueError("noise sigmas must be >= 0")
+        if self.frustum_margin >= half:
+            raise ValueError(f"world.frustum_margin must be < {half} to leave "
+                             f"an image area, got {self.frustum_margin}")
 
     def intrinsics(self) -> Intrinsics:
         return Intrinsics(self.focal, self.focal,
@@ -309,30 +286,31 @@ def dataset_to_bytes(ds: ReferenceDataset) -> bytes:
 
 def _config_from_json(raw: bytes, offset: int) -> WorldConfig:
     """The embedded config; FormatError unless it is a JSON object of
-    WorldConfig keys with numbers of the fields' types (extent: three)."""
-    try:
-        cfg = json.loads(raw.decode())
-    except ValueError as err:
-        raise FormatError(offset, f"config json: {err}") from err
-    types = {f.name: f.type for f in fields(WorldConfig)}
-    if not isinstance(cfg, dict) or not cfg.keys() <= types.keys():
-        raise FormatError(offset, "config json is not an object of "
-                                  "WorldConfig keys")
+    WorldConfig keys with numbers of the fields' types (extent: three)
+    that WorldConfig accepts."""
 
     def real(v):
         return isinstance(v, (int, float)) and not isinstance(v, bool)
 
-    for key, value in cfg.items():
-        if key == "extent":
-            ok = (isinstance(value, list) and len(value) == 3
-                  and all(map(real, value)))
-        else:
-            ok = real(value) and (types[key] != "int" or isinstance(value, int))
-        if not ok:
-            raise FormatError(offset, f"config json: bad {key} {value!r}")
-    if "extent" in cfg:
-        cfg["extent"] = tuple(cfg["extent"])
-    return WorldConfig(**cfg)
+    try:
+        cfg = json.loads(raw.decode())
+        types = {f.name: f.type for f in fields(WorldConfig)}
+        if not isinstance(cfg, dict) or not cfg.keys() <= types.keys():
+            raise ValueError("not an object of WorldConfig keys")
+        for key, value in cfg.items():
+            if key == "extent":
+                ok = (isinstance(value, list) and len(value) == 3
+                      and all(map(real, value)))
+            else:
+                ok = real(value) and (types[key] != "int"
+                                      or isinstance(value, int))
+            if not ok:
+                raise ValueError(f"bad {key} {value!r}")
+        if "extent" in cfg:
+            cfg["extent"] = tuple(cfg["extent"])
+        return WorldConfig(**cfg)
+    except ValueError as err:
+        raise FormatError(offset, f"config json: {err}") from err
 
 
 def dataset_from_bytes(data: bytes | BinaryIO) -> ReferenceDataset:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffcore as dc
+from .containers import bound, check_bounds
 from .decoder import DecoderParams, decode, encode_feature
 from .diffcore import DTensor, NumericError, Optimizer, Tape, halved_lr
 from .scene import SceneRepresentation, Voxel, prune
@@ -24,39 +25,31 @@ from .synthworld import ReferenceDataset
 @dataclass
 class TrainConfig:
     # loss weights; the sparsity weight only applies in stage 1
-    lambda_coord: float = 1.0
-    lambda_conf: float = 1.0
-    lambda_l1: float = 1.0
+    lambda_coord: float = bound(1.0, 0)
+    lambda_conf: float = bound(1.0, 0)
+    lambda_l1: float = bound(1.0, 0)
     # learning rates: scene-agnostic weights vs codes/scales.
     # desk-scale defaults; the city-scale schedule (0.002 / 0.0001,
     # 200 + 100 epochs, halving every 30) remains selectable via config
-    lr_agnostic: float = 0.01
-    lr_codes: float = 0.02
-    epochs_stage1: int = 60
-    epochs_stage2: int = 30
+    lr_agnostic: float = bound(0.01, 0)
+    lr_codes: float = bound(0.02, 0)
+    epochs_stage1: int = bound(60, 0)
+    epochs_stage2: int = bound(30, 0)
     # single-voxel batches give the shared decoder the most update steps
     # per epoch, which matters under the short desk schedule
-    batch_voxels: int = 1
+    batch_voxels: int = bound(1, 1)
     # keypoints drawn per (voxel, view) sample; 0 decodes the full view.
     # Subsampling keeps epochs cheap so small scenes can afford the many
     # epochs the shared decoder needs to generalize across views.
-    keypoints_per_sample: int = 256
-    lr_halving_period: int = 15
-    prune_threshold: float = 0.001
-    min_points: int = 20
-    optimizer: str = "adam"
-    seed: int = 0
+    keypoints_per_sample: int = bound(256, 0)
+    lr_halving_period: int = bound(15, 0)   # 0: never halve
+    prune_threshold: float = bound(0.001, 0)
+    min_points: int = bound(20, 1)
+    optimizer: str = bound("adam", choices=("adam", "sgd"))
+    seed: int = bound(0, 0)
 
     def __post_init__(self):
-        if min(self.lambda_coord, self.lambda_conf, self.lambda_l1) < 0:
-            raise ValueError("loss weights must be >= 0")
-        if self.batch_voxels < 1:
-            raise ValueError("batch_voxels must be >= 1")
-        if min(self.epochs_stage1, self.epochs_stage2) < 0:
-            raise ValueError("epochs_stage1 and epochs_stage2 must be >= 0")
-        if not self.prune_threshold >= 0:
-            raise ValueError("prune_threshold must be >= 0, "
-                             f"got {self.prune_threshold}")
+        check_bounds(self, "train")
 
 
 @dataclass
@@ -97,17 +90,17 @@ def coordinate_loss(tape, local: DTensor, origin: np.ndarray,
     over in-voxel keypoints only. Zero when the batch has none."""
     rows = np.flatnonzero(in_voxel > 0.5)
     if len(rows) == 0:
-        return dc.constant(np.array(0.0))
+        return DTensor(np.array(0.0))
     pred = dc.take_rows(tape, local, rows)
-    world = dc.add(tape, pred, dc.constant(origin[None, :]))
-    diff = dc.sub(tape, world, dc.constant(targets[rows]))
+    world = dc.add(tape, pred, DTensor(origin[None, :]))
+    diff = dc.sub(tape, world, DTensor(targets[rows]))
     return dc.mean_all(tape, dc.rows_l2norm(tape, diff))
 
 
 def confidence_loss(tape, confidence: DTensor, in_voxel: np.ndarray) -> DTensor:
     """Mean binary cross entropy over all keypoints, in-voxel or not."""
-    y = dc.constant(in_voxel[:, None])
-    one = dc.constant(np.ones_like(in_voxel)[:, None])
+    y = DTensor(in_voxel[:, None])
+    one = DTensor(np.ones_like(in_voxel)[:, None])
     p = dc.clamp(tape, confidence, 1e-7, 1.0 - 1e-7)
     term_pos = dc.mul(tape, y, dc.log(tape, p))
     term_neg = dc.mul(tape, dc.sub(tape, one, y),
@@ -118,7 +111,7 @@ def confidence_loss(tape, confidence: DTensor, in_voxel: np.ndarray) -> DTensor:
 def sparsity_loss(tape, voxels: list[Voxel]) -> DTensor:
     """Sum of |w| over every block/code of the sampled voxels, averaged over
     the number of sampled voxels."""
-    total = dc.constant(np.array(0.0))
+    total = DTensor(np.array(0.0))
     for v in voxels:
         for w in v.codes.scales:
             total = dc.add(tape, total,
@@ -198,7 +191,7 @@ def _batch_losses(tape, params: DecoderParams, batch: list[Sample],
                   config: TrainConfig, stage: int):
     coord_terms, conf_terms = [], []
     for sample in batch:
-        feats = encode_feature(tape, params, dc.constant(sample.descriptors))
+        feats = encode_feature(tape, params, DTensor(sample.descriptors))
         result = decode(tape, params, feats, sample.voxel.codes,
                         sample.voxel.origin)
         coord_terms.append(coordinate_loss(tape, result.local,
@@ -216,7 +209,7 @@ def _batch_losses(tape, params: DecoderParams, batch: list[Sample],
     l_coord = average(coord_terms)
     l_conf = average(conf_terms)
     l_sparse = sparsity_loss(tape, [s.voxel for s in batch]) \
-        if stage == 1 else dc.constant(np.array(0.0))
+        if stage == 1 else DTensor(np.array(0.0))
     return l_coord, l_conf, l_sparse, total_loss(tape, l_coord, l_conf,
                                                  l_sparse, config, stage)
 

@@ -261,7 +261,7 @@ def test_criterion_6_confidence_classification(capsys, desk):
     tp = fp = tn = fn = 0
     for view in desk.dataset.query_views:
         feats = encode_feature(None, desk.params,
-                               dcc.constant(view.descriptors))
+                               dcc.DTensor(view.descriptors))
         for vid in sorted(desk.scene.voxels):
             voxel = desk.scene.voxels[vid]
             res = decode(None, desk.params, feats, voxel.codes, voxel.origin)
@@ -396,7 +396,7 @@ def test_criterion_7_oracle_equivalence(capsys):
     bank.codes[0].values[:] = rng.normal(size=(n, d))
     bank.scales[0].values[:] = rng.uniform(0.5, 1.5, size=(n, 1))
     f = rng.normal(size=(5, d))
-    got_block = cross_attention_block(None, dcc.constant(f), bank, 0,
+    got_block = cross_attention_block(None, dcc.DTensor(f), bank, 0,
                                       params).values
     want_block = np.array(_scalar_attention_oracle(
         f.tolist(), bank.codes[0].values.tolist(),
@@ -412,7 +412,7 @@ def test_criterion_7_oracle_equivalence(capsys):
     targets = rng.normal(size=(m, 3))
     in_voxel = (rng.random(m) < 0.6).astype(float)
     in_voxel[0] = 1.0  # keep the in-voxel row set nonempty
-    got_lx = float(coordinate_loss(None, dcc.constant(local), origin,
+    got_lx = float(coordinate_loss(None, dcc.DTensor(local), origin,
                                    targets, in_voxel).values)
     rows = [i for i in range(m) if in_voxel[i] > 0.5]
     want_lx = sum(math.sqrt(sum((local[i][c] + origin[c] - targets[i][c]) ** 2
@@ -421,7 +421,7 @@ def test_criterion_7_oracle_equivalence(capsys):
         failures.append("coordinate loss")
 
     conf = rng.uniform(0.01, 0.99, size=(m, 1))
-    got_lc = float(confidence_loss(None, dcc.constant(conf), in_voxel).values)
+    got_lc = float(confidence_loss(None, dcc.DTensor(conf), in_voxel).values)
     want_lc = -sum(in_voxel[i] * math.log(conf[i][0])
                    + (1.0 - in_voxel[i]) * math.log(1.0 - conf[i][0])
                    for i in range(m)) / m

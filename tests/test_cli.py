@@ -1,7 +1,10 @@
 """End-to-end coverage of every CLI subcommand on a tiny world."""
 
+import dataclasses
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +207,22 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError):
             cli.load_config(str(cfg))
 
+    def test_every_non_bool_key_declares_a_bound(self):
+        # a key without a bound() would reach the program unchecked
+        defaults = cli.load_config(None)
+        for key in cli.CONFIG_KEYS:
+            section, _, name = key.partition(".")
+            field = {f.name: f for f in dataclasses.fields(defaults[section])}
+            if field[name].type != "bool":
+                assert "bound" in field[name].metadata, key
+
+    def test_readme_table_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("\n## Configuration\n")[1].split("\n## ")[0]
+        sections = "|".join({k.partition(".")[0] for k in cli.CONFIG_KEYS})
+        listed = set(re.findall(rf"`((?:{sections})\.\w+)`", table))
+        assert listed == set(cli.CONFIG_KEYS)
+
     def test_every_key_round_trips_its_default(self, tmp_path):
         defaults = cli.load_config(None)
         lines = []
@@ -234,6 +253,19 @@ def assert_gen_rejects(tmp_path, capsys, extra, key):
     err = capsys.readouterr().err
     assert key in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "x.bin").exists()
+
+
+def train_exit(workdir, tmp_path, extra):
+    """voxloc train's exit code on the tiny world with the extra config
+    line, with every warning raised as an error."""
+    d, _ = workdir
+    cfg = tiny_config_with(tmp_path, extra + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return cli.main(["train", "--config", cfg,
+                         "--dataset", str(d / "ds.bin"),
+                         "--out-scene", str(tmp_path / "s.bin"),
+                         "--out-weights", str(tmp_path / "w.bin")])
 
 
 class TestErrorExits:
@@ -389,6 +421,43 @@ class TestErrorExits:
                          "--out-scene", str(tmp_path / "s.bin"),
                          "--out-weights", str(tmp_path / "w.bin")]) == 2
         assert "prune_threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [
+        # each exited 0, leaving an unusable or misread map
+        "decoder.head_hidden = 0",
+        "decoder.block_hidden = 0",
+        "decoder.encoder_hidden = -1",
+        "train.lr_codes = -1",
+        "train.lr_agnostic = -1",
+        "train.keypoints_per_sample = -5",
+        "train.lr_halving_period = -3",
+        "train.min_points = -1",
+        # each was a numeric abort (exit 3) naming no key
+        "decoder.desc_scale = nan",
+        "decoder.coord_scale = inf",
+        "train.lr_agnostic = nan",
+        "train.lambda_coord = nan",
+        # each exited 2 naming no key
+        "scene.side_length = nan",
+        "scene.side_length = -1",
+        "scene.blocks = 0",
+        "train.optimizer = sgdx",
+    ])
+    def test_out_of_range_config_is_2(self, workdir, tmp_path, capsys,
+                                      extra):
+        assert train_exit(workdir, tmp_path, extra) == 2
+        err = capsys.readouterr().err
+        key = extra.partition(" = ")[0]
+        assert key in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "s.bin").exists()
+
+    def test_attention_overflow_is_3_on_one_line(self, workdir, tmp_path,
+                                                 capsys):
+        # finite and positive, so in range; the logits overflow in training
+        assert train_exit(workdir, tmp_path, "decoder.attn_scale = 1e300") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric abort: ")
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("extra, key", [
         ("localize.confidence_min = nan", "confidence_min"),

@@ -31,7 +31,7 @@ def make_bank(seed=1, t=T, n=N, d=D, scale_std=0.3):
 
 
 def run_decode(params, bank, feats_raw):
-    feats = encode_feature(None, params, dc.constant(feats_raw))
+    feats = encode_feature(None, params, dc.DTensor(feats_raw))
     return decode(None, params, feats, bank, np.zeros(3))
 
 
@@ -61,7 +61,7 @@ class TestPermutationInvariance:
 
         def grads(bank):
             tape = Tape()
-            feats = encode_feature(tape, params, dc.constant(raw))
+            feats = encode_feature(tape, params, dc.DTensor(raw))
             res = decode(tape, params, feats, bank, np.zeros(3))
             loss = dc.sum_all(tape, res.local)
             tape.backward(loss)
@@ -112,7 +112,7 @@ class TestPrunedCodes:
         raw = np.random.default_rng(7).normal(size=(6, DRAW))
         bank = make_bank()
         bank.pruned[1][:] = True
-        f = encode_feature(None, params, dc.constant(raw))
+        f = encode_feature(None, params, dc.DTensor(raw))
         assert cross_attention_block(None, f, bank, 1, params) is f
 
     def test_pruned_rows_get_no_gradient(self):
@@ -121,7 +121,7 @@ class TestPrunedCodes:
         bank = make_bank()
         bank.pruned[0][1] = True
         tape = Tape()
-        feats = encode_feature(tape, params, dc.constant(raw))
+        feats = encode_feature(tape, params, dc.DTensor(raw))
         res = decode(tape, params, feats, bank, np.zeros(3))
         tape.backward(dc.sum_all(tape, res.local))
         assert np.all(bank.codes[0].grad[1] == 0.0)
@@ -142,7 +142,7 @@ class TestDecodeShape:
     def test_world_adds_origin(self):
         params = make_params()
         raw = np.random.default_rng(10).normal(size=(3, DRAW))
-        feats = encode_feature(None, params, dc.constant(raw))
+        feats = encode_feature(None, params, dc.DTensor(raw))
         origin = np.array([4.0, -2.0, 6.0])
         res = decode(None, params, feats, make_bank(), origin)
         np.testing.assert_array_equal(res.world(), res.local.values + origin)
@@ -150,11 +150,11 @@ class TestDecodeShape:
     def test_dimension_mismatches_raise(self):
         params = make_params()
         with pytest.raises(DimensionError):
-            encode_feature(None, params, dc.constant(np.zeros((2, DRAW + 1))))
-        feats = dc.constant(np.zeros((2, D + 1)))
+            encode_feature(None, params, dc.DTensor(np.zeros((2, DRAW + 1))))
+        feats = dc.DTensor(np.zeros((2, D + 1)))
         with pytest.raises(DimensionError):
             decode(None, params, feats, make_bank(), np.zeros(3))
-        feats = dc.constant(np.zeros((2, D)))
+        feats = dc.DTensor(np.zeros((2, D)))
         with pytest.raises(DimensionError):
             decode(None, params, feats, make_bank(d=D + 2), np.zeros(3))
 
@@ -174,7 +174,7 @@ class TestLinearEncoder:
         params = make_params(encoder_hidden=0)
         assert len(params.encoder.weights) == 1
         raw = np.random.default_rng(11).normal(size=(5, DRAW))
-        out = encode_feature(None, params, dc.constant(raw))
+        out = encode_feature(None, params, dc.DTensor(raw))
         ref = raw @ params.encoder.weights[0].values \
             + params.encoder.biases[0].values
         np.testing.assert_array_equal(out.values, ref)
@@ -191,7 +191,7 @@ class TestAttentionScores:
         params = make_params()
         bank = make_bank()
         raw = np.random.default_rng(12).normal(size=(9, DRAW))
-        feats = encode_feature(None, params, dc.constant(raw))
+        feats = encode_feature(None, params, dc.DTensor(raw))
         s, s_norm = attention_scores(params, feats, bank, block=0, code=2)
         assert s.shape == (9,)
         assert abs(s_norm.min()) == 0.0 and s_norm.max() == 1.0
@@ -209,7 +209,7 @@ class TestAttentionScores:
     def test_block_out_of_range_rejected(self):
         params = make_params()
         bank = make_bank()
-        feats = encode_feature(None, params, dc.constant(np.zeros((2, DRAW))))
+        feats = encode_feature(None, params, dc.DTensor(np.zeros((2, DRAW))))
         for block in (-1, T, 99):
             with pytest.raises(ValueError, match="out of range"):
                 attention_scores(params, feats, bank, block=block, code=0)
@@ -218,7 +218,7 @@ class TestAttentionScores:
         params = make_params()
         bank = make_bank()
         bank.pruned[0][2] = True
-        feats = encode_feature(None, params, dc.constant(
+        feats = encode_feature(None, params, dc.DTensor(
             np.zeros((2, DRAW))))
         with pytest.raises(ValueError):
             attention_scores(params, feats, bank, block=0, code=2)
@@ -227,7 +227,7 @@ class TestAttentionScores:
         params = make_params()
         bank = make_bank()
         raw = np.tile(np.random.default_rng(13).normal(size=(1, DRAW)), (4, 1))
-        feats = encode_feature(None, params, dc.constant(raw))
+        feats = encode_feature(None, params, dc.DTensor(raw))
         s, s_norm = attention_scores(params, feats, bank, block=0, code=1)
         assert np.allclose(s, s[0])
         np.testing.assert_array_equal(s_norm, np.zeros(4))

@@ -41,7 +41,7 @@ def check_op(build, shapes, seed=0, tol=1e-6, positive=False):
     tape = Tape()
     out = build(tape, *tensors)
     w = rng.normal(size=out.shape)
-    loss = dc.sum_all(tape, dc.mul(tape, out, dc.constant(w)))
+    loss = dc.sum_all(tape, dc.mul(tape, out, dc.DTensor(w)))
     tape.backward(loss)
 
     for i, base in enumerate(arrays):
@@ -73,7 +73,7 @@ class TestPrimitiveGradients:
 
     def test_matmul_nt(self):
         # the q k^T products inside attention: dq and dk with v held fixed
-        v = dc.constant(RNG(7).normal(size=(5, 3)))
+        v = dc.DTensor(RNG(7).normal(size=(5, 3)))
         check_op(lambda t, q, k: dc.attention(t, q, k, v, 1.0)[0],
                  [(3, 4), (5, 4)])
 
@@ -94,7 +94,7 @@ class TestPrimitiveGradients:
 
     def test_softmax_rows(self):
         # with k = v = I the attention output is the row softmax of c q
-        eye = dc.constant(np.eye(6))
+        eye = dc.DTensor(np.eye(6))
         check_op(lambda t, x: dc.attention(t, x, eye, eye, 1.0)[0], [(3, 6)])
 
     def test_attention(self):
@@ -147,7 +147,7 @@ class TestForwardValues:
         q, k, v = (DTensor(a) for a in arrays)
         tape = Tape()
         out, _ = dc.attention(tape, q, k, v, 0.3)
-        tape.backward(dc.sum_all(tape, dc.mul(tape, out, dc.constant(w))))
+        tape.backward(dc.sum_all(tape, dc.mul(tape, out, dc.DTensor(w))))
         qa, ka, va = arrays
         p = reference_softmax(qa, ka, 0.3)
         dp = w @ va.T
@@ -212,7 +212,7 @@ class TestTape:
         a = DTensor(RNG(1).normal(size=(3, 2)))
         w = RNG(2).normal(size=(3, 2))
         tape = Tape()
-        tape.backward(dc.sum_all(tape, dc.mul(tape, a, dc.constant(w))))
+        tape.backward(dc.sum_all(tape, dc.mul(tape, a, dc.DTensor(w))))
         np.testing.assert_array_equal(a.grad, w)
 
     def test_only_leaves_receive_gradients(self):
@@ -223,7 +223,7 @@ class TestTape:
         tape = Tape()
         h = dc.matmul(tape, x, w)
         r = dc.relu(tape, h)
-        cw = dc.constant(c)
+        cw = dc.DTensor(c)
         m = dc.mul(tape, r, cw)
         loss = dc.sum_all(tape, m)
         tape.backward(loss)
@@ -259,7 +259,7 @@ class TestTape:
             out, _ = dc.attention(tape, *ins, 0.8)
             for w in weights:
                 tape.backward(dc.sum_all(tape, dc.mul(tape, out,
-                                                      dc.constant(w))))
+                                                      dc.DTensor(w))))
             return [t.grad for t in ins]
 
         both = grads([w1, w2])

@@ -224,7 +224,7 @@ class TestLocalize:
         params = DecoderParams.init(rng, d_raw=16, d=8, num_blocks=2,
                                     encoder_hidden=8, block_hidden=8,
                                     head_hidden=8)
-        feats = encode_feature(None, params, dc.constant(query.descriptors))
+        feats = encode_feature(None, params, dc.DTensor(query.descriptors))
         results = [decode(None, params, feats, scene.voxels[vid].codes,
                           scene.voxels[vid].origin)
                    for vid in sorted(scene.voxels)]

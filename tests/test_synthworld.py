@@ -219,6 +219,16 @@ class TestDatasetPersistence:
         with pytest.raises(FormatError):
             dataset_from_bytes(blob)
 
+    def test_out_of_range_config_json_is_a_format_error(self):
+        blob = dataset_to_bytes(generate_dataset(small_config()))
+        n = int.from_bytes(blob[8:12], "little")
+        cfg = b'{"image_width": 0}'
+        blob = blob[:8] + len(cfg).to_bytes(4, "little") + cfg + blob[12 + n:]
+        with pytest.raises(FormatError, match="at byte 12: config json: "
+                           "world.image_width must be >= 1") as err:
+            dataset_from_bytes(blob)
+        assert err.value.offset == 12
+
     def test_manifest(self, tmp_path):
         ds = generate_dataset(small_config())
         path = tmp_path / "manifest.json"

@@ -41,7 +41,7 @@ class TestLossOracles:
         origin = rng.normal(size=3)
         targets = rng.normal(size=(6, 3))
         in_voxel = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
-        got = coordinate_loss(None, dc.constant(local), origin, targets,
+        got = coordinate_loss(None, dc.DTensor(local), origin, targets,
                               in_voxel).values
         rows = [0, 2, 3, 5]
         ref = np.mean([np.linalg.norm(local[i] + origin - targets[i])
@@ -49,7 +49,7 @@ class TestLossOracles:
         np.testing.assert_allclose(got, ref, atol=1e-14)
 
     def test_coordinate_loss_empty_batch_is_zero(self):
-        got = coordinate_loss(None, dc.constant(np.ones((3, 3))), np.zeros(3),
+        got = coordinate_loss(None, dc.DTensor(np.ones((3, 3))), np.zeros(3),
                               np.zeros((3, 3)), np.zeros(3))
         assert got.values == 0.0
 
@@ -57,7 +57,7 @@ class TestLossOracles:
         rng = np.random.default_rng(1)
         p = rng.uniform(0.05, 0.95, size=(8, 1))
         y = (rng.uniform(size=8) > 0.5).astype(float)
-        got = confidence_loss(None, dc.constant(p), y).values
+        got = confidence_loss(None, dc.DTensor(p), y).values
         ref = -np.mean(y * np.log(p[:, 0]) + (1 - y) * np.log(1 - p[:, 0]))
         np.testing.assert_allclose(got, ref, atol=1e-14)
 
@@ -71,9 +71,9 @@ class TestLossOracles:
 
     def test_total_loss_stage_semantics(self):
         cfg = tiny_config(lambda_coord=2.0, lambda_conf=3.0, lambda_l1=0.5)
-        lx = dc.constant(np.array(1.0))
-        lc = dc.constant(np.array(10.0))
-        ls = dc.constant(np.array(100.0))
+        lx = dc.DTensor(np.array(1.0))
+        lc = dc.DTensor(np.array(10.0))
+        ls = dc.DTensor(np.array(100.0))
         stage1 = total_loss(None, lx, lc, ls, cfg, stage=1).values
         stage2 = total_loss(None, lx, lc, ls, cfg, stage=2).values
         np.testing.assert_allclose(stage1, 2.0 + 30.0 + 50.0)
