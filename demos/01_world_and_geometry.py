@@ -9,7 +9,7 @@ Run:  python3 demos/01_world_and_geometry.py
 
 import numpy as np
 
-from voxloc.geometry import pose_error, project, ransac_pnp
+from voxloc.geometry import pose_error, project_many, ransac_pnp
 from voxloc.synthworld import WorldConfig, build_dataset, generate_world
 
 config = WorldConfig(num_points=400, num_ref_views=30, num_query_views=3,
@@ -42,10 +42,8 @@ truth = world.query_poses[0]
 rng = np.random.default_rng(0)
 k = world.intrinsics
 points, pixels = [], []
-for x in world.points:
-    pix = project(truth, k, x)
-    if pix is None:
-        continue
+# points behind the camera project to NaN and fail the image-bounds test
+for x, pix in zip(world.points, project_many(truth, k, world.points)[0]):
     if not (0 <= pix[0] <= k.width and 0 <= pix[1] <= k.height):
         continue
     if rng.random() < 0.3:

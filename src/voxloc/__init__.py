@@ -9,8 +9,8 @@ from .decoder import (DecoderParams, DecodeResult, attention_scores, decode,
 from .diffcore import (DimensionError, DTensor, MLP, NumericError, Optimizer,
                        Tape, halved_lr)
 from .geometry import (DegenerateGeometryError, Intrinsics, Point3D, Pose,
-                       look_at, pnp_solve, pose_error, project, ransac_pnp,
-                       triangulate_dlt)
+                       look_at, pnp_solve, pose_error, project_many,
+                       ransac_pnp, triangulate_dlt)
 from .initialization import (InitConfig, aligned_decoder_init, inject_codes,
                              mean_observed_descriptors)
 from .pipeline import (DEFAULT_THRESHOLDS, EvalReport, LocalizationResult,
@@ -42,7 +42,7 @@ __all__ = [
     "export_heatmap", "generate_dataset", "generate_world", "halved_lr",
     "inject_codes", "load_dataset", "load_params", "load_scene", "localize",
     "look_at", "mean_observed_descriptors",
-    "pnp_solve", "pose_error", "project", "prune", "ransac_pnp",
+    "pnp_solve", "pose_error", "project_many", "prune", "ransac_pnp",
     "retrieve_views", "run_training", "save_dataset", "save_params",
     "save_scene", "size_bytes", "total_loss", "triangulate_dlt",
     "voxelize",

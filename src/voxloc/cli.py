@@ -35,15 +35,12 @@ class SceneConfig:
 
 
 @dataclasses.dataclass
-class DecoderConfig:
+class DecoderConfig(initialization.InitConfig):
     # structured_init seeds the decoder with aligned attention weights and
-    # the code banks with observed descriptors/coordinates (see
-    # initialization.py); disabling it falls back to random initialization,
-    # which needs a far longer schedule to converge
+    # the code banks with observed descriptors/coordinates, at InitConfig's
+    # three scales (see initialization.py); disabling it falls back to
+    # random initialization, which needs a far longer schedule to converge
     structured_init: bool = True
-    desc_scale: float = bound(3.0, 0, strict=True)
-    coord_scale: float = bound(0.5, 0, strict=True)
-    attn_scale: float = bound(4.0, 0, strict=True)
     encoder_hidden: int = bound(64, 0)   # 0: one linear layer
     block_hidden: int = bound(32, 1)
     head_hidden: int = bound(32, 1)
@@ -128,7 +125,12 @@ def load_config(path: str | None) -> dict[str, object]:
                 if name not in fields:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 overrides[section][name] = _coerce(raw, fields[name].type, key)
-    return {s: cls(**overrides[s]) for s, cls in _SECTIONS.items()}
+    cfg = {s: cls(**overrides[s]) for s, cls in _SECTIONS.items()}
+    code_dim, coord_dims = cfg["scene"].code_dim, initialization.COORD_DIMS
+    if cfg["decoder"].structured_init and code_dim <= coord_dims:
+        raise ConfigError(f"scene.code_dim must be > {coord_dims} when "
+                          f"decoder.structured_init is true, got {code_dim}")
+    return cfg
 
 
 def _build_scene(dataset, cfg):
@@ -144,23 +146,18 @@ def _build_scene(dataset, cfg):
     return built
 
 
-def _init_config(dc_):
-    return initialization.InitConfig(desc_scale=dc_.desc_scale,
-                                     coord_scale=dc_.coord_scale,
-                                     attn_scale=dc_.attn_scale)
-
-
-def _init_params(cfg):
+def _init_params(dataset, cfg):
+    """Decoder weights sized for the dataset's descriptors."""
     sc, dc_, tc = cfg["scene"], cfg["decoder"], cfg["train"]
-    wc = cfg["world"]
+    d_raw = dataset.config.descriptor_dim
     rng = np.random.default_rng(np.random.SeedSequence((tc.seed, 400)))
     if dc_.structured_init:
         return initialization.aligned_decoder_init(
-            rng, d_raw=wc.descriptor_dim, d=sc.code_dim, num_blocks=sc.blocks,
+            rng, d_raw=d_raw, d=sc.code_dim, num_blocks=sc.blocks,
             block_hidden=dc_.block_hidden, head_hidden=dc_.head_hidden,
-            config=_init_config(dc_))
+            config=dc_)
     return decoder.DecoderParams.init(
-        rng, d_raw=wc.descriptor_dim, d=sc.code_dim, num_blocks=sc.blocks,
+        rng, d_raw=d_raw, d=sc.code_dim, num_blocks=sc.blocks,
         encoder_hidden=dc_.encoder_hidden, block_hidden=dc_.block_hidden,
         head_hidden=dc_.head_hidden)
 
@@ -169,7 +166,7 @@ def _maybe_inject(built, ds, params, cfg):
     dc_, tc = cfg["decoder"], cfg["train"]
     if dc_.structured_init:
         rng = np.random.default_rng(np.random.SeedSequence((tc.seed, 500)))
-        initialization.inject_codes(built, ds, params, rng, _init_config(dc_))
+        initialization.inject_codes(built, ds, params, rng, dc_)
 
 
 def cmd_gen(args):
@@ -191,7 +188,7 @@ def cmd_train(args):
                           "train would run no epochs")
     ds = synthworld.load_dataset(args.dataset)
     built = _build_scene(ds, cfg)
-    params = _init_params(cfg)
+    params = _init_params(ds, cfg)
     _maybe_inject(built, ds, params, cfg)
     log = training.run_training(built, ds, params, cfg["train"])
     scene_mod.save_scene(built, args.out_scene)

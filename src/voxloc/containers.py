@@ -71,14 +71,20 @@ class Writer:
     def i32(self, v: int) -> None:
         self._buf += struct.pack("<i", v)
 
-    def f32(self, v: float) -> None:
-        self._buf += struct.pack("<f", v)
+    def f32(self, v: float, what: str = "f32") -> None:
+        self.f32_array([v], what)
 
     def u8(self, v: int) -> None:
         self._buf += struct.pack("<B", v)
 
-    def f32_array(self, a: np.ndarray) -> None:
-        self._buf += np.asarray(a, dtype="<f4").tobytes()
+    def f32_array(self, a: np.ndarray, what: str = "f32 array") -> None:
+        """Refuses values the float32 cast leaves non-finite, which the
+        reader would reject."""
+        with np.errstate(over="ignore"):
+            a = np.asarray(a, dtype="<f4")
+        if not np.isfinite(a).all():
+            raise ValueError(f"{what} does not fit a finite float32")
+        self._buf += a.tobytes()
 
     def f64(self, v: float) -> None:
         self._buf += struct.pack("<d", v)
@@ -122,7 +128,7 @@ class Reader:
             raise FormatError(self.offset, f"truncated file while reading {what}")
         self.offset += n
 
-    def _take(self, n: int, what: str) -> bytes:
+    def raw(self, n: int, what: str = "bytes") -> bytes:
         self._check(n, what)
         chunk = self._stream.read(n)
         self._advance(len(chunk), n, what)
@@ -147,25 +153,22 @@ class Reader:
     def remaining(self) -> int:
         return self._size - self.offset
 
-    def raw(self, n: int, what: str = "bytes") -> bytes:
-        return self._take(n, what)
-
     def expect_magic(self, tag: bytes) -> None:
-        got = self._take(4, "magic")
+        got = self.raw(4, "magic")
         if got != tag:
             raise FormatError(0, f"bad magic {got!r}, expected {tag!r}")
 
     def u32(self, what: str = "u32") -> int:
-        return struct.unpack("<I", self._take(4, what))[0]
+        return struct.unpack("<I", self.raw(4, what))[0]
 
     def i32(self, what: str = "i32") -> int:
-        return struct.unpack("<i", self._take(4, what))[0]
+        return struct.unpack("<i", self.raw(4, what))[0]
 
     def f32(self, what: str = "f32") -> float:
-        return self._finite(struct.unpack("<f", self._take(4, what))[0], what)
+        return self._finite(struct.unpack("<f", self.raw(4, what))[0], what)
 
     def u8(self, what: str = "u8") -> int:
-        return self._take(1, what)[0]
+        return self.raw(1, what)[0]
 
     def f32_array(self, count: int, what: str = "f32 array") -> np.ndarray:
         # checked before the cast, which warns on a signalling NaN
@@ -173,7 +176,7 @@ class Reader:
                             what).astype(np.float64)
 
     def f64(self, what: str = "f64") -> float:
-        return struct.unpack("<d", self._take(8, what))[0]
+        return struct.unpack("<d", self.raw(8, what))[0]
 
     def f64_array(self, count: int, what: str = "f64 array") -> np.ndarray:
         return self._array(count, "<f8", what)

@@ -9,6 +9,7 @@ Single-head attention, post-norm residual blocks, logits scaled by 1/sqrt(D).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
@@ -275,8 +276,8 @@ def params_from_bytes(data: bytes | BinaryIO) -> DecoderParams:
 
 
 def save_params(params: DecoderParams, path) -> None:
-    with open(path, "wb") as f:
-        f.write(params_to_bytes(params))
+    # serialized first, so a refused save leaves no file behind
+    Path(path).write_bytes(params_to_bytes(params))
 
 
 def load_params(path) -> DecoderParams:

@@ -64,10 +64,6 @@ class Pose:
     def center(self) -> np.ndarray:
         return -self.rotation.T @ self.translation
 
-    def transform(self, points: np.ndarray) -> np.ndarray:
-        """World points (n,3) or (3,) into camera frame."""
-        return np.atleast_2d(points) @ self.rotation.T + self.translation
-
     def matrix(self) -> np.ndarray:
         """3x4 [R | t]."""
         return np.hstack([self.rotation, self.translation[:, None]])
@@ -126,21 +122,15 @@ def skew(w: np.ndarray) -> np.ndarray:
     return k
 
 
-def project(pose: Pose, k: Intrinsics, x: np.ndarray) -> np.ndarray | None:
-    """Pixel coordinates of world point x, or None when behind the camera."""
-    cam = pose.rotation @ np.asarray(x, float) + pose.translation
-    if cam[2] <= MIN_DEPTH:
-        return None
-    return np.array([k.fx * cam[0] / cam[2] + k.cx,
-                     k.fy * cam[1] / cam[2] + k.cy])
-
-
 def project_many(pose: Pose, k: Intrinsics, xs: np.ndarray):
     """Vectorized projection; returns (pixels (n,2), depths (n,)).
 
     Pixels of points with depth <= MIN_DEPTH are NaN; check the depth.
     """
-    return _project(pose.rotation, pose.translation, k, np.atleast_2d(xs))
+    u, v, z = pinhole(pose.rotation, pose.translation, k, np.atleast_2d(xs))
+    front = z > MIN_DEPTH
+    return np.stack([np.where(front, u, np.nan),
+                     np.where(front, v, np.nan)], axis=-1), z
 
 
 def _camera_xyz(rot: np.ndarray, trans: np.ndarray, xs: np.ndarray):
@@ -150,14 +140,18 @@ def _camera_xyz(rot: np.ndarray, trans: np.ndarray, xs: np.ndarray):
     return cam[..., 0, :], cam[..., 1, :], cam[..., 2, :]
 
 
-def _project(rot: np.ndarray, trans: np.ndarray, k: Intrinsics,
-             xs: np.ndarray):
-    """project_many from a rotation and a translation."""
+def pinhole(rot: np.ndarray, trans: np.ndarray, k: Intrinsics,
+            xs: np.ndarray):
+    """Pixel u, v and depth z, each (..., n), of world points xs (..., n, 3)
+    under rotations (..., 3, 3) and translations (..., 3).
+
+    The one pinhole formula of the package. Nothing is masked: u and v of
+    points at or behind the camera are whatever the division gives, so
+    each caller applies its own rule on z.
+    """
     x, y, z = _camera_xyz(rot, trans, xs)
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(z > MIN_DEPTH, k.fx * x / z + k.cx, np.nan)
-        v = np.where(z > MIN_DEPTH, k.fy * y / z + k.cy, np.nan)
-    return np.stack([u, v], axis=-1), z
+        return k.fx * x / z + k.cx, k.fy * y / z + k.cy, z
 
 
 def triangulate_dlt(observations, poses, intrinsics,
@@ -241,8 +235,8 @@ def _reprojection_residuals(rot: np.ndarray, trans: np.ndarray,
                             k: Intrinsics, world: np.ndarray,
                             pixels: np.ndarray) -> np.ndarray:
     """Residuals (2n,) of points (n, 3) against pixels (n, 2)."""
-    pix, z = _project(rot, trans, k, world)
-    res = pix - pixels
+    u, v, z = pinhole(rot, trans, k, world)
+    res = np.stack([u - pixels[:, 0], v - pixels[:, 1]], axis=-1)
     res[z <= MIN_DEPTH] = 1e6  # behind-camera observations get a huge residual
     return res.ravel()
 
@@ -328,11 +322,10 @@ def _inlier_masks(rot: np.ndarray, trans: np.ndarray, k: Intrinsics,
                   world: np.ndarray, pixels: np.ndarray,
                   tol: float) -> np.ndarray:
     """(..., n): points in front of each camera within tol pixels."""
-    x, y, z = _camera_xyz(rot, trans, world)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        du = k.fx * x / z + k.cx - pixels[..., 0]
-        dv = k.fy * y / z + k.cy - pixels[..., 1]
-        return (z > MIN_DEPTH) & (np.sqrt(du * du + dv * dv) <= tol)
+    u, v, z = pinhole(rot, trans, k, world)
+    u -= pixels[:, 0]
+    v -= pixels[:, 1]
+    return (z > MIN_DEPTH) & (np.sqrt(u * u + v * v) <= tol)
 
 
 @dataclass

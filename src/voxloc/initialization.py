@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .containers import bound, check_bounds
 from .decoder import DecoderParams
 from .scene import SceneRepresentation
 from .synthworld import ReferenceDataset
@@ -37,9 +38,12 @@ class InitConfig:
     diagonal magnitude of the initial query/key maps over the descriptor
     subspace.
     """
-    desc_scale: float = 3.0
-    coord_scale: float = 0.5
-    attn_scale: float = 4.0
+    desc_scale: float = bound(3.0, 0, strict=True)
+    coord_scale: float = bound(0.5, 0, strict=True)
+    attn_scale: float = bound(4.0, 0, strict=True)
+
+    def __post_init__(self):
+        check_bounds(self, "init")
 
 
 def aligned_decoder_init(rng: np.random.Generator, d_raw: int = 64,

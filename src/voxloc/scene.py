@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import BinaryIO, NamedTuple
 
 import numpy as np
@@ -25,8 +26,6 @@ SCENE_FORMAT_VERSION = 1
 
 # fixed per-voxel record header: id (3 x i32) + origin (3 x f32) + two u32 counts
 VOXEL_HEADER_BYTES = 32
-# file header: magic + version + side length + (T, N, D) + voxel count
-FILE_HEADER_BYTES = 28
 # largest code width D: a fully pruned block stores no code bytes, so only
 # this bounds the (N, D) array it is read into
 MAX_CODE_DIM = 1024
@@ -94,12 +93,10 @@ class Voxel:
 
 class SceneRepresentation:
     def __init__(self, side_length: float, dims: tuple[int, int, int],
-                 voxels: dict[VoxelId, Voxel],
-                 format_version: int = SCENE_FORMAT_VERSION):
+                 voxels: dict[VoxelId, Voxel]):
         self.side_length = side_length
         self.dims = dims
         self.voxels = dict(sorted(voxels.items()))
-        self.format_version = format_version
         for v in self.voxels.values():
             if v.codes.dims != dims:
                 raise ValueError(f"voxel {v.id} dims {v.codes.dims} != {dims}")
@@ -250,24 +247,11 @@ def size_bytes(scene: SceneRepresentation, scalar_width: int) -> int:
     return total
 
 
-def file_overhead_bytes(scene: SceneRepresentation) -> int:
-    """Bytes in the scene file beyond size_bytes(scene, 4).
-
-    File header plus, per voxel, the member/view id lists and the per-block
-    scale (f32) and pruned-mask (u8) tables.
-    """
-    t, n, _ = scene.dims
-    total = FILE_HEADER_BYTES
-    for v in scene.voxels.values():
-        total += 4 * len(v.members) + 4 * len(v.covering_views) + t * 5 * n
-    return total
-
-
 def scene_to_bytes(scene: SceneRepresentation) -> bytes:
     w = Writer()
     w.magic(SCENE_MAGIC)
-    w.u32(scene.format_version)
-    w.f32(scene.side_length)
+    w.u32(SCENE_FORMAT_VERSION)
+    w.f32(scene.side_length, "scene.side_length")
     t, n, d = scene.dims
     w.u32(t)
     w.u32(n)
@@ -334,45 +318,14 @@ def scene_from_bytes(data: bytes | BinaryIO) -> SceneRepresentation:
         voxels[vid] = Voxel(vid, origin, members,
                             CodeBank(codes, scales, pruned), views)
     r.expect_end()
-    return SceneRepresentation(side, (t, n, d), voxels, version)
+    return SceneRepresentation(side, (t, n, d), voxels)
 
 
 def save_scene(scene: SceneRepresentation, path) -> None:
-    with open(path, "wb") as f:
-        f.write(scene_to_bytes(scene))
+    # serialized first, so a refused save leaves no file behind
+    Path(path).write_bytes(scene_to_bytes(scene))
 
 
 def load_scene(path) -> SceneRepresentation:
     with open(path, "rb") as f:
         return scene_from_bytes(f)
-
-
-def scenes_equal(a: SceneRepresentation, b: SceneRepresentation) -> bool:
-    """Deep equality of every persisted field.
-
-    Reals are compared after the float32 quantization the file format
-    applies, so a scene compares equal to its own save/load round trip.
-    """
-    def f32(x):
-        return np.asarray(x, dtype="<f4")
-
-    if (f32(a.side_length) != f32(b.side_length) or a.dims != b.dims
-            or a.format_version != b.format_version
-            or sorted(a.voxels) != sorted(b.voxels)):
-        return False
-    for vid, va in a.voxels.items():
-        vb = b.voxels[vid]
-        if (not np.array_equal(f32(va.origin), f32(vb.origin))
-                or not np.array_equal(va.members, vb.members)
-                or sorted(va.covering_views) != sorted(vb.covering_views)
-                or not np.array_equal(va.codes.pruned, vb.codes.pruned)):
-            return False
-        for bt, (ca, cb) in enumerate(zip(va.codes.codes, vb.codes.codes)):
-            keep = np.flatnonzero(~va.codes.pruned[bt])
-            if not np.array_equal(f32(ca.values[keep]), f32(cb.values[keep])):
-                return False
-        for sa, sb in zip(va.codes.scales, vb.codes.scales):
-            if not np.array_equal(f32(sa.values), f32(sb.values)):
-                return False
-    return True
-

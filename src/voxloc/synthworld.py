@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
 
 from .containers import FormatError, Reader, Writer, bound, check_bounds
-from .geometry import Intrinsics, Point3D, Pose, look_at, triangulate_dlt
+from .geometry import (Intrinsics, Point3D, Pose, look_at, pinhole,
+                       triangulate_dlt)
 
 DATASET_MAGIC = b"NMDS"
 DATASET_FORMAT_VERSION = 1
@@ -131,11 +133,7 @@ def observe(pose: Pose, world: World, config: WorldConfig,
             rng: np.random.Generator, include_pose: bool = True) -> ViewObservations:
     """Project visible points and synthesize noisy keypoint observations."""
     k = world.intrinsics
-    cam = pose.transform(world.points)
-    z = cam[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = k.fx * cam[:, 0] / z + k.cx
-        v = k.fy * cam[:, 1] / z + k.cy
+    u, v, z = pinhole(pose.rotation, pose.translation, k, world.points)
     m = config.frustum_margin
     visible = ((z >= config.min_depth) & (z <= config.max_depth)
                & (u >= m) & (u <= k.width - m)
@@ -348,8 +346,8 @@ def dataset_from_bytes(data: bytes | BinaryIO) -> ReferenceDataset:
 
 
 def save_dataset(ds: ReferenceDataset, path) -> None:
-    with open(path, "wb") as f:
-        f.write(dataset_to_bytes(ds))
+    # serialized first, so a refused save leaves no file behind
+    Path(path).write_bytes(dataset_to_bytes(ds))
 
 
 def load_dataset(path) -> ReferenceDataset:

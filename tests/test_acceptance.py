@@ -18,7 +18,7 @@ from voxloc import diffcore as dcc
 from voxloc.decoder import (DecoderParams, cross_attention_block, decode,
                             encode_feature, params_from_bytes, params_to_bytes)
 from voxloc.geometry import (Intrinsics, Point3D, Pose, look_at, pnp_solve,
-                             pose_error, project, ransac_pnp,
+                             pose_error, project_many, ransac_pnp,
                              rotation_from_axis_angle, triangulate_dlt)
 from voxloc.pipeline import (LocalizationResult, LocalizeOptions, evaluate,
                              evaluate_scene, retrieve_views)
@@ -118,7 +118,7 @@ def test_criterion_2_geometric_exactness(capsys):
         pose = look_at(np.array([6.0 + trial, 2.0 - trial, 1.5]),
                        rng.normal(0.0, 0.3, size=3))
         world = rng.uniform(-2.0, 2.0, size=(20, 3))
-        pixels = np.array([project(pose, K, x) for x in world])
+        pixels = project_many(pose, K, world)[0]
         est = pnp_solve(world, pixels, K)
         dt, ddeg = pose_error(est, pose)
         worst_t = max(worst_t, dt)
@@ -132,7 +132,7 @@ def test_criterion_2_geometric_exactness(capsys):
     intr = [K] * len(poses)
     worst_x = 0.0
     for x in rng.uniform(-2.0, 2.0, size=(20, 3)):
-        obs = [(i, project(p, K, x)) for i, p in enumerate(poses)]
+        obs = [(i, project_many(p, K, x)[0][0]) for i, p in enumerate(poses)]
         pt = triangulate_dlt(obs, poses, intr, reproj_tol=2.0)
         assert pt.valid
         worst_x = max(worst_x, float(np.linalg.norm(pt.position - x)))
@@ -148,8 +148,7 @@ def test_criterion_2_geometric_exactness(capsys):
                        trng.normal(0.0, 0.2, size=3))
         world = trng.uniform(-2.0, 2.0, size=(200, 3))
         pixels = []
-        for i, x in enumerate(world):
-            pix = project(pose, K, x)
+        for i, pix in enumerate(project_many(pose, K, world)[0]):
             if i < 140:  # inliers with 1 px noise
                 pix = pix + trng.normal(0.0, 1.0, size=2)
             else:        # uniform outliers
@@ -181,7 +180,7 @@ def desk():
     cfg["train"] = dataclasses.replace(cfg["train"], keypoints_per_sample=0)
     dataset = synthworld.generate_dataset(cfg["world"])
     scene = cli._build_scene(dataset, cfg)
-    params = cli._init_params(cfg)
+    params = cli._init_params(dataset, cfg)
     cli._maybe_inject(scene, dataset, params, cfg)
     run_training(scene, dataset, params, cfg["train"])
     report = evaluate_scene(scene, params, dataset, LocalizeOptions())

@@ -14,7 +14,7 @@ from voxloc import cli
 from voxloc.containers import FormatError, Writer
 from voxloc.decoder import load_params, params_from_bytes
 from voxloc.scene import (SCENE_FORMAT_VERSION, SCENE_MAGIC, load_scene,
-                          save_scene, scene_from_bytes)
+                          scene_from_bytes, scene_to_bytes)
 from voxloc.synthworld import dataset_from_bytes, load_dataset, save_dataset
 
 TINY_CONFIG = """\
@@ -72,6 +72,20 @@ class TestHappyPaths:
         assert scene.dims == (2, 48, 16)
         log = (d / "log.csv").read_text().strip().splitlines()
         assert len(log) == 4  # header + 3 epochs
+
+    def test_train_sizes_the_decoder_from_the_dataset(self, tmp_path):
+        # the dataset has 32-wide descriptors; the train config keeps the
+        # default world.descriptor_dim of 64
+        gen_cfg = tiny_config_with(tmp_path, "world.descriptor_dim = 32\n")
+        assert cli.main(["gen", "--config", gen_cfg,
+                         "--out", str(tmp_path / "ds.bin")]) == 0
+        train_cfg = tmp_path / "train.txt"
+        train_cfg.write_text(TINY_CONFIG)
+        assert cli.main(["train", "--config", str(train_cfg),
+                         "--dataset", str(tmp_path / "ds.bin"),
+                         "--out-scene", str(tmp_path / "s.bin"),
+                         "--out-weights", str(tmp_path / "w.bin")]) == 0
+        assert load_params(tmp_path / "w.bin").d_raw == 32
 
     def test_inspect(self, workdir, capsys):
         d, _ = workdir
@@ -319,8 +333,13 @@ class TestErrorExits:
         row = np.flatnonzero(~bank.pruned[0])[0]
         target = {"origin": v.origin, "scale": bank.scales[0].values[row],
                   "code": bank.codes[0].values[row]}[field]
-        target[0] = np.nan
-        save_scene(scene, tmp_path / "nan.bin")
+        # the writer refuses NaN, so a sentinel's bytes are swapped for it
+        sentinel = np.float32(-1234.5).tobytes()
+        target[0] = -1234.5
+        blob = scene_to_bytes(scene)
+        assert blob.count(sentinel) == 1
+        nan = np.float32(np.nan).tobytes()
+        (tmp_path / "nan.bin").write_bytes(blob.replace(sentinel, nan))
         assert cli.main(["inspect", "--scene", str(tmp_path / "nan.bin")]) == 2
         assert "non-finite" in capsys.readouterr().err
 
@@ -442,6 +461,11 @@ class TestErrorExits:
         "scene.side_length = -1",
         "scene.blocks = 0",
         "train.optimizer = sgdx",
+        # in range, but structured init keeps the last 3 dims for coordinates
+        "scene.code_dim = 2",
+        "scene.code_dim = 3",
+        # exited 1 with an OverflowError traceback from saving the scene
+        "scene.side_length = 1e300",
     ])
     def test_out_of_range_config_is_2(self, workdir, tmp_path, capsys,
                                       extra):

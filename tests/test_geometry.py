@@ -5,15 +5,26 @@ import warnings
 import numpy as np
 import pytest
 
-from voxloc.geometry import (_CHUNK, DegenerateGeometryError, Intrinsics,
-                             Point3D,
+from voxloc.geometry import (_CHUNK, MIN_DEPTH, DegenerateGeometryError,
+                             Intrinsics, Point3D,
                              Pose, _gauss_newton, _pnp_dlt, _pnp_jacobian,
                              _reprojection_residuals, look_at,
-                             nearest_rotation, pnp_solve, pose_error, project,
+                             nearest_rotation, pnp_solve, pose_error,
                              project_many, ransac_pnp,
                              rotation_from_axis_angle, skew, triangulate_dlt)
 
 K = Intrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+
+
+def project_point(pose, k, x):
+    """Pixel (2,) of one world point x (3,), or None behind the camera."""
+    pix, z = project_many(pose, k, x)
+    return None if z[0] <= MIN_DEPTH else pix[0]
+
+
+def to_camera(pose, xs):
+    """World points (n, 3) or (3,) in the camera frame."""
+    return np.atleast_2d(xs) @ pose.rotation.T + pose.translation
 
 
 def random_pose(rng) -> Pose:
@@ -24,7 +35,7 @@ def random_pose(rng) -> Pose:
 class TestPose:
     def test_center_roundtrip(self):
         pose = random_pose(np.random.default_rng(0))
-        np.testing.assert_allclose(pose.transform(pose.center), 0.0,
+        np.testing.assert_allclose(to_camera(pose, pose.center), 0.0,
                                    atol=1e-12)
 
     def test_rejects_non_rotation(self):
@@ -90,19 +101,25 @@ class TestProjection:
         target = np.array([0.0, 0.0, 0.0])
         pose = look_at(center, target)
         np.testing.assert_allclose(pose.center, center, atol=1e-12)
-        pix = project(pose, K, target)
-        np.testing.assert_allclose(pix, [K.cx, K.cy], atol=1e-9)
+        pix = project_many(pose, K, target)[0]
+        np.testing.assert_allclose(pix, [[K.cx, K.cy]], atol=1e-9)
 
     def test_project_matches_manual_pinhole(self):
         pose = look_at([4.0, 0.0, 0.0], [0.0, 0.0, 0.0])
         x = np.array([0.3, 0.2, -0.1])
         cam = pose.rotation @ x + pose.translation
         ref = [K.fx * cam[0] / cam[2] + K.cx, K.fy * cam[1] / cam[2] + K.cy]
-        np.testing.assert_allclose(project(pose, K, x), ref, atol=1e-12)
+        np.testing.assert_allclose(project_many(pose, K, x)[0], [ref],
+                                   atol=1e-12)
 
-    def test_behind_camera_is_none(self):
+    def test_behind_camera_is_nan_with_its_depth(self):
         pose = look_at([4.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-        assert project(pose, K, np.array([8.0, 0.0, 0.0])) is None
+        xs = np.array([[8.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        pix, z = project_many(pose, K, xs)
+        # 4 m behind, on the camera center, 4 m in front
+        np.testing.assert_allclose(z, [-4.0, 0.0, 4.0], atol=1e-12)
+        assert np.isnan(pix[:2]).all()
+        np.testing.assert_allclose(pix[2], [K.cx, K.cy], atol=1e-9)
 
     def test_project_many_agrees_with_scalar(self):
         rng = np.random.default_rng(4)
@@ -110,7 +127,7 @@ class TestProjection:
         xs = rng.normal(size=(20, 3))
         pix, z = project_many(pose, K, xs)
         for i, x in enumerate(xs):
-            single = project(pose, K, x)
+            single = project_point(pose, K, x)
             if single is None:
                 assert not z[i] > 1e-6 or np.isnan(pix[i]).all()
             else:
@@ -128,7 +145,7 @@ def make_track(x, centers, noise=0.0, rng=None):
     for vid, c in enumerate(centers):
         poses[vid] = look_at(np.asarray(c, float), [0.0, 0.0, 0.0])
         intr[vid] = K
-        pix = project(poses[vid], K, x)
+        pix = project_point(poses[vid], K, x)
         if pix is None:
             continue
         if noise:
@@ -169,7 +186,7 @@ def synthetic_corrs(pose, points, outliers=0, rng=None):
     uniform garbage."""
     pixels = []
     for i, x in enumerate(points):
-        pix = project(pose, K, x)
+        pix = project_point(pose, K, x)
         assert pix is not None
         if i < outliers:
             pix = rng.uniform([0, 0], [K.width, K.height])
@@ -259,7 +276,7 @@ class TestPnP:
         np.testing.assert_allclose(jac, fd, rtol=1e-5, atol=1e-4)
 
         # per-point chain rule d(uv)/d(cam) @ [-skew(cam) | I] as reference
-        for i, (x, y, z) in enumerate(pose.transform(world)):
+        for i, (x, y, z) in enumerate(to_camera(pose, world)):
             if z <= 0.0:
                 continue
             d_uv = np.array([[kmat.fx / z, 0.0, -kmat.fx * x / z ** 2],
@@ -304,7 +321,7 @@ class TestRansac:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             xs = rng.uniform(-2.0, 2.0, size=(300, 3))
-            pixels = [project(pose, K, x) for x in xs]
+            pixels = [project_point(pose, K, x) for x in xs]
             world = [x + rng.normal(0.0, 0.05, size=3) for x in xs]
             xs = rng.uniform(-2.0, 2.0, size=(100, 3))
             pixels += [rng.uniform([0, 0], [K.width, K.height]) for _ in xs]

@@ -10,8 +10,8 @@ from voxloc import pipeline
 from voxloc import diffcore as dc
 from voxloc.decoder import DecoderParams, decode, encode_feature
 from voxloc.diffcore import DTensor
-from voxloc.geometry import Intrinsics, Pose, RansacResult, look_at, \
-    project, pose_error, rotation_from_axis_angle
+from voxloc.geometry import MIN_DEPTH, Intrinsics, Pose, RansacResult, \
+    look_at, pose_error, project_many, rotation_from_axis_angle
 from voxloc.pipeline import (DEFAULT_THRESHOLDS, EvalReport,
                              LocalizationResult, LocalizeOptions,
                              activate_voxels, evaluate, export_heatmap,
@@ -103,15 +103,11 @@ def make_world_scene(rng, n_points=80):
 
 
 def query_for(pts, pose, rng, d_raw=16):
-    pixels, ids = [], []
-    for p in pts:
-        pix = project(pose, K, p.position)
-        if pix is not None:
-            pixels.append(pix)
-            ids.append(p.id)
-    desc = rng.normal(size=(len(pixels), d_raw))
-    return ViewObservations(None, K, np.array(pixels), desc,
-                            np.array(ids, dtype=np.int64))
+    pixels, z = project_many(pose, K, np.array([p.position for p in pts]))
+    front = z > MIN_DEPTH
+    ids = np.array([p.id for p in pts], dtype=np.int64)[front]
+    desc = rng.normal(size=(len(ids), d_raw))
+    return ViewObservations(None, K, pixels[front], desc, ids)
 
 
 class FakeDecodeResult:

@@ -1,5 +1,6 @@
 """Voxelization, code banks, pruning, byte accounting, and persistence."""
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,9 +11,53 @@ from voxloc.geometry import Point3D
 from voxloc.scene import (MAX_CODE_DIM, SCENE_FORMAT_VERSION, SCENE_MAGIC,
                           CodeBank, SceneRepresentation, VoxelId,
                           assign_coverage, build_scene, drop_uncovered,
-                          file_overhead_bytes, load_scene, prune, save_scene,
-                          scene_from_bytes, scene_to_bytes, scenes_equal,
-                          size_bytes, voxelize)
+                          load_scene, prune, save_scene, scene_from_bytes,
+                          scene_to_bytes, size_bytes, voxelize)
+
+# file header: magic + version + side length + (T, N, D) + voxel count
+FILE_HEADER_BYTES = 28
+
+
+def file_overhead_bytes(scene: SceneRepresentation) -> int:
+    """Bytes in the scene file beyond size_bytes(scene, 4).
+
+    File header plus, per voxel, the member/view id lists and the per-block
+    scale (f32) and pruned-mask (u8) tables.
+    """
+    t, n, _ = scene.dims
+    total = FILE_HEADER_BYTES
+    for v in scene.voxels.values():
+        total += 4 * len(v.members) + 4 * len(v.covering_views) + t * 5 * n
+    return total
+
+
+def scenes_equal(a: SceneRepresentation, b: SceneRepresentation) -> bool:
+    """Deep equality of every persisted field.
+
+    Reals are compared after the float32 quantization the file format
+    applies, so a scene compares equal to its own save/load round trip.
+    """
+    def f32(x):
+        return np.asarray(x, dtype="<f4")
+
+    if (f32(a.side_length) != f32(b.side_length) or a.dims != b.dims
+            or sorted(a.voxels) != sorted(b.voxels)):
+        return False
+    for vid, va in a.voxels.items():
+        vb = b.voxels[vid]
+        if (not np.array_equal(f32(va.origin), f32(vb.origin))
+                or not np.array_equal(va.members, vb.members)
+                or sorted(va.covering_views) != sorted(vb.covering_views)
+                or not np.array_equal(va.codes.pruned, vb.codes.pruned)):
+            return False
+        for bt, (ca, cb) in enumerate(zip(va.codes.codes, vb.codes.codes)):
+            keep = np.flatnonzero(~va.codes.pruned[bt])
+            if not np.array_equal(f32(ca.values[keep]), f32(cb.values[keep])):
+                return False
+        for sa, sb in zip(va.codes.scales, vb.codes.scales):
+            if not np.array_equal(f32(sa.values), f32(sb.values)):
+                return False
+    return True
 
 
 def make_points(rng, n=40, lo=-3.0, hi=3.0):
@@ -244,6 +289,17 @@ class TestPersistence:
         loaded = load_scene(path)
         assert scenes_equal(scene, loaded)
         assert scenes_equal(loaded, scene)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1e300])
+    def test_save_refuses_what_float32_cannot_hold(self, tmp_path, bad):
+        # the reader would reject such a file, so none is written
+        scene = small_scene()
+        scene.sorted_voxels()[0].origin[0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite float32"):
+                save_scene(scene, tmp_path / "s.bin")
+        assert not (tmp_path / "s.bin").exists()
 
     def test_roundtrip_byte_identical(self):
         scene = small_scene()

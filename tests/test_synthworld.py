@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from voxloc.containers import FormatError
-from voxloc.geometry import project
+from voxloc.geometry import project_many
 from voxloc.synthworld import (ReferenceDataset, WorldConfig,
                                build_dataset, dataset_from_bytes,
                                dataset_to_bytes, generate_dataset,
@@ -69,8 +69,11 @@ class TestObservation:
         view = observe(pose, w, cfg, np.random.default_rng(0))
         assert view.num_keypoints > 0
         for pix, pid in zip(view.pixels[:25], view.point_ids[:25]):
-            ref = project(pose, w.intrinsics, w.points[pid])
+            ref = project_many(pose, w.intrinsics, w.points[pid])[0][0]
             np.testing.assert_allclose(pix, ref, atol=1e-9)
+        # observe and project_many share one pinhole formula: bit for bit
+        pixels = project_many(pose, w.intrinsics, w.points)[0]
+        np.testing.assert_array_equal(view.pixels, pixels[view.point_ids])
 
     def test_visibility_respects_frustum_margin(self):
         cfg = small_config()
