@@ -130,7 +130,7 @@ def _attention(tape, f: DTensor, bank: CodeBank, t: int,
     q = dc.matmul(tape, f, blk.wq)
     k = dc.matmul(tape, scaled, blk.wk)
     v = dc.matmul(tape, scaled, blk.wv)
-    return dc.attention(tape, q, k, v, 1.0 / np.sqrt(params.d))
+    return dc.attention(tape, q, k, v, float(1.0 / np.sqrt(params.d)))
 
 
 def cross_attention_block(tape, f: DTensor, bank: CodeBank, t: int,

@@ -4,7 +4,9 @@ Just enough machinery for the cross-attention decoder: dense tensors, a
 recording tape, the handful of primitives the decoder and losses need
 (single-head attention among them, as one op with a hand-written VJP), and
 an optimizer with parameter freezing. Everything is deterministic: fixed
-reduction orders, no threading, float64 throughout. Bit-identical
+reduction orders, no threading. Tensors are float64 unless made from
+float32 values, and ops run in their inputs' dtype, so one forward pass
+serves float64 training and a float32 untaped decode. Bit-identical
 invariance to code permutations is achieved upstream, where the decoder
 canonicalizes code-row order before any reduction touches them.
 """
@@ -28,7 +30,8 @@ def _check_finite(values: np.ndarray, where: str) -> None:
 
 
 class DTensor:
-    """Dense float64 array with a same-shape gradient buffer.
+    """Dense float64 array, or float32 when made from float32 values, with a
+    same-shape gradient buffer.
 
     The gradient buffer is allocated, zero-filled, on its first read, so
     tensors that never receive or report a gradient never pay for one.
@@ -37,7 +40,8 @@ class DTensor:
     __slots__ = ("values", "_grad", "name")
 
     def __init__(self, values, name: str = ""):
-        self.values = np.array(values, dtype=np.float64)
+        v = np.asarray(values)
+        self.values = v.astype(np.float32 if v.dtype == np.float32 else np.float64)
         _check_finite(self.values, name or "DTensor")
         self._grad = None
         self.name = name
@@ -124,7 +128,7 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def add(tape, a: DTensor, b: DTensor) -> DTensor:
-    out = DTensor(a.values + b.values)
+    out = DTensor(a.values + b.values, "add")
     return _rec(tape, out, [
         (a, lambda g, s=a.shape: _unbroadcast(g, s)),
         (b, lambda g, s=b.shape: _unbroadcast(g, s)),
@@ -132,7 +136,7 @@ def add(tape, a: DTensor, b: DTensor) -> DTensor:
 
 
 def sub(tape, a: DTensor, b: DTensor) -> DTensor:
-    out = DTensor(a.values - b.values)
+    out = DTensor(a.values - b.values, "sub")
     return _rec(tape, out, [
         (a, lambda g, s=a.shape: _unbroadcast(g, s)),
         (b, lambda g, s=b.shape: -_unbroadcast(g, s)),
@@ -140,7 +144,7 @@ def sub(tape, a: DTensor, b: DTensor) -> DTensor:
 
 
 def mul(tape, a: DTensor, b: DTensor) -> DTensor:
-    out = DTensor(a.values * b.values)
+    out = DTensor(a.values * b.values, "mul")
     return _rec(tape, out, [
         (a, lambda g, bv=b.values, s=a.shape: _unbroadcast(g * bv, s)),
         (b, lambda g, av=a.values, s=b.shape: _unbroadcast(g * av, s)),
@@ -148,14 +152,14 @@ def mul(tape, a: DTensor, b: DTensor) -> DTensor:
 
 
 def scale(tape, a: DTensor, c: float) -> DTensor:
-    out = DTensor(a.values * c)
+    out = DTensor(a.values * c, "scale")
     return _rec(tape, out, [(a, lambda g: g * c)])
 
 
 def matmul(tape, a: DTensor, b: DTensor) -> DTensor:
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = DTensor(a.values @ b.values)
+    out = DTensor(a.values @ b.values, "matmul")
     return _rec(tape, out, [
         (a, lambda g, bv=b.values: g @ bv.T),
         (b, lambda g, av=a.values: av.T @ g),
@@ -163,9 +167,8 @@ def matmul(tape, a: DTensor, b: DTensor) -> DTensor:
 
 
 def relu(tape, a: DTensor) -> DTensor:
-    out = DTensor(np.maximum(a.values, 0.0))
-    mask = (a.values > 0.0).astype(np.float64)
-    return _rec(tape, out, [(a, lambda g, m=mask: g * m)])
+    out = DTensor(np.maximum(a.values, 0.0), "relu")
+    return _rec(tape, out, [(a, lambda g, av=a.values: g * (av > 0.0))])
 
 
 def sigmoid(tape, a: DTensor) -> DTensor:
@@ -174,25 +177,24 @@ def sigmoid(tape, a: DTensor) -> DTensor:
     v[pos] = 1.0 / (1.0 + np.exp(-a.values[pos]))
     ez = np.exp(a.values[~pos])
     v[~pos] = ez / (1.0 + ez)
-    out = DTensor(v)
+    out = DTensor(v, "sigmoid")
     return _rec(tape, out, [(a, lambda g, vv=v: g * vv * (1.0 - vv))])
 
 
 def log(tape, a: DTensor) -> DTensor:
-    out = DTensor(np.log(a.values))
+    out = DTensor(np.log(a.values), "log")
     return _rec(tape, out, [(a, lambda g, av=a.values: g / av)])
 
 
 def clamp(tape, a: DTensor, lo: float, hi: float) -> DTensor:
-    out = DTensor(np.clip(a.values, lo, hi))
-    mask = ((a.values > lo) & (a.values < hi)).astype(np.float64)
-    return _rec(tape, out, [(a, lambda g, m=mask: g * m)])
+    out = DTensor(np.clip(a.values, lo, hi), "clamp")
+    return _rec(tape, out, [
+        (a, lambda g, av=a.values: g * ((av > lo) & (av < hi)))])
 
 
 def abs_(tape, a: DTensor) -> DTensor:
-    out = DTensor(np.abs(a.values))
-    sign = np.sign(a.values)
-    return _rec(tape, out, [(a, lambda g, s=sign: g * s)])
+    out = DTensor(np.abs(a.values), "abs")
+    return _rec(tape, out, [(a, lambda g, av=a.values: g * np.sign(av))])
 
 
 def attention(tape, q: DTensor, k: DTensor, v: DTensor, c: float):
@@ -217,7 +219,7 @@ def attention(tape, q: DTensor, k: DTensor, v: DTensor, c: float):
     p -= p.max(axis=1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=1, keepdims=True)
-    out = DTensor(p @ v.values)
+    out = DTensor(p @ v.values, "attention")
     memo: list = [None, None]   # (adjoint, dS) of the latest sweep
 
     def d_logits(g):
@@ -248,9 +250,10 @@ def layer_norm(tape, x: DTensor, gain: DTensor, bias: DTensor,
     mean = x.values.mean(axis=-1, keepdims=True)
     centered = x.values - mean
     var = (centered ** 2).mean(axis=-1, keepdims=True)
+    _check_finite(var, "layer_norm variance")  # else inf var gives xhat 0
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
-    out = DTensor(xhat * gain.values + bias.values)
+    out = DTensor(xhat * gain.values + bias.values, "layer_norm")
 
     def pull_x(g, xh=xhat, iv=inv, gv=gain.values, n=d):
         gx = g * gv
@@ -266,7 +269,7 @@ def layer_norm(tape, x: DTensor, gain: DTensor, bias: DTensor,
 
 def take_rows(tape, a: DTensor, idx: np.ndarray) -> DTensor:
     idx = np.asarray(idx, dtype=np.intp)
-    out = DTensor(a.values[idx])
+    out = DTensor(a.values[idx], "take_rows")
 
     def pull(g, n=a.shape, ii=idx):
         full = np.zeros(n, dtype=np.float64)
@@ -277,7 +280,7 @@ def take_rows(tape, a: DTensor, idx: np.ndarray) -> DTensor:
 
 
 def slice_cols(tape, a: DTensor, j0: int, j1: int) -> DTensor:
-    out = DTensor(a.values[:, j0:j1])
+    out = DTensor(a.values[:, j0:j1], "slice_cols")
 
     def pull(g, n=a.shape, a0=j0, a1=j1):
         full = np.zeros(n, dtype=np.float64)
@@ -290,7 +293,7 @@ def slice_cols(tape, a: DTensor, j0: int, j1: int) -> DTensor:
 def rows_l2norm(tape, a: DTensor) -> DTensor:
     """Per-row Euclidean norm, (m,d) -> (m,1). Zero rows get zero gradient."""
     n = np.sqrt((a.values ** 2).sum(axis=1, keepdims=True))
-    out = DTensor(n)
+    out = DTensor(n, "rows_l2norm")
 
     def pull(g, av=a.values, nv=n):
         safe = np.where(nv > 0.0, nv, 1.0)
@@ -300,13 +303,13 @@ def rows_l2norm(tape, a: DTensor) -> DTensor:
 
 
 def sum_all(tape, a: DTensor) -> DTensor:
-    out = DTensor(np.array(a.values.sum()))
+    out = DTensor(np.array(a.values.sum()), "sum_all")
     return _rec(tape, out, [(a, lambda g, s=a.shape: np.broadcast_to(g, s).copy())])
 
 
 def mean_all(tape, a: DTensor) -> DTensor:
     k = a.values.size
-    out = DTensor(np.array(a.values.mean()))
+    out = DTensor(np.array(a.values.mean()), "mean_all")
     return _rec(tape, out, [
         (a, lambda g, s=a.shape, kk=k: np.broadcast_to(g / kk, s).copy())
     ])

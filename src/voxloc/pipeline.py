@@ -2,14 +2,15 @@
 
 Retrieval ranks reference views by mean-descriptor cosine similarity; the
 retrieved views activate voxels via the coverage rule; every keypoint is
-decoded against every activated voxel; candidates with confidence >= 0.5
-become row-aligned 2D-3D arrays for PnP+RANSAC, whose pose is refined by
-Cauchy-weighted IRLS over all of them, not only the inliers. Failure is a
-first-class result value, never an exception.
+decoded in float32 against every activated voxel; candidates with
+confidence >= 0.5 become row-aligned 2D-3D arrays for PnP+RANSAC, whose
+pose is refined by Cauchy-weighted IRLS over all of them, not only the
+inliers. Failure is a first-class result value, never an exception.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import time
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ import numpy as np
 
 from .containers import bound, check_bounds
 from .decoder import DecoderParams, attention_scores, decode, encode_feature
-from .diffcore import DTensor
+from .diffcore import DTensor, NumericError
 from .geometry import Pose, pose_error, ransac_pnp
 from .scene import SceneRepresentation, VoxelId, size_bytes
 from .synthworld import ReferenceDataset, ViewObservations
@@ -85,6 +86,13 @@ def activate_voxels(view_ids, scene: SceneRepresentation) -> list[VoxelId]:
     return sorted(out)
 
 
+def _float32_copy(obj):
+    """Deep copy of decoder params or a code bank with float32 tensors."""
+    # deepcopy takes a memo entry in place of the object with that id
+    return copy.deepcopy(obj, {id(t.values): t.values.astype(np.float32)
+                               for t in obj.named_parameters().values()})
+
+
 def localize(query: ViewObservations, scene: SceneRepresentation,
              params: DecoderParams, dataset: ReferenceDataset | None = None,
              opts: LocalizeOptions | None = None) -> LocalizationResult:
@@ -111,14 +119,22 @@ def localize(query: ViewObservations, scene: SceneRepresentation,
     if not voxel_ids:
         return fail()
 
-    feats = encode_feature(None, params, DTensor(query.descriptors))
-    world, pixels = [], []
-    for vid in voxel_ids:
-        voxel = scene.voxels[vid]
-        result = decode(None, params, feats, voxel.codes, voxel.origin)
-        keep = result.confidence.values[:, 0] >= opts.confidence_min
-        world.append(result.world()[keep])
-        pixels.append(query.pixels[keep])
+    stage = "encode"  # float32 overflow raises its op's NumericError, not a warning
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            params = _float32_copy(params)
+            feats = encode_feature(None, params, DTensor(query.descriptors.astype(np.float32)))
+            world, pixels = [], []
+            for vid in voxel_ids:
+                stage = f"decode of voxel {tuple(vid)}"
+                voxel = scene.voxels[vid]
+                result = decode(None, params, feats,
+                                _float32_copy(voxel.codes), voxel.origin)
+                keep = result.confidence.values[:, 0] >= opts.confidence_min
+                world.append(result.world()[keep])
+                pixels.append(query.pixels[keep])
+    except NumericError as err:
+        raise NumericError(f"{err} ({stage})") from err
     world, pixels = np.concatenate(world), np.concatenate(pixels)
 
     # a failed RANSAC has no pose and no inliers

@@ -3,9 +3,10 @@
 A scene is a map from lattice cell to voxel record: the cell's member point
 ids, the origin (mean of member positions, the local regression frame), the
 learnable code bank with per-code scaling factors, and the reference views
-covering the cell. Codes are float64 in memory; the persisted format
-downcasts to little-endian float32, which is the "map size" that the byte
-accounting reports.
+covering the cell. Codes are float64 in memory, as training needs; the
+persisted format downcasts to little-endian float32, which is the "map
+size" that the byte accounting reports. Queries decode against float32
+copies of the activated banks, exact for a map read from its file.
 """
 
 from __future__ import annotations

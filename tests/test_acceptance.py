@@ -2,7 +2,8 @@
 
 Each test prints a single summary line (visible under plain ``pytest -v``)
 and asserts the criterion. The expensive desk-scale run is shared by
-criteria 3, 4, 5, and 6 through a module-scoped fixture.
+criteria 3, 4, 5, and 6 and the float32 query-decode check through a
+module-scoped fixture.
 """
 
 import dataclasses
@@ -278,6 +279,38 @@ def test_criterion_6_confidence_classification(capsys, desk):
             f"balanced accuracy {balanced * 100:.1f}% "
             f"(TPR {tpr * 100:.1f}%, TNR {tnr * 100:.1f}%) over "
             f"{tp + fp + tn + fn} keypoint-voxel pairs")
+
+
+def test_float32_query_decode_on_the_desk_map(desk):
+    """localize decodes float32 copies of the desk map: coordinates stay
+    within 1e-5 m of float64 decode, same-seed poses repeat byte for byte,
+    and the caller's params and banks stay float64 and unchanged."""
+    scene_bytes = scene_to_bytes(desk.scene)
+    weight_bytes = params_to_bytes(desk.params)
+    view = desk.dataset.query_views[0]
+    runs = [pipeline.localize(view, desk.scene, desk.params, desk.dataset)
+            for _ in range(2)]
+    assert runs[0].success
+    poses = {r.pose.rotation.tobytes() + r.pose.translation.tobytes()
+             for r in runs}
+    assert len(poses) == 1
+    tensors = (list(desk.params.named_parameters().values())
+               + list(desk.scene.named_code_parameters().values()))
+    assert all(t.values.dtype == np.float64 for t in tensors)
+    assert scene_to_bytes(desk.scene) == scene_bytes
+    assert params_to_bytes(desk.params) == weight_bytes
+
+    params32 = pipeline._float32_copy(desk.params)
+    feats64 = encode_feature(None, desk.params,
+                             dcc.DTensor(view.descriptors))
+    feats32 = encode_feature(None, params32, dcc.DTensor(
+        view.descriptors.astype(np.float32)))
+    for voxel in desk.scene.voxels.values():
+        r64 = decode(None, desk.params, feats64, voxel.codes, voxel.origin)
+        r32 = decode(None, params32, feats32,
+                     pipeline._float32_copy(voxel.codes), voxel.origin)
+        assert r32.local.values.dtype == np.float32
+        assert np.abs(r32.world() - r64.world()).max() < 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from voxloc import cli
 from voxloc.containers import FormatError, Writer
-from voxloc.decoder import load_params, params_from_bytes
+from voxloc.decoder import load_params, params_from_bytes, save_params
 from voxloc.scene import (SCENE_FORMAT_VERSION, SCENE_MAGIC, load_scene,
                           scene_from_bytes, scene_to_bytes)
 from voxloc.synthworld import dataset_from_bytes, load_dataset, save_dataset
@@ -482,6 +482,29 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert err.startswith("numeric abort: ")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", [["eval"],
+                                         ["localize", "--query", "0"]])
+    def test_float32_decode_overflow_is_3_on_one_line(self, workdir, tmp_path,
+                                                      capsys, command):
+        # float64 decode holds these weights; the float32 query decode
+        # overflows, and must say so without a NumPy warning
+        d, cfg = workdir
+        params = load_params(d / "weights.bin")
+        for name, tens in params.named_parameters().items():
+            if name.startswith(("encoder.", "block.0.w")):
+                tens.values *= 1e19
+        save_params(params, tmp_path / "big.bin")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(command + [
+                "--config", str(cfg), "--dataset", str(d / "ds.bin"),
+                "--scene", str(d / "scene.bin"),
+                "--weights", str(tmp_path / "big.bin")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numeric abort: non-finite value produced in "
+                            r"\w+ \((encode|decode of voxel \(.*\))\)\n", err)
 
     @pytest.mark.parametrize("extra, key", [
         ("localize.confidence_min = nan", "confidence_min"),

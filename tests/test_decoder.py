@@ -9,6 +9,7 @@ from voxloc.decoder import (DecoderParams, attention_scores,
                             cross_attention_block, decode, encode_feature,
                             params_from_bytes, params_to_bytes)
 from voxloc.diffcore import DTensor, DimensionError, Tape
+from voxloc.pipeline import _float32_copy
 from voxloc.scene import CodeBank
 
 T, N, D, DRAW = 3, 5, 16, 24
@@ -36,11 +37,15 @@ def run_decode(params, bank, feats_raw):
 
 
 class TestPermutationInvariance:
-    def test_decode_bit_identical_under_row_permutation(self):
-        params = make_params()
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_decode_bit_identical_under_row_permutation(self, dtype):
+        # float32 runs on the copies localize decodes with
+        cast = _float32_copy if dtype == np.float32 else (lambda obj: obj)
+        params = cast(make_params())
         bank = make_bank()
-        raw = np.random.default_rng(2).normal(size=(7, DRAW))
-        base = run_decode(params, bank, raw)
+        raw = np.random.default_rng(2).normal(size=(7, DRAW)).astype(dtype)
+        base = run_decode(params, cast(bank), raw)
+        assert base.local.values.dtype == dtype
         for seed in range(3):
             rng = np.random.default_rng(seed + 10)
             shuffled = make_bank()
@@ -49,7 +54,7 @@ class TestPermutationInvariance:
                 shuffled.codes[bt].values[...] = bank.codes[bt].values[perm]
                 shuffled.scales[bt].values[...] = bank.scales[bt].values[perm]
                 shuffled.pruned[bt] = bank.pruned[bt][perm]
-            out = run_decode(params, shuffled, raw)
+            out = run_decode(params, cast(shuffled), raw)
             assert np.array_equal(base.local.values, out.local.values)
             assert np.array_equal(base.confidence.values,
                                   out.confidence.values)
@@ -167,6 +172,19 @@ class TestDecodeShape:
         monkeypatch.setattr(np, "zeros_like", spy)
         res = run_decode(params, bank, raw)
         assert res.local.shape == (5, 3)
+
+    def test_attention_scale_is_a_python_float(self, monkeypatch):
+        # an np.float64 scale would make NumPy 2 run float32 logits in float64
+        scales = []
+
+        def spy(tape, q, k, v, c):
+            scales.append(c)
+            return real(tape, q, k, v, c)
+
+        real = dc.attention
+        monkeypatch.setattr(dc, "attention", spy)
+        run_decode(make_params(), make_bank(), np.ones((2, DRAW)))
+        assert scales and all(type(c) is float for c in scales)
 
 
 class TestLinearEncoder:

@@ -186,6 +186,31 @@ class TestForwardValues:
                                    atol=1e-15)
 
 
+class TestDtype:
+    @pytest.mark.parametrize("values, dtype", [
+        (np.ones(2, dtype=np.float32), np.float32),
+        (np.ones(2), np.float64),
+        (np.ones(2, dtype=np.float16), np.float64),
+        (np.ones(2, dtype=np.int32), np.float64),
+        ([1.0, 2.0], np.float64),
+    ])
+    def test_only_float32_input_keeps_its_dtype(self, values, dtype):
+        assert DTensor(values).values.dtype == dtype
+
+    def test_untaped_float32_forward_stays_float32(self):
+        rng = RNG(5)
+        x, w, b, kv = (DTensor(rng.normal(size=s).astype(np.float32))
+                       for s in ((4, 3), (3, 3), (1, 3), (5, 3)))
+        h = dc.relu(None, dc.add(None, dc.matmul(None, x, w), b))
+        h = dc.layer_norm(None, h, b, b)
+        att, p = dc.attention(None, h, kv, kv, 0.5)
+        out = dc.sigmoid(None, dc.slice_cols(None, dc.take_rows(
+            None, dc.mul(None, att, att), [0, 2]), 0, 1))
+        assert p.dtype == np.float32
+        for t in (h, att, out):
+            assert t.values.dtype == np.float32
+
+
 class TestTape:
     def test_double_backward_doubles_gradients(self):
         a = DTensor(RNG(0).normal(size=(3, 3)))
@@ -290,6 +315,15 @@ class TestNumericGuards:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericError, match="logits"):
             dc.attention(None, q, k, v, 1.0)
+
+    def test_overflowing_layer_norm_variance_aborts(self):
+        # finite in float32, but the squared deviations are not; an inf
+        # variance would otherwise turn every row into its bias
+        x = DTensor(np.array([[1e20, -1e20]], dtype=np.float32))
+        ones, zeros = DTensor(np.ones((1, 2))), DTensor(np.zeros((1, 2)))
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericError, match="variance"):
+            dc.layer_norm(None, x, ones, zeros)
 
     def test_optimizer_rejects_nan_gradient(self):
         p = DTensor(np.zeros(3), name="p")

@@ -110,6 +110,12 @@ def query_for(pts, pose, rng, d_raw=16):
     return ViewObservations(None, K, pixels[front], desc, ids)
 
 
+def small_params(rng):
+    """Decoder sized for make_world_scene banks and query_for descriptors."""
+    return DecoderParams.init(rng, d_raw=16, d=8, num_blocks=2,
+                              encoder_hidden=8, block_hidden=8, head_hidden=8)
+
+
 class FakeDecodeResult:
     def __init__(self, local, confidence, origin):
         self.local = DTensor(local)
@@ -167,7 +173,8 @@ class TestLocalize:
                 return real_localize_decode(tape, params, feats, bank, origin)
 
             monkeypatch.setattr(pipeline, "decode", wrapping)
-            return localize(query, scene, None, None,
+            return localize(query, scene,
+                            small_params(np.random.default_rng(0)), None,
                             LocalizeOptions(bypass_retrieval=True,
                                             ransac_iters=100))
 
@@ -204,8 +211,8 @@ class TestLocalize:
         monkeypatch.setattr(pipeline, "decode", fake_decode)
         monkeypatch.setattr(pipeline, "encode_feature",
                             lambda tape, params, raw: raw)
-        res = localize(query, scene, None, None,
-                       LocalizeOptions(bypass_retrieval=True))
+        res = localize(query, scene, small_params(np.random.default_rng(0)),
+                       None, LocalizeOptions(bypass_retrieval=True))
         assert not res.success
         assert res.num_confident_points == 0
         assert res.num_candidate_points > 0
@@ -217,11 +224,13 @@ class TestLocalize:
         scene.voxels = dict(reversed(list(scene.voxels.items())))
         query = query_for(pts, look_at([5.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
                           rng)
-        params = DecoderParams.init(rng, d_raw=16, d=8, num_blocks=2,
-                                    encoder_hidden=8, block_hidden=8,
-                                    head_hidden=8)
-        feats = encode_feature(None, params, dc.DTensor(query.descriptors))
-        results = [decode(None, params, feats, scene.voxels[vid].codes,
+        params = small_params(rng)
+        # the float32 copies localize decodes with
+        params32 = pipeline._float32_copy(params)
+        feats = encode_feature(None, params32, dc.DTensor(
+            query.descriptors.astype(np.float32)))
+        results = [decode(None, params32, feats,
+                          pipeline._float32_copy(scene.voxels[vid].codes),
                           scene.voxels[vid].origin)
                    for vid in sorted(scene.voxels)]
         confs = [r.confidence.values[:, 0] for r in results]
