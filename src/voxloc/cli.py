@@ -91,8 +91,6 @@ _PARSERS = {
 
 
 def _coerce(raw: str, typ: str, key: str):
-    if typ not in _PARSERS:
-        raise ConfigError(f"{key}: unsupported config field type {typ}")
     try:
         return _PARSERS[typ](raw)
     except (KeyError, ValueError) as err:
@@ -133,40 +131,31 @@ def load_config(path: str | None) -> dict[str, object]:
     return cfg
 
 
-def _build_scene(dataset, cfg):
-    sc = cfg["scene"]
-    tc = cfg["train"]
-    points = [p for p in dataset.points.values()]
-    rng = np.random.default_rng(np.random.SeedSequence((tc.seed, 300)))
-    built = scene_mod.build_scene(points, sc.side_length,
-                                  (sc.blocks, sc.codes_per_block, sc.code_dim),
-                                  rng)
+def _new_map(dataset, cfg, params=None):
+    """A covered scene for the dataset, and params or new decoder weights
+    sized for its descriptors; structured init seeds new weights and codes."""
+    sc, dc_, tc = cfg["scene"], cfg["decoder"], cfg["train"]
+
+    def rng(key):
+        return np.random.default_rng(np.random.SeedSequence((tc.seed, key)))
+
+    built = scene_mod.build_scene(
+        list(dataset.points.values()), sc.side_length,
+        (sc.blocks, sc.codes_per_block, sc.code_dim), rng(300))
     scene_mod.assign_coverage(built, dataset, min_points=tc.min_points)
     scene_mod.drop_uncovered(built)
-    return built
-
-
-def _init_params(dataset, cfg):
-    """Decoder weights sized for the dataset's descriptors."""
-    sc, dc_, tc = cfg["scene"], cfg["decoder"], cfg["train"]
-    d_raw = dataset.config.descriptor_dim
-    rng = np.random.default_rng(np.random.SeedSequence((tc.seed, 400)))
+    dims = dict(d_raw=dataset.config.descriptor_dim, d=sc.code_dim,
+                num_blocks=sc.blocks, block_hidden=dc_.block_hidden,
+                head_hidden=dc_.head_hidden)
+    if params is None and dc_.structured_init:
+        params = initialization.aligned_decoder_init(rng(400), **dims,
+                                                     config=dc_)
+    elif params is None:
+        params = decoder.DecoderParams.init(
+            rng(400), encoder_hidden=dc_.encoder_hidden, **dims)
     if dc_.structured_init:
-        return initialization.aligned_decoder_init(
-            rng, d_raw=d_raw, d=sc.code_dim, num_blocks=sc.blocks,
-            block_hidden=dc_.block_hidden, head_hidden=dc_.head_hidden,
-            config=dc_)
-    return decoder.DecoderParams.init(
-        rng, d_raw=d_raw, d=sc.code_dim, num_blocks=sc.blocks,
-        encoder_hidden=dc_.encoder_hidden, block_hidden=dc_.block_hidden,
-        head_hidden=dc_.head_hidden)
-
-
-def _maybe_inject(built, ds, params, cfg):
-    dc_, tc = cfg["decoder"], cfg["train"]
-    if dc_.structured_init:
-        rng = np.random.default_rng(np.random.SeedSequence((tc.seed, 500)))
-        initialization.inject_codes(built, ds, params, rng, dc_)
+        initialization.inject_codes(built, dataset, params, rng(500), dc_)
+    return built, params
 
 
 def cmd_gen(args):
@@ -187,9 +176,7 @@ def cmd_train(args):
         raise ConfigError("train.epochs_stage1 and train.epochs_stage2 are 0: "
                           "train would run no epochs")
     ds = synthworld.load_dataset(args.dataset)
-    built = _build_scene(ds, cfg)
-    params = _init_params(ds, cfg)
-    _maybe_inject(built, ds, params, cfg)
+    built, params = _new_map(ds, cfg)
     log = training.run_training(built, ds, params, cfg["train"])
     scene_mod.save_scene(built, args.out_scene)
     decoder.save_params(params, args.out_weights)
@@ -238,9 +225,7 @@ def cmd_adapt(args):
         raise ConfigError("train.epochs_stage1 is 0: adapt would run no "
                           "epochs")
     ds = synthworld.load_dataset(args.dataset)
-    params = decoder.load_params(args.weights)
-    built = _build_scene(ds, cfg)
-    _maybe_inject(built, ds, params, cfg)
+    built, params = _new_map(ds, cfg, decoder.load_params(args.weights))
     log = training.adapt_scene(built, ds, params, cfg["train"])
     scene_mod.save_scene(built, args.out_scene)
     if args.log:

@@ -1,5 +1,5 @@
-"""Framed little-endian binary container helpers, and the range checks
-shared by the config dataclasses.
+"""Framed little-endian binary container helpers, and the type and range
+checks shared by the config dataclasses.
 
 All scene/weight/dataset files share the same primitive encoding: 4-byte
 magic, u32 version, then fixed-layout sections. Reals are persisted as
@@ -38,11 +38,29 @@ _COMPARE = {">": np.greater, ">=": np.greater_equal,
             "<": np.less, "<=": np.less_equal}
 
 
+# keyed by the annotation string, as the config modules postpone
+# annotations; a bool is no int or float
+_TYPES = {"bool": (bool, np.bool_), "int": (int, np.integer),
+          "float": (int, float, np.integer, np.floating), "str": str}
+
+
+def _has_type(value, typ: str) -> bool:
+    if typ.startswith("tuple["):
+        entries = typ[6:-1].split(", ")
+        return (isinstance(value, tuple) and len(value) == len(entries)
+                and all(map(_has_type, value, entries)))
+    return isinstance(value, _TYPES[typ]) and (
+        typ == "bool" or not isinstance(value, bool))
+
+
 def check_bounds(config, section: str) -> None:
-    """ValueError naming section.key unless every float (and float-tuple
-    entry) of a config dataclass is finite and every bound() holds."""
+    """TypeError or ValueError naming section.key unless every field of a
+    config dataclass has its annotated type, every float (and float-tuple
+    entry) is finite and every bound() holds."""
     for f in dataclasses.fields(config):
         key, value = f"{section}.{f.name}", getattr(config, f.name)
+        if not _has_type(value, f.type):
+            raise TypeError(f"{key} must be {f.type}, got {value!r}")
         if "float" in f.type and not np.all(np.isfinite(value)):
             raise ValueError(f"{key} must be finite, got {value}")
         lo, hi, strict, choices = f.metadata.get("bound", (None,) * 4)
@@ -58,12 +76,9 @@ def check_bounds(config, section: str) -> None:
 
 
 class Writer:
-    def __init__(self):
-        self._buf = bytearray()
-
-    def magic(self, tag: bytes) -> None:
-        assert len(tag) == 4
-        self._buf += tag
+    def __init__(self, magic: bytes, version: int):
+        self._buf = bytearray(magic)
+        self.u32(version)
 
     def u32(self, v: int) -> None:
         self._buf += struct.pack("<I", v)
@@ -108,9 +123,11 @@ class Writer:
 class Reader:
     """Reads a stream of known size: an open binary file, or bytes-like
     data wrapped in a BytesIO. Every read is bounds-checked against the
-    size first, so a corrupt count never allocates beyond the file."""
+    size first, so a corrupt count never allocates beyond the file. The
+    header must hold magic and version; kind names the format in errors."""
 
-    def __init__(self, source: bytes | BinaryIO):
+    def __init__(self, source: bytes | BinaryIO, magic: bytes, version: int,
+                 kind: str):
         if isinstance(source, io.IOBase):
             self._size = os.fstat(source.fileno()).st_size
         else:
@@ -118,6 +135,13 @@ class Reader:
             source = io.BytesIO(source)
         self._stream = source
         self.offset = 0
+        got = self.raw(4, "magic")
+        if got != magic:
+            raise FormatError(0, f"bad magic {got!r}, expected {magic!r} "
+                                 f"for a {kind} file")
+        got = self.u32("format version")
+        if got != version:
+            raise FormatError(4, f"unsupported {kind} format version {got}")
 
     def _check(self, n: int, what: str) -> None:
         if self.offset + n > self._size:
@@ -152,11 +176,6 @@ class Reader:
     @property
     def remaining(self) -> int:
         return self._size - self.offset
-
-    def expect_magic(self, tag: bytes) -> None:
-        got = self.raw(4, "magic")
-        if got != tag:
-            raise FormatError(0, f"bad magic {got!r}, expected {tag!r}")
 
     def u32(self, what: str = "u32") -> int:
         return struct.unpack("<I", self.raw(4, what))[0]

@@ -209,9 +209,7 @@ def attention_scores(params: DecoderParams, features: DTensor,
 
 
 def params_to_bytes(params: DecoderParams) -> bytes:
-    w = Writer()
-    w.magic(WEIGHTS_MAGIC)
-    w.u32(WEIGHTS_FORMAT_VERSION)
+    w = Writer(WEIGHTS_MAGIC, WEIGHTS_FORMAT_VERSION)
     for v in (params.d_raw, params.d, params.num_blocks,
               params.encoder_hidden, params.block_hidden, params.head_hidden):
         w.u32(v)
@@ -240,11 +238,7 @@ def _param_count(d_raw: int, d: int, num_blocks: int, encoder_hidden: int,
 
 
 def params_from_bytes(data: bytes | BinaryIO) -> DecoderParams:
-    r = Reader(data)
-    r.expect_magic(WEIGHTS_MAGIC)
-    version = r.u32("format version")
-    if version != WEIGHTS_FORMAT_VERSION:
-        raise FormatError(4, f"unsupported weights format version {version}")
+    r = Reader(data, WEIGHTS_MAGIC, WEIGHTS_FORMAT_VERSION, "weights")
     dims = [r.u32(what) for what in ("d_raw", "d", "num_blocks",
                                      "encoder hidden", "block hidden",
                                      "head hidden")]

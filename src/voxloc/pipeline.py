@@ -87,10 +87,13 @@ def activate_voxels(view_ids, scene: SceneRepresentation) -> list[VoxelId]:
 
 
 def _float32_copy(obj):
-    """Deep copy of decoder params or a code bank with float32 tensors."""
+    """Deep copy of decoder params or a code bank with float32 tensors and
+    no gradient buffers."""
     # deepcopy takes a memo entry in place of the object with that id
-    return copy.deepcopy(obj, {id(t.values): t.values.astype(np.float32)
-                               for t in obj.named_parameters().values()})
+    tensors = obj.named_parameters().values()
+    memo = {id(t.values): t.values.astype(np.float32) for t in tensors}
+    memo.update((id(t._grad), None) for t in tensors)
+    return copy.deepcopy(obj, memo)
 
 
 def localize(query: ViewObservations, scene: SceneRepresentation,

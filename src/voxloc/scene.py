@@ -249,9 +249,7 @@ def size_bytes(scene: SceneRepresentation, scalar_width: int) -> int:
 
 
 def scene_to_bytes(scene: SceneRepresentation) -> bytes:
-    w = Writer()
-    w.magic(SCENE_MAGIC)
-    w.u32(SCENE_FORMAT_VERSION)
+    w = Writer(SCENE_MAGIC, SCENE_FORMAT_VERSION)
     w.f32(scene.side_length, "scene.side_length")
     t, n, d = scene.dims
     w.u32(t)
@@ -277,11 +275,7 @@ def scene_to_bytes(scene: SceneRepresentation) -> bytes:
 
 
 def scene_from_bytes(data: bytes | BinaryIO) -> SceneRepresentation:
-    r = Reader(data)
-    r.expect_magic(SCENE_MAGIC)
-    version = r.u32("format version")
-    if version != SCENE_FORMAT_VERSION:
-        raise FormatError(4, f"unsupported scene format version {version}")
+    r = Reader(data, SCENE_MAGIC, SCENE_FORMAT_VERSION, "scene")
     side = r.f32("side length")
     t = r.u32("T")
     n = r.u32("N")

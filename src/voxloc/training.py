@@ -216,7 +216,6 @@ def _batch_losses(tape, params: DecoderParams, batch: list[Sample],
 
 def _run_epochs(scene, dataset, params, config, *, stage, epochs, epoch_offset,
                 opt_agnostic, opt_codes, rng, log):
-    code_params = scene.named_code_parameters()
     for local_epoch in range(epochs):
         epoch = epoch_offset + local_epoch
         lr_a = halved_lr(config.lr_agnostic, epoch, config.lr_halving_period)
@@ -239,10 +238,8 @@ def _run_epochs(scene, dataset, params, config, *, stage, epochs, epoch_offset,
                     f"epoch {epoch}, batch {batch_idx}: {err}") from err
             if opt_agnostic is not None:
                 opt_agnostic.step()
-            active = [name for s in batch
-                      for name in s.voxel.codes.named_parameters()
-                      if name in code_params]
-            opt_codes.step(active=active)
+            opt_codes.step(active=[name for s in batch for name in
+                                   s.voxel.codes.named_parameters()])
             sums += [l_coord.values, l_conf.values, l_sparse.values, loss.values]
 
         sums /= len(batches)

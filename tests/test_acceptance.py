@@ -180,9 +180,7 @@ def desk():
     cfg = cli.load_config(None)
     cfg["train"] = dataclasses.replace(cfg["train"], keypoints_per_sample=0)
     dataset = synthworld.generate_dataset(cfg["world"])
-    scene = cli._build_scene(dataset, cfg)
-    params = cli._init_params(dataset, cfg)
-    cli._maybe_inject(scene, dataset, params, cfg)
+    scene, params = cli._new_map(dataset, cfg)
     run_training(scene, dataset, params, cfg["train"])
     report = evaluate_scene(scene, params, dataset, LocalizeOptions())
     return SimpleNamespace(cfg=cfg, dataset=dataset, scene=scene,
@@ -240,8 +238,7 @@ def test_criterion_5_scene_adaptation(capsys, desk):
     cfg["train"] = dataclasses.replace(cfg["train"], keypoints_per_sample=0,
                                        lambda_l1=0.0)
     dataset = synthworld.generate_dataset(cfg["world"])
-    scene = cli._build_scene(dataset, cfg)
-    cli._maybe_inject(scene, dataset, desk.params, cfg)
+    scene, _ = cli._new_map(dataset, cfg, desk.params)
 
     frozen = params_to_bytes(desk.params)
     adapt_scene(scene, dataset, desk.params, cfg["train"],

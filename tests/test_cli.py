@@ -15,7 +15,10 @@ from voxloc.containers import FormatError, Writer
 from voxloc.decoder import load_params, params_from_bytes, save_params
 from voxloc.scene import (SCENE_FORMAT_VERSION, SCENE_MAGIC, load_scene,
                           scene_from_bytes, scene_to_bytes)
-from voxloc.synthworld import dataset_from_bytes, load_dataset, save_dataset
+from voxloc.pipeline import LocalizeOptions
+from voxloc.synthworld import (WorldConfig, dataset_from_bytes, load_dataset,
+                               save_dataset)
+from voxloc.training import TrainConfig
 
 TINY_CONFIG = """\
 # tiny world for fast tests
@@ -221,6 +224,23 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError):
             cli.load_config(str(cfg))
 
+    @pytest.mark.parametrize("cls, key, value", [
+        (WorldConfig, "world.num_points", 2.5),
+        (TrainConfig, "train.seed", True),
+        (WorldConfig, "world.extent", (1.0, 2.0)),
+        (LocalizeOptions, "localize.top_k", "3"),
+        (TrainConfig, "train.optimizer", 3),
+    ])
+    def test_constructors_refuse_wrong_types(self, cls, key, value):
+        with pytest.raises(TypeError, match=f"^{re.escape(key)} must be "):
+            cls(**{key.partition(".")[2]: value})
+
+    def test_constructors_accept_numpy_scalars(self):
+        world = WorldConfig(num_points=np.int64(50), focal=np.float32(500.0),
+                            extent=(np.float32(2.0), np.int64(2), 1.0))
+        assert world.num_points == 50 and world.focal == 500.0
+        assert TrainConfig(seed=np.int64(3), lr_codes=np.float32(0.5)).seed == 3
+
     def test_every_non_bool_key_declares_a_bound(self):
         # a key without a bound() would reach the program unchecked
         defaults = cli.load_config(None)
@@ -347,9 +367,7 @@ class TestErrorExits:
                                                   capsys):
         # 65 bytes: T = N = 1 and D = 2**31, its one code pruned, so no
         # code bytes stand behind D
-        w = Writer()
-        w.magic(SCENE_MAGIC)
-        w.u32(SCENE_FORMAT_VERSION)
+        w = Writer(SCENE_MAGIC, SCENE_FORMAT_VERSION)
         w.f32(4.0)
         for count in (1, 1, 2 ** 31, 1):  # T, N, D, voxel count
             w.u32(count)
@@ -382,6 +400,23 @@ class TestErrorExits:
                          "--out-weights", str(tmp_path / "w.bin")]) == 2
         err = capsys.readouterr().err
         assert f"point {pid} " in err and "non-finite" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_config_json_past_the_recursion_limit_is_2(self, workdir,
+                                                       tmp_path, capsys):
+        d, cfg = workdir
+        blob = (d / "ds.bin").read_bytes()
+        n = int.from_bytes(blob[8:12], "little")  # after magic and version
+        deep = b"[" * 200_000
+        (tmp_path / "deep.bin").write_bytes(
+            blob[:8] + len(deep).to_bytes(4, "little") + deep + blob[12 + n:])
+        assert cli.main(["localize", "--config", str(cfg),
+                         "--dataset", str(tmp_path / "deep.bin"),
+                         "--scene", str(d / "scene.bin"),
+                         "--weights", str(d / "weights.bin"),
+                         "--query", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: at byte 12: config json: ")
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("extra, key", [
@@ -552,6 +587,22 @@ class TestErrorExits:
 READERS = {"ds.bin": (dataset_from_bytes, load_dataset),
            "scene.bin": (scene_from_bytes, load_scene),
            "weights.bin": (params_from_bytes, load_params)}
+
+
+@pytest.mark.parametrize("name, kind", [("ds.bin", "dataset"),
+                                        ("scene.bin", "scene"),
+                                        ("weights.bin", "weights")])
+@pytest.mark.parametrize("at, header", [(0, b"QQQQ"),
+                                        (4, (99).to_bytes(4, "little"))],
+                         ids=["magic", "version"])
+def test_bad_header_is_refused_at_its_offset(workdir, name, kind, at, header):
+    # the message names the format whose header it is
+    blob = bytearray((workdir[0] / name).read_bytes())
+    blob[at:at + 4] = header
+    named = rf"^at byte {at}: .*\b{kind}\b"
+    with pytest.raises(FormatError, match=named) as err:
+        READERS[name][0](bytes(blob))
+    assert err.value.offset == at
 
 
 @pytest.mark.parametrize("name", sorted(READERS))

@@ -16,9 +16,10 @@ from voxloc.pipeline import (DEFAULT_THRESHOLDS, EvalReport,
                              LocalizationResult, LocalizeOptions,
                              activate_voxels, evaluate, export_heatmap,
                              localize, retrieve_views)
-from voxloc.scene import build_scene
+from voxloc.scene import assign_coverage, build_scene, drop_uncovered
 from voxloc.geometry import Point3D
-from voxloc.synthworld import ViewObservations
+from voxloc.synthworld import ViewObservations, WorldConfig, generate_dataset
+from voxloc.training import TrainConfig, run_training
 
 K = Intrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -254,6 +255,28 @@ class TestLocalize:
             assert captured[name].shape == expected.shape
             assert captured[name].tobytes() == expected.tobytes()
         assert not res.success and res.num_confident_points == len(world)
+
+    def test_float32_copies_of_a_trained_map_carry_no_gradients(self):
+        ds = generate_dataset(WorldConfig(num_points=150, num_ref_views=12,
+                                          num_query_views=2, seed=3))
+        scene = build_scene(list(ds.points.values()), 4.0, (2, 8, 8),
+                            np.random.default_rng(0))
+        assign_coverage(scene, ds, min_points=5)
+        drop_uncovered(scene)
+        params = DecoderParams.init(np.random.default_rng(1), d_raw=64, d=8,
+                                    num_blocks=2, encoder_hidden=8,
+                                    block_hidden=8, head_hidden=8)
+        run_training(scene, ds, params, TrainConfig(
+            epochs_stage1=1, epochs_stage2=0, keypoints_per_sample=16,
+            prune_threshold=0.0, min_points=5))
+        for source in [params] + [v.codes for v in scene.voxels.values()]:
+            copied = pipeline._float32_copy(source).named_parameters()
+            for name, t in source.named_parameters().items():
+                assert t._grad is not None and t._grad.dtype == np.float64
+                assert copied[name].values.dtype == np.float32
+                assert copied[name].values.tobytes() == \
+                    t.values.astype(np.float32).tobytes()
+                assert copied[name]._grad is None
 
     def test_counting_chain_validated(self):
         with pytest.raises(ValueError):

@@ -78,9 +78,7 @@ def raw_scene(t, n, d, blocks):
     """Scene file bytes claiming T x N x D codes per voxel. Voxel i sits at
     (i, 0, 0) with no members or views and holds blocks[i], whatever the
     claimed dims."""
-    w = Writer()
-    w.magic(SCENE_MAGIC)
-    w.u32(SCENE_FORMAT_VERSION)
+    w = Writer(SCENE_MAGIC, SCENE_FORMAT_VERSION)
     w.f32(2.0)
     for count in (t, n, d, len(blocks)):  # T, N, D, voxel count
         w.u32(count)

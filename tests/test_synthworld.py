@@ -214,12 +214,15 @@ class TestDatasetPersistence:
                                      b'{"extent": [1, 2, 3], "seed": 1.5}',
                                      b'{"extent": [1, 2, 3], "focal": true}',
                                      b'{"extent": [1, 2, 3], '
-                                     b'"num_points": "many"}'])
+                                     b'"num_points": "many"}',
+                                     # nested past the recursion limit
+                                     pytest.param(b"[" * 200_000,
+                                                  id="deep")])
     def test_bad_config_json_rejected(self, cfg):
         blob = dataset_to_bytes(generate_dataset(small_config()))
         n = int.from_bytes(blob[8:12], "little")  # after magic and version
         blob = blob[:8] + len(cfg).to_bytes(4, "little") + cfg + blob[12 + n:]
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="at byte 12: config json: "):
             dataset_from_bytes(blob)
 
     def test_out_of_range_config_json_is_a_format_error(self):
