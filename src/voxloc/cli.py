@@ -14,13 +14,12 @@ import argparse
 import dataclasses
 import sys
 
-import numpy as np
-
 from . import (decoder, initialization, pipeline, scene as scene_mod,
                synthworld, training)
 from .containers import FormatError, bound, check_bounds
 from .diffcore import NumericError
 from .scene import MAX_CODE_DIM, VoxelId
+from .synthworld import seeded_rng
 
 
 @dataclasses.dataclass
@@ -135,26 +134,28 @@ def _new_map(dataset, cfg, params=None):
     """A covered scene for the dataset, and params or new decoder weights
     sized for its descriptors; structured init seeds new weights and codes."""
     sc, dc_, tc = cfg["scene"], cfg["decoder"], cfg["train"]
-
-    def rng(key):
-        return np.random.default_rng(np.random.SeedSequence((tc.seed, key)))
-
-    built = scene_mod.build_scene(
-        list(dataset.points.values()), sc.side_length,
-        (sc.blocks, sc.codes_per_block, sc.code_dim), rng(300))
-    scene_mod.assign_coverage(built, dataset, min_points=tc.min_points)
-    scene_mod.drop_uncovered(built)
     dims = dict(d_raw=dataset.config.descriptor_dim, d=sc.code_dim,
                 num_blocks=sc.blocks, block_hidden=dc_.block_hidden,
                 head_hidden=dc_.head_hidden)
+    for key, need in (("d_raw", "the descriptor width"),
+                      ("d", "scene.code_dim"), ("num_blocks", "scene.blocks")):
+        if params is not None and getattr(params, key) != dims[key]:
+            raise ConfigError(f"weights have {key} = {getattr(params, key)}, "
+                              f"but {need} is {dims[key]}")
+    built = scene_mod.build_scene(
+        list(dataset.points.values()), sc.side_length,
+        (sc.blocks, sc.codes_per_block, sc.code_dim), seeded_rng(tc.seed, 300))
+    scene_mod.assign_coverage(built, dataset, min_points=tc.min_points)
+    scene_mod.drop_uncovered(built)
     if params is None and dc_.structured_init:
-        params = initialization.aligned_decoder_init(rng(400), **dims,
-                                                     config=dc_)
+        params = initialization.aligned_decoder_init(
+            seeded_rng(tc.seed, 400), **dims, config=dc_)
     elif params is None:
         params = decoder.DecoderParams.init(
-            rng(400), encoder_hidden=dc_.encoder_hidden, **dims)
+            seeded_rng(tc.seed, 400), encoder_hidden=dc_.encoder_hidden, **dims)
     if dc_.structured_init:
-        initialization.inject_codes(built, dataset, params, rng(500), dc_)
+        initialization.inject_codes(built, dataset, params,
+                                    seeded_rng(tc.seed, 500), dc_)
     return built, params
 
 

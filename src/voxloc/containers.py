@@ -61,7 +61,12 @@ def check_bounds(config, section: str) -> None:
         key, value = f"{section}.{f.name}", getattr(config, f.name)
         if not _has_type(value, f.type):
             raise TypeError(f"{key} must be {f.type}, got {value!r}")
-        if "float" in f.type and not np.all(np.isfinite(value)):
+        try:  # an int beyond the float range has no float value
+            finite = "float" not in f.type or np.isfinite(
+                np.asarray(value, np.float64)).all()
+        except OverflowError:
+            finite = False
+        if not finite:
             raise ValueError(f"{key} must be finite, got {value}")
         lo, hi, strict, choices = f.metadata.get("bound", (None,) * 4)
         if choices is not None and value not in choices:

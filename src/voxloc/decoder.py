@@ -169,9 +169,9 @@ def decode(tape, params: DecoderParams, features: DTensor, bank: CodeBank,
     if features.shape[1] != params.d:
         raise dc.DimensionError(
             f"feature width {features.shape} != decoder width {params.d}")
-    if bank.dims[2] != params.d:
-        raise dc.DimensionError(
-            f"code width {bank.dims} != decoder width {params.d}")
+    if bank.dims[0] != params.num_blocks or bank.dims[2] != params.d:
+        raise dc.DimensionError(f"code bank (T, N, D) {bank.dims} != decoder "
+                                f"(T, D) ({params.num_blocks}, {params.d})")
     f = features
     for t in range(params.num_blocks):
         f = cross_attention_block(tape, f, bank, t, params)

@@ -3,7 +3,7 @@
 Just enough machinery for the cross-attention decoder: dense tensors, a
 recording tape, the handful of primitives the decoder and losses need
 (single-head attention among them, as one op with a hand-written VJP), and
-an optimizer with parameter freezing. Everything is deterministic: fixed
+an optimizer over named parameters. Everything is deterministic: fixed
 reduction orders, no threading. Tensors are float64 unless made from
 float32 values, and ops run in their inputs' dtype, so one forward pass
 serves float64 training and a float32 untaped decode. Bit-identical
@@ -356,8 +356,8 @@ class MLP:
 class Optimizer:
     """Adam (default) or plain gradient descent over named parameters.
 
-    Frozen parameters are never touched: no value update, no moment update.
-    step() zeroes the gradients of every parameter it owns, frozen included.
+    step(active) updates only the named parameters, or all when active is
+    None, and zeroes the gradients of every parameter it owns.
     """
 
     def __init__(self, params: dict[str, DTensor], lr: float,
@@ -369,26 +369,15 @@ class Optimizer:
         self.method = method
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.frozen: set[str] = set()
         self.steps: dict[str, int] = {name: 0 for name in self.params}
         if method == "adam":
             self.m = {n: np.zeros_like(p.values) for n, p in self.params.items()}
             self.v = {n: np.zeros_like(p.values) for n, p in self.params.items()}
 
-    def freeze(self, name: str) -> None:
-        if name not in self.params:
-            raise KeyError(name)
-        self.frozen.add(name)
-
-    def unfreeze(self, name: str) -> None:
-        self.frozen.discard(name)
-
     def step(self, active=None) -> None:
         names = sorted(self.params) if active is None else sorted(active)
         for name in names:
             p = self.params[name]
-            if name in self.frozen:
-                continue
             if np.any(np.isnan(p.grad)):
                 raise NumericError(f"NaN gradient in parameter {name!r}")
             self.steps[name] += 1

@@ -210,16 +210,16 @@ class PruneReport:
                             r.block, r.retained, r.total])
 
 
-def prune(scene: SceneRepresentation, threshold: float,
-          scalar_width: int = 4) -> PruneReport:
-    """Zero out scaling factors with |w| < threshold and mask those codes.
+def prune(scene: SceneRepresentation, threshold: float) -> PruneReport:
+    """Zero out scaling factors with |w| < threshold and mask those codes;
+    the report sizes the map at 4 bytes per stored value.
 
     Pruned codes are excluded from all future attention and gradients.
     Destructive; save the scene first if the unpruned state matters.
     """
     if not threshold >= 0:
         raise ValueError(f"prune threshold must be >= 0, got {threshold}")
-    before = size_bytes(scene, scalar_width)
+    before = size_bytes(scene, 4)
     rows = []
     for v in scene.sorted_voxels():
         bank = v.codes
@@ -230,7 +230,7 @@ def prune(scene: SceneRepresentation, threshold: float,
             bank.scales[t].values[new_pruned, 0] = 0.0
             bank.pruned[t] = new_pruned
             rows.append(PruneRow(v.id, t, int((~new_pruned).sum()), n))
-    after = size_bytes(scene, scalar_width)
+    after = size_bytes(scene, 4)
     return PruneReport(threshold, rows, before, after)
 
 

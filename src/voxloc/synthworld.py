@@ -68,7 +68,9 @@ class World:
     config: WorldConfig
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
+def seeded_rng(seed: int, *key: int) -> np.random.Generator:
+    """The generator of one keyed stream of a seed: world, map set-up and
+    training streams differ by key, so each draws independently."""
     return np.random.default_rng(np.random.SeedSequence((seed, *key)))
 
 
@@ -84,14 +86,14 @@ def _orbit_pose(rng: np.random.Generator, angle: float, radius: float,
 def generate_world(config: WorldConfig) -> World:
     """Points in a box, reference cameras on a jittered orbit, novel queries."""
     ex = np.asarray(config.extent)
-    pts = _rng(config.seed, 0).uniform(-ex / 2.0, ex / 2.0,
-                                       size=(config.num_points, 3))
-    g = _rng(config.seed, 1).normal(size=(config.num_points,
-                                          config.descriptor_dim))
+    pts = seeded_rng(config.seed, 0).uniform(-ex / 2.0, ex / 2.0,
+                                             size=(config.num_points, 3))
+    g = seeded_rng(config.seed, 1).normal(size=(config.num_points,
+                                                config.descriptor_dim))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
 
     radius = 1.1 * float(np.linalg.norm(ex[:2]) / 2.0) + 3.0
-    rng_ref = _rng(config.seed, 2)
+    rng_ref = seeded_rng(config.seed, 2)
     ref_poses = []
     for i in range(config.num_ref_views):
         angle = 2.0 * np.pi * i / config.num_ref_views + rng_ref.uniform(-0.05, 0.05)
@@ -99,7 +101,7 @@ def generate_world(config: WorldConfig) -> World:
         ref_poses.append(_orbit_pose(rng_ref, angle, r, ex))
     ref_centers = np.array([p.center for p in ref_poses])
 
-    rng_q = _rng(config.seed, 3)
+    rng_q = seeded_rng(config.seed, 3)
     query_poses = []
     for i in range(config.num_query_views):
         for _ in range(200):
@@ -176,10 +178,10 @@ class ReferenceDataset:
 
 def build_dataset(world: World, config: WorldConfig) -> ReferenceDataset:
     """Observe all views and triangulate reference tracks with the DLT."""
-    views = [observe(pose, world, config, _rng(config.seed, 10, i))
+    views = [observe(pose, world, config, seeded_rng(config.seed, 10, i))
              for i, pose in enumerate(world.ref_poses)]
-    query_views = [observe(pose, world, config, _rng(config.seed, 20, i),
-                           include_pose=False)
+    query_views = [observe(pose, world, config,
+                           seeded_rng(config.seed, 20, i), include_pose=False)
                    for i, pose in enumerate(world.query_poses)]
 
     tracks: dict[int, list[tuple[int, np.ndarray]]] = {}

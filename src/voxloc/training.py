@@ -3,8 +3,8 @@
 Stage 1 jointly optimizes the scene-agnostic weights and all codes and
 scaling factors with the L1 sparsity term active. Codes below the pruning
 threshold are then zeroed, and stage 2 fine-tunes the survivors with the
-scaling factors frozen and the sparsity term off. Scene adaptation reuses
-the loop with every scene-agnostic parameter frozen.
+scaling factors held fixed and the sparsity term off. Scene adaptation
+reuses the loop with a scene-agnostic optimizer that owns no parameters.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .containers import bound, check_bounds
 from .decoder import DecoderParams, decode, encode_feature
 from .diffcore import DTensor, NumericError, Optimizer, Tape, halved_lr
 from .scene import SceneRepresentation, Voxel, prune
-from .synthworld import ReferenceDataset
+from .synthworld import ReferenceDataset, seeded_rng
 
 
 @dataclass
@@ -214,15 +214,13 @@ def _batch_losses(tape, params: DecoderParams, batch: list[Sample],
                                                  l_sparse, config, stage)
 
 
-def _run_epochs(scene, dataset, params, config, *, stage, epochs, epoch_offset,
+def _run_epochs(scene, dataset, params, config, *, stage, epochs, train_scales,
                 opt_agnostic, opt_codes, rng, log):
-    for local_epoch in range(epochs):
-        epoch = epoch_offset + local_epoch
+    """Appends one record per epoch, numbered on from the log's last."""
+    for epoch in range(len(log.records), len(log.records) + epochs):
         lr_a = halved_lr(config.lr_agnostic, epoch, config.lr_halving_period)
         lr_c = halved_lr(config.lr_codes, epoch, config.lr_halving_period)
-        if opt_agnostic is not None:
-            opt_agnostic.lr = lr_a
-        opt_codes.lr = lr_c
+        opt_agnostic.lr, opt_codes.lr = lr_a, lr_c
 
         sums = np.zeros(4)
         batches = sample_epoch(scene, dataset, config.batch_voxels, rng,
@@ -236,16 +234,14 @@ def _run_epochs(scene, dataset, params, config, *, stage, epochs, epoch_offset,
             except NumericError as err:
                 raise NumericError(
                     f"epoch {epoch}, batch {batch_idx}: {err}") from err
-            if opt_agnostic is not None:
-                opt_agnostic.step()
-            opt_codes.step(active=[name for s in batch for name in
-                                   s.voxel.codes.named_parameters()])
+            opt_agnostic.step()
+            banks = [s.voxel.codes for s in batch]
+            opt_codes.step(active=[t.name for b in banks for t in b.codes
+                                   + (b.scales if train_scales else [])])
             sums += [l_coord.values, l_conf.values, l_sparse.values, loss.values]
 
-        sums /= len(batches)
-        log.records.append(EpochRecord(epoch, stage, *sums, lr_a, lr_c,
-                                       _retained_codes(scene)))
-    return epoch_offset + epochs
+        log.records.append(EpochRecord(epoch, stage, *sums / len(batches),
+                                       lr_a, lr_c, _retained_codes(scene)))
 
 
 def run_training(scene: SceneRepresentation, dataset: ReferenceDataset,
@@ -255,30 +251,24 @@ def run_training(scene: SceneRepresentation, dataset: ReferenceDataset,
     The learning-rate halving schedule runs on the global epoch counter
     across both stages.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 100)))
+    rng = seeded_rng(config.seed, 100)
     log = TrainingLog()
-    agnostic = params.named_parameters()
-    codes = scene.named_code_parameters()
-    opt_agnostic = Optimizer(agnostic, config.lr_agnostic,
+    opt_agnostic = Optimizer(params.named_parameters(), config.lr_agnostic,
                              method=config.optimizer)
-    opt_codes = Optimizer(codes, config.lr_codes, method=config.optimizer)
+    opt_codes = Optimizer(scene.named_code_parameters(), config.lr_codes,
+                          method=config.optimizer)
 
-    epoch = _run_epochs(scene, dataset, params, config, stage=1,
-                        epochs=config.epochs_stage1, epoch_offset=0,
-                        opt_agnostic=opt_agnostic, opt_codes=opt_codes,
-                        rng=rng, log=log)
+    _run_epochs(scene, dataset, params, config, stage=1,
+                epochs=config.epochs_stage1, train_scales=True,
+                opt_agnostic=opt_agnostic, opt_codes=opt_codes,
+                rng=rng, log=log)
 
-    report = prune(scene, config.prune_threshold)
-    log.prune_report = report
-    if report.total_retained == 0:
+    log.prune_report = prune(scene, config.prune_threshold)
+    if log.prune_report.total_retained == 0:
         raise ValueError("pruning removed every code; threshold "
                          f"{config.prune_threshold} is degenerate for this scene")
-    for v in scene.voxels.values():
-        for w in v.codes.scales:
-            opt_codes.freeze(w.name)  # stage 2 freezes scales
-
     _run_epochs(scene, dataset, params, config, stage=2,
-                epochs=config.epochs_stage2, epoch_offset=epoch,
+                epochs=config.epochs_stage2, train_scales=False,
                 opt_agnostic=opt_agnostic, opt_codes=opt_codes,
                 rng=rng, log=log)
     return log
@@ -293,20 +283,13 @@ def adapt_scene(new_scene: SceneRepresentation, new_dataset: ReferenceDataset,
     Runs `epochs` (default epochs_stage1) stage-1-style epochs; pass
     lambda_l1=0 in the config for plain adaptation without sparsity pressure.
     """
-    if new_scene.dims[2] != params.d:
-        raise dc.DimensionError(
-            f"scene code width {new_scene.dims} != decoder width {params.d}")
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 200)))
+    rng = seeded_rng(config.seed, 200)
     log = TrainingLog()
-    codes = new_scene.named_code_parameters()
-    opt_codes = Optimizer(codes, config.lr_codes, method=config.optimizer)
-    if not train_scales:
-        for v in new_scene.voxels.values():
-            for w in v.codes.scales:
-                opt_codes.freeze(w.name)
-    # decoder weights stay out of any optimizer; nothing can move them
+    opt_codes = Optimizer(new_scene.named_code_parameters(), config.lr_codes,
+                          method=config.optimizer)
+    # the scene-agnostic optimizer owns no parameters: the decoder stays put
     _run_epochs(new_scene, new_dataset, params, config, stage=1,
                 epochs=config.epochs_stage1 if epochs is None else epochs,
-                epoch_offset=0, opt_agnostic=None, opt_codes=opt_codes,
-                rng=rng, log=log)
+                train_scales=train_scales, opt_agnostic=Optimizer({}, 0.0),
+                opt_codes=opt_codes, rng=rng, log=log)
     return log

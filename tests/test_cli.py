@@ -12,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from voxloc import cli
 from voxloc.containers import FormatError, Writer
-from voxloc.decoder import load_params, params_from_bytes, save_params
+from voxloc.decoder import (DecoderParams, load_params, params_from_bytes,
+                            save_params)
 from voxloc.scene import (SCENE_FORMAT_VERSION, SCENE_MAGIC, load_scene,
-                          scene_from_bytes, scene_to_bytes)
+                          save_scene, scene_from_bytes, scene_to_bytes)
 from voxloc.pipeline import LocalizeOptions
 from voxloc.synthworld import (WorldConfig, dataset_from_bytes, load_dataset,
                                save_dataset)
@@ -234,6 +235,14 @@ class TestConfigParsing:
     def test_constructors_refuse_wrong_types(self, cls, key, value):
         with pytest.raises(TypeError, match=f"^{re.escape(key)} must be "):
             cls(**{key.partition(".")[2]: value})
+
+    @pytest.mark.parametrize("key, value", [("focal", 10**400),
+                                            ("extent", (1.0, -10**400, 1.0))],
+                             ids=["focal", "extent"])
+    def test_int_beyond_the_float_range_names_its_key(self, key, value):
+        # NumPy's isfinite refused such an int with a TypeError naming no key
+        with pytest.raises(ValueError, match=f"^world.{key} must be finite"):
+            WorldConfig(**{key: value})
 
     def test_constructors_accept_numpy_scalars(self):
         world = WorldConfig(num_points=np.int64(50), focal=np.float32(500.0),
@@ -582,6 +591,119 @@ class TestErrorExits:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert key in err and len(err.strip().splitlines()) == 1
+
+
+    def test_int_beyond_the_float_range_in_config_json_is_2(self, workdir,
+                                                            tmp_path, capsys):
+        d, cfg = workdir
+        blob = (d / "ds.bin").read_bytes()
+        n = int.from_bytes(blob[8:12], "little")  # after magic and version
+        world = json.loads(blob[12:12 + n])
+        world["focal"] = 10**400
+        raw = json.dumps(world).encode()
+        (tmp_path / "big.bin").write_bytes(
+            blob[:8] + len(raw).to_bytes(4, "little") + raw + blob[12 + n:])
+        assert cli.main(["localize", "--config", str(cfg),
+                         "--dataset", str(tmp_path / "big.bin"),
+                         "--scene", str(d / "scene.bin"),
+                         "--weights", str(d / "weights.bin"),
+                         "--query", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: at byte 12: config json: world.focal ")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("extra, named", [
+        ("scene.code_dim = 21", "d = 16, but scene.code_dim is 21"),
+        ("scene.blocks = 1", "num_blocks = 2, but scene.blocks is 1"),
+        ("scene.blocks = 3", "num_blocks = 2, but scene.blocks is 3"),
+        ("world.descriptor_dim = 32", "d_raw = 64, but the descriptor width "
+                                      "is 32"),
+    ])
+    def test_adapt_with_weights_that_do_not_fit_is_2(self, workdir, tmp_path,
+                                                     capsys, extra, named):
+        # these ended in a NumPy broadcast or matmul message, an IndexError
+        # traceback (exit 1), or a map whose third block was never decoded
+        d, _ = workdir
+        cfg = tiny_config_with(tmp_path, extra + "\n")
+        dataset = d / "ds.bin"
+        if extra.startswith("world."):
+            dataset = tmp_path / "ds.bin"
+            assert cli.main(["gen", "--config", cfg,
+                             "--out", str(dataset)]) == 0
+        assert cli.main(["adapt", "--config", cfg, "--dataset", str(dataset),
+                         "--weights", str(d / "weights.bin"),
+                         "--out-scene", str(tmp_path / "s.bin")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: weights have {named}\n"
+        assert not (tmp_path / "s.bin").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "localize", "heatmap"])
+    def test_weights_for_other_descriptors_are_2(self, workdir, tmp_path,
+                                                 capsys, command):
+        d, _ = workdir
+        cfg = tiny_config_with(tmp_path, "world.descriptor_dim = 32\n")
+        assert cli.main(["gen", "--config", cfg,
+                         "--out", str(tmp_path / "ds.bin")]) == 0
+        capsys.readouterr()
+        assert cli.main(map_command(workdir, tmp_path, command,
+                                    dataset=tmp_path / "ds.bin")) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: descriptor width \(\d+, 32\) != "
+                            r"encoder input 64\n", err)
+
+    @pytest.mark.parametrize("command", ["eval", "localize", "finetune"])
+    @pytest.mark.parametrize("scene_blocks, weight_blocks", [(1, 2), (2, 1)])
+    def test_scene_and_weights_of_other_block_counts_are_2(
+            self, workdir, tmp_path, capsys, command, scene_blocks,
+            weight_blocks):
+        # a scene with fewer blocks than the weights ended in an IndexError
+        # traceback (exit 1); one with more had its extra blocks ignored
+        d, _ = workdir
+        scene = load_scene(d / "scene.bin")
+        for v in scene.voxels.values():
+            bank = v.codes
+            bank.codes, bank.scales = (bank.codes[:scene_blocks],
+                                       bank.scales[:scene_blocks])
+            bank.pruned = bank.pruned[:scene_blocks]
+        scene.dims = (scene_blocks,) + scene.dims[1:]
+        save_scene(scene, tmp_path / "scene.bin")
+        params = load_params(d / "weights.bin")
+        if weight_blocks != params.num_blocks:
+            params = DecoderParams.init(
+                np.random.default_rng(0), d_raw=params.d_raw, d=params.d,
+                num_blocks=weight_blocks, encoder_hidden=params.encoder_hidden,
+                block_hidden=8, head_hidden=8)
+        save_params(params, tmp_path / "weights.bin")
+        argv = map_command(workdir, tmp_path, command,
+                           scene=tmp_path / "scene.bin",
+                           weights=tmp_path / "weights.bin")
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: code bank (T, N, D) ({scene_blocks}, ")
+        assert f"!= decoder (T, D) ({weight_blocks}, " in err
+        assert len(err.strip().splitlines()) == 1
+
+
+def map_command(workdir, tmp_path, command, **files):
+    """argv for a command that reads a dataset, a scene and weights, with
+    the workdir's files unless files names others; outputs go to tmp_path."""
+    d, cfg = workdir
+    paths = {"dataset": d / "ds.bin", "scene": d / "scene.bin",
+             "weights": d / "weights.bin", **files}
+    argv = [command] + [a for k, p in paths.items()
+                        for a in (f"--{k}", str(p))]
+    if command == "heatmap":
+        vid = sorted(load_scene(paths["scene"]).voxels)[0]
+        return argv + ["--view", "0", f"--voxel={vid.ix},{vid.iy},{vid.iz}",
+                       "--block", "0", "--code", "0",
+                       "--csv", str(tmp_path / "heat.csv")]
+    argv += ["--config", str(cfg)]
+    if command == "localize":
+        return argv + ["--query", "0"]
+    if command == "finetune":
+        return argv + ["--out-scene", str(tmp_path / "s.bin"),
+                       "--out-weights", str(tmp_path / "w.bin")]
+    return argv
 
 
 READERS = {"ds.bin": (dataset_from_bytes, load_dataset),
