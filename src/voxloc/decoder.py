@@ -163,15 +163,19 @@ class DecodeResult:
         return self.local.values + self.origin
 
 
+def _check_bank(params: DecoderParams, bank: CodeBank) -> None:
+    if bank.dims[0] != params.num_blocks or bank.dims[2] != params.d:
+        raise dc.DimensionError(f"code bank (T, N, D) {bank.dims} != decoder "
+                                f"(T, D) ({params.num_blocks}, {params.d})")
+
+
 def decode(tape, params: DecoderParams, features: DTensor, bank: CodeBank,
            origin: np.ndarray) -> DecodeResult:
     """Run encoded features (M, D) through all blocks and the output head."""
     if features.shape[1] != params.d:
         raise dc.DimensionError(
             f"feature width {features.shape} != decoder width {params.d}")
-    if bank.dims[0] != params.num_blocks or bank.dims[2] != params.d:
-        raise dc.DimensionError(f"code bank (T, N, D) {bank.dims} != decoder "
-                                f"(T, D) ({params.num_blocks}, {params.d})")
+    _check_bank(params, bank)
     f = features
     for t in range(params.num_blocks):
         f = cross_attention_block(tape, f, bank, t, params)
@@ -189,6 +193,7 @@ def attention_scores(params: DecoderParams, features: DTensor,
     batch; s_norm maps [min, max] over the batch to [0, 1], with an all-zero
     result when the batch scores are constant.
     """
+    _check_bank(params, bank)
     if not 0 <= block < params.num_blocks:
         raise ValueError(f"block {block} out of range "
                          f"[0, {params.num_blocks})")
@@ -264,7 +269,6 @@ def params_from_bytes(data: bytes | BinaryIO) -> DecoderParams:
             raise FormatError(r.offset, f"shape mismatch for {name!r}")
         vals = r.f32_array(int(np.prod(shape)), f"values of {name}")
         named[name].values[...] = vals.reshape(shape)
-        named[name].zero_grad()
     r.expect_end()
     return params
 

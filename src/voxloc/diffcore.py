@@ -1,14 +1,16 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 Just enough machinery for the cross-attention decoder: dense tensors, a
-recording tape, the handful of primitives the decoder and losses need
-(single-head attention among them, as one op with a hand-written VJP), and
-an optimizer over named parameters. Everything is deterministic: fixed
-reduction orders, no threading. Tensors are float64 unless made from
-float32 values, and ops run in their inputs' dtype, so one forward pass
-serves float64 training and a float32 untaped decode. Bit-identical
-invariance to code permutations is achieved upstream, where the decoder
-canonicalizes code-row order before any reduction touches them.
+recording tape whose reverse sweep returns the gradients it is asked for,
+the handful of primitives the decoder and losses need (single-head
+attention among them, as one op with a hand-written VJP), and an optimizer
+that steps named parameters by given gradients. Nothing stores a gradient.
+Everything is deterministic: fixed reduction orders, no threading. Tensors
+are float64 unless made from float32 values, and ops run in their inputs'
+dtype, so one forward pass serves float64 training and a float32 untaped
+decode. Bit-identical invariance to code permutations is achieved upstream,
+where the decoder canonicalizes code-row order before any reduction touches
+them.
 """
 
 from __future__ import annotations
@@ -30,35 +32,19 @@ def _check_finite(values: np.ndarray, where: str) -> None:
 
 
 class DTensor:
-    """Dense float64 array, or float32 when made from float32 values, with a
-    same-shape gradient buffer.
+    """Dense float64 array, or float32 when made from float32 values."""
 
-    The gradient buffer is allocated, zero-filled, on its first read, so
-    tensors that never receive or report a gradient never pay for one.
-    """
-
-    __slots__ = ("values", "_grad", "name")
+    __slots__ = ("values", "name")
 
     def __init__(self, values, name: str = ""):
         v = np.asarray(values)
         self.values = v.astype(np.float32 if v.dtype == np.float32 else np.float64)
         _check_finite(self.values, name or "DTensor")
-        self._grad = None
         self.name = name
 
     @property
     def shape(self):
         return self.values.shape
-
-    @property
-    def grad(self) -> np.ndarray:
-        if self._grad is None:
-            self._grad = np.zeros_like(self.values)
-        return self._grad
-
-    def zero_grad(self) -> None:
-        if self._grad is not None:
-            self._grad[...] = 0.0
 
     def __repr__(self):
         return f"DTensor(shape={self.values.shape}, name={self.name!r})"
@@ -67,10 +53,9 @@ class DTensor:
 class Tape:
     """Ordered record of primitive ops; inputs always precede outputs.
 
-    The reverse sweep propagates per-sweep adjoints and then adds them into
-    the .grad of each leaf, a tensor no op on this tape produced; op results
-    get no gradient buffer. Sweeping twice without re-running the forward
-    pass accumulates exactly double gradients.
+    backward(loss, wrt) returns the gradients of loss for the named tensors
+    in wrt. It calls a VJP only for inputs that depend on a wrt tensor, and
+    it keeps no state: sweeping twice gives equal gradients.
     """
 
     def __init__(self):
@@ -83,32 +68,33 @@ class Tape:
     def __len__(self):
         return len(self._ops)
 
-    def backward(self, loss: DTensor) -> None:
+    def backward(self, loss: DTensor,
+                 wrt: dict[str, DTensor]) -> dict[str, np.ndarray]:
         if loss.values.size != 1:
             raise DimensionError(
                 f"backward needs a scalar loss, got shape {loss.values.shape}"
             )
+        # activity analysis: an op output is active if any input is
+        active = {id(t) for t in wrt.values()}
+        for out, pulls in self._ops:
+            if any(id(inp) in active for inp, _ in pulls):
+                active.add(id(out))
         adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
-        touched: dict[int, DTensor] = {id(loss): loss}
         for out, pulls in reversed(self._ops):
-            # every consumer of out comes later on the tape, so out is
-            # already touched if it ever will be; op results get no .grad
-            touched.pop(id(out), None)
             g = adjoint.get(id(out))
             if g is None:
                 continue
             for inp, vjp in pulls:
-                contrib = vjp(g)
                 key = id(inp)
-                if key in adjoint:
-                    adjoint[key] = adjoint[key] + contrib
-                else:
-                    adjoint[key] = contrib
-                    touched[key] = inp
-        for key, t in touched.items():
-            _check_finite(adjoint[key], f"gradient of {t.name or 'tensor'}")
-            g = t.grad
-            g += adjoint[key]
+                if key not in active:
+                    continue
+                contrib, prev = vjp(g), adjoint.get(key)
+                adjoint[key] = contrib if prev is None else prev + contrib
+        grads = {name: adjoint[id(t)] if id(t) in adjoint
+                 else np.zeros_like(t.values) for name, t in wrt.items()}
+        for name, g in grads.items():
+            _check_finite(g, f"gradient of {name}")
+        return grads
 
 
 def _rec(tape: Tape | None, out: DTensor, pulls) -> DTensor:
@@ -356,8 +342,8 @@ class MLP:
 class Optimizer:
     """Adam (default) or plain gradient descent over named parameters.
 
-    step(active) updates only the named parameters, or all when active is
-    None, and zeroes the gradients of every parameter it owns.
+    step(grads) updates exactly the parameters that grads names, in sorted
+    order; the others keep their values, step counts and moments.
     """
 
     def __init__(self, params: dict[str, DTensor], lr: float,
@@ -374,29 +360,26 @@ class Optimizer:
             self.m = {n: np.zeros_like(p.values) for n, p in self.params.items()}
             self.v = {n: np.zeros_like(p.values) for n, p in self.params.items()}
 
-    def step(self, active=None) -> None:
-        names = sorted(self.params) if active is None else sorted(active)
-        for name in names:
-            p = self.params[name]
-            if np.any(np.isnan(p.grad)):
+    def step(self, grads: dict[str, np.ndarray]) -> None:
+        for name in sorted(grads):
+            p, g = self.params[name], grads[name]
+            if np.any(np.isnan(g)):
                 raise NumericError(f"NaN gradient in parameter {name!r}")
             self.steps[name] += 1
             if self.method == "sgd":
-                p.values -= self.lr * p.grad
+                p.values -= self.lr * g
             else:
                 t = self.steps[name]
                 m = self.m[name]
                 v = self.v[name]
                 m *= self.beta1
-                m += (1.0 - self.beta1) * p.grad
+                m += (1.0 - self.beta1) * g
                 v *= self.beta2
-                v += (1.0 - self.beta2) * p.grad ** 2
+                v += (1.0 - self.beta2) * g ** 2
                 mhat = m / (1.0 - self.beta1 ** t)
                 vhat = v / (1.0 - self.beta2 ** t)
                 p.values -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
             _check_finite(p.values, f"parameter {name!r} after step")
-        for name in self.params:
-            self.params[name].zero_grad()
 
 
 def halved_lr(base_lr: float, epoch: int, period: int) -> float:

@@ -87,13 +87,10 @@ def activate_voxels(view_ids, scene: SceneRepresentation) -> list[VoxelId]:
 
 
 def _float32_copy(obj):
-    """Deep copy of decoder params or a code bank with float32 tensors and
-    no gradient buffers."""
+    """Deep copy of decoder params or a code bank with float32 tensors."""
     # deepcopy takes a memo entry in place of the object with that id
-    tensors = obj.named_parameters().values()
-    memo = {id(t.values): t.values.astype(np.float32) for t in tensors}
-    memo.update((id(t._grad), None) for t in tensors)
-    return copy.deepcopy(obj, memo)
+    return copy.deepcopy(obj, {id(t.values): t.values.astype(np.float32)
+                               for t in obj.named_parameters().values()})
 
 
 def localize(query: ViewObservations, scene: SceneRepresentation,

@@ -226,18 +226,18 @@ def _run_epochs(scene, dataset, params, config, *, stage, epochs, train_scales,
         batches = sample_epoch(scene, dataset, config.batch_voxels, rng,
                                config.keypoints_per_sample)
         for batch_idx, batch in enumerate(batches):
+            moving = {t.name: t for s in batch for t in s.voxel.codes.codes
+                      + (s.voxel.codes.scales if train_scales else [])}
             tape = Tape()
             try:
                 l_coord, l_conf, l_sparse, loss = _batch_losses(
                     tape, params, batch, config, stage)
-                tape.backward(loss)
+                grads = tape.backward(loss, {**opt_agnostic.params, **moving})
             except NumericError as err:
                 raise NumericError(
                     f"epoch {epoch}, batch {batch_idx}: {err}") from err
-            opt_agnostic.step()
-            banks = [s.voxel.codes for s in batch]
-            opt_codes.step(active=[t.name for b in banks for t in b.codes
-                                   + (b.scales if train_scales else [])])
+            opt_agnostic.step({n: grads[n] for n in opt_agnostic.params})
+            opt_codes.step({n: grads[n] for n in moving})
             sums += [l_coord.values, l_conf.values, l_sparse.values, loss.values]
 
         log.records.append(EpochRecord(epoch, stage, *sums / len(batches),
@@ -278,7 +278,8 @@ def adapt_scene(new_scene: SceneRepresentation, new_dataset: ReferenceDataset,
                 params: DecoderParams, config: TrainConfig,
                 epochs: int | None = None,
                 train_scales: bool = True) -> TrainingLog:
-    """Optimize only the new scene's codes, decoder weights frozen.
+    """Optimize only the new scene's codes. No optimizer owns the decoder
+    weights, so the backward pass never reaches them and they stay put.
 
     Runs `epochs` (default epochs_stage1) stage-1-style epochs; pass
     lambda_l1=0 in the config for plain adaptation without sparsity pressure.
@@ -287,7 +288,6 @@ def adapt_scene(new_scene: SceneRepresentation, new_dataset: ReferenceDataset,
     log = TrainingLog()
     opt_codes = Optimizer(new_scene.named_code_parameters(), config.lr_codes,
                           method=config.optimizer)
-    # the scene-agnostic optimizer owns no parameters: the decoder stays put
     _run_epochs(new_scene, new_dataset, params, config, stage=1,
                 epochs=config.epochs_stage1 if epochs is None else epochs,
                 train_scales=train_scales, opt_agnostic=Optimizer({}, 0.0),

@@ -651,13 +651,15 @@ class TestErrorExits:
         assert re.fullmatch(r"error: descriptor width \(\d+, 32\) != "
                             r"encoder input 64\n", err)
 
-    @pytest.mark.parametrize("command", ["eval", "localize", "finetune"])
+    @pytest.mark.parametrize("command",
+                             ["eval", "localize", "finetune", "heatmap"])
     @pytest.mark.parametrize("scene_blocks, weight_blocks", [(1, 2), (2, 1)])
     def test_scene_and_weights_of_other_block_counts_are_2(
             self, workdir, tmp_path, capsys, command, scene_blocks,
             weight_blocks):
         # a scene with fewer blocks than the weights ended in an IndexError
-        # traceback (exit 1); one with more had its extra blocks ignored
+        # traceback (exit 1); one with more had its extra blocks ignored;
+        # heatmap also wrote a map for block 0 of a mismatched scene
         d, _ = workdir
         scene = load_scene(d / "scene.bin")
         for v in scene.voxels.values():
@@ -674,19 +676,23 @@ class TestErrorExits:
                 num_blocks=weight_blocks, encoder_hidden=params.encoder_hidden,
                 block_hidden=8, head_hidden=8)
         save_params(params, tmp_path / "weights.bin")
-        argv = map_command(workdir, tmp_path, command,
-                           scene=tmp_path / "scene.bin",
-                           weights=tmp_path / "weights.bin")
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: code bank (T, N, D) ({scene_blocks}, ")
-        assert f"!= decoder (T, D) ({weight_blocks}, " in err
-        assert len(err.strip().splitlines()) == 1
+        for block in [0, 1] if command == "heatmap" else [0]:
+            argv = map_command(workdir, tmp_path, command, block=block,
+                               scene=tmp_path / "scene.bin",
+                               weights=tmp_path / "weights.bin")
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(
+                f"error: code bank (T, N, D) ({scene_blocks}, ")
+            assert f"!= decoder (T, D) ({weight_blocks}, " in err
+            assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "heat.csv").exists()
 
 
-def map_command(workdir, tmp_path, command, **files):
+def map_command(workdir, tmp_path, command, block=0, **files):
     """argv for a command that reads a dataset, a scene and weights, with
-    the workdir's files unless files names others; outputs go to tmp_path."""
+    the workdir's files unless files names others; outputs go to tmp_path.
+    heatmap exports code 0 of `block` in the scene's first voxel."""
     d, cfg = workdir
     paths = {"dataset": d / "ds.bin", "scene": d / "scene.bin",
              "weights": d / "weights.bin", **files}
@@ -695,7 +701,7 @@ def map_command(workdir, tmp_path, command, **files):
     if command == "heatmap":
         vid = sorted(load_scene(paths["scene"]).voxels)[0]
         return argv + ["--view", "0", f"--voxel={vid.ix},{vid.iy},{vid.iz}",
-                       "--block", "0", "--code", "0",
+                       "--block", str(block), "--code", "0",
                        "--csv", str(tmp_path / "heat.csv")]
     argv += ["--config", str(cfg)]
     if command == "localize":

@@ -193,6 +193,21 @@ class TestAdaptation:
         adapt_scene(scene, ds, params, tiny_config(lambda_l1=0.0), epochs=2)
         assert params_to_bytes(params) == before
 
+    def test_backward_never_reaches_the_decoder(self, monkeypatch):
+        # no optimizer owns the decoder weights, so no VJP into them runs
+        ds, scene, params = tiny_setup()
+        weights = {id(p) for p in params.named_parameters().values()}
+        record = dc.Tape.record
+
+        def spy(g):
+            raise AssertionError("VJP into a decoder weight called")
+
+        def record_spied(tape, out, pulls):
+            record(tape, out, [(inp, spy if id(inp) in weights else vjp)
+                               for inp, vjp in pulls])
+        monkeypatch.setattr(dc.Tape, "record", record_spied)
+        adapt_scene(scene, ds, params, tiny_config(lambda_l1=0.0), epochs=2)
+
     def test_codes_move(self):
         ds, scene, params = tiny_setup()
         snapshot = [c.values.copy() for v in scene.sorted_voxels()
