@@ -4,8 +4,8 @@ estimation over confidence-filtered 2D-3D correspondences.
 """
 
 from .containers import FormatError
-from .decoder import (DecoderParams, DecodeResult, attention_scores, decode,
-                      encode_feature, load_params, save_params)
+from .decoder import (DecoderParams, attention_scores, decode, encode_feature,
+                      load_params, save_params)
 from .diffcore import (DimensionError, DTensor, MLP, NumericError, Optimizer,
                        Tape, halved_lr)
 from .geometry import (DegenerateGeometryError, Intrinsics, Point3D, Pose,
@@ -29,8 +29,8 @@ from .training import (TrainConfig, TrainingLog, adapt_scene, run_training,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CodeBank", "DEFAULT_THRESHOLDS", "DTensor",
-    "DecodeResult", "DecoderParams", "DegenerateGeometryError",
+    "CodeBank", "DEFAULT_THRESHOLDS", "DTensor", "DecoderParams",
+    "DegenerateGeometryError",
     "DimensionError", "EvalReport", "FormatError", "InitConfig", "Intrinsics",
     "LocalizationResult", "LocalizeOptions", "MLP", "NumericError",
     "Optimizer", "Point3D", "Pose", "PruneReport", "ReferenceDataset",

@@ -16,7 +16,7 @@ import sys
 
 from . import (decoder, initialization, pipeline, scene as scene_mod,
                synthworld, training)
-from .containers import FormatError, bound, check_bounds
+from .containers import bound, check_bounds
 from .diffcore import NumericError
 from .scene import MAX_CODE_DIM, VoxelId
 from .synthworld import seeded_rng
@@ -398,7 +398,7 @@ def main(argv=None) -> int:
     except NumericError as err:
         print(f"numeric abort: {err}", file=sys.stderr)
         return 3
-    except (ConfigError, FormatError, ValueError, KeyError, OSError) as err:
+    except (ValueError, KeyError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -116,51 +116,31 @@ def _canonical_order(bank: CodeBank, t: int, idx: np.ndarray) -> np.ndarray:
     return idx[np.lexsort(rows.T[::-1])]
 
 
-def _attention(tape, f: DTensor, bank: CodeBank, t: int,
-               params: DecoderParams, idx: np.ndarray):
-    """Softmax attention of features f over the block-t codes idx.
-
-    idx must already be in canonical order. Returns the (M, D) attended
-    values and the (M, K) attention matrix (a plain array, off the tape).
-    """
-    blk = params.blocks[t]
-    codes = dc.take_rows(tape, bank.codes[t], idx)
-    w = dc.take_rows(tape, bank.scales[t], idx)
-    scaled = dc.mul(tape, codes, w)
-    q = dc.matmul(tape, f, blk.wq)
-    k = dc.matmul(tape, scaled, blk.wk)
-    v = dc.matmul(tape, scaled, blk.wv)
-    return dc.attention(tape, q, k, v, float(1.0 / np.sqrt(params.d)))
-
-
 def cross_attention_block(tape, f: DTensor, bank: CodeBank, t: int,
-                          params: DecoderParams) -> DTensor:
+                          params: DecoderParams):
     """One post-norm residual cross-attention block over block-t codes.
 
-    A block whose codes are all pruned acts as identity on f (skip).
+    Returns the new (M, D) features and the block's (M, K) softmax over its
+    K active codes in canonical order, a plain array off the tape. A block
+    whose codes are all pruned acts as identity on f (skip): (f, None).
     """
     blk = params.blocks[t]
     idx = bank.active_rows(t)
     if len(idx) == 0:
-        return f
-    attended, _ = _attention(tape, f, bank, t, params,
-                             _canonical_order(bank, t, idx))
+        return f, None
+    idx = _canonical_order(bank, t, idx)
+    scaled = dc.mul(tape, dc.take_rows(tape, bank.codes[t], idx),
+                    dc.take_rows(tape, bank.scales[t], idx))
+    q = dc.matmul(tape, f, blk.wq)
+    k = dc.matmul(tape, scaled, blk.wk)
+    v = dc.matmul(tape, scaled, blk.wv)
+    attended, attn = dc.attention(tape, q, k, v,
+                                  float(1.0 / np.sqrt(params.d)))
     f1 = dc.layer_norm(tape, dc.add(tape, f, attended),
                        blk.ln1_gain, blk.ln1_bias)
     f2 = dc.layer_norm(tape, dc.add(tape, f1, blk.mlp.forward(tape, f1)),
                        blk.ln2_gain, blk.ln2_bias)
-    return f2
-
-
-@dataclass
-class DecodeResult:
-    """Batched decode output for one voxel."""
-    local: DTensor        # (M, 3) coordinates in the voxel frame, meters
-    confidence: DTensor   # (M, 1) sigmoid probabilities in (0, 1)
-    origin: np.ndarray
-
-    def world(self) -> np.ndarray:
-        return self.local.values + self.origin
+    return f2, attn
 
 
 def _check_bank(params: DecoderParams, bank: CodeBank) -> None:
@@ -169,20 +149,23 @@ def _check_bank(params: DecoderParams, bank: CodeBank) -> None:
                                 f"(T, D) ({params.num_blocks}, {params.d})")
 
 
-def decode(tape, params: DecoderParams, features: DTensor, bank: CodeBank,
-           origin: np.ndarray) -> DecodeResult:
-    """Run encoded features (M, D) through all blocks and the output head."""
+def decode(tape, params: DecoderParams, features: DTensor, bank: CodeBank):
+    """Run encoded features (M, D) through all blocks and the output head.
+
+    Returns (local, confidence): (M, 3) coordinates in the voxel's frame,
+    meters, and (M, 1) sigmoid probabilities of lying in the voxel. The
+    caller adds the voxel's origin for world coordinates.
+    """
     if features.shape[1] != params.d:
         raise dc.DimensionError(
             f"feature width {features.shape} != decoder width {params.d}")
     _check_bank(params, bank)
     f = features
     for t in range(params.num_blocks):
-        f = cross_attention_block(tape, f, bank, t, params)
+        f, _ = cross_attention_block(tape, f, bank, t, params)
     out = params.head.forward(tape, f)
-    local = dc.slice_cols(tape, out, 0, 3)
-    conf = dc.sigmoid(tape, dc.slice_cols(tape, out, 3, 4))
-    return DecodeResult(local, conf, origin)
+    return (dc.slice_cols(tape, out, 0, 3),
+            dc.sigmoid(tape, dc.slice_cols(tape, out, 3, 4)))
 
 
 def attention_scores(params: DecoderParams, features: DTensor,
@@ -200,12 +183,10 @@ def attention_scores(params: DecoderParams, features: DTensor,
     idx = bank.active_rows(block)
     if code not in idx:
         raise ValueError(f"code {code} in block {block} is pruned or inactive")
-    idx = _canonical_order(bank, block, idx)
-    pos = np.flatnonzero(idx == code)
+    pos = np.flatnonzero(_canonical_order(bank, block, idx) == code)
     f = features
-    for t in range(block):
-        f = cross_attention_block(None, f, bank, t, params)
-    _, attn = _attention(None, f, bank, block, params, idx)
+    for t in range(block + 1):
+        f, attn = cross_attention_block(None, f, bank, t, params)
     s = attn[:, pos[0]].copy()
     lo, hi = s.min(), s.max()
     if hi - lo == 0.0:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class NumericError(RuntimeError):
     """Raised when a NaN/Inf shows up anywhere in a computation."""
@@ -241,7 +243,7 @@ def layer_norm(tape, x: DTensor, gain: DTensor, bias: DTensor,
     xhat = centered * inv
     out = DTensor(xhat * gain.values + bias.values, "layer_norm")
 
-    def pull_x(g, xh=xhat, iv=inv, gv=gain.values, n=d):
+    def pull_x(g, xh=xhat, iv=inv, gv=gain.values):
         gx = g * gv
         return iv * (gx - gx.mean(axis=-1, keepdims=True)
                      - xh * (gx * xh).mean(axis=-1, keepdims=True))
@@ -347,14 +349,12 @@ class Optimizer:
     """
 
     def __init__(self, params: dict[str, DTensor], lr: float,
-                 method: str = "adam", betas=(0.9, 0.999), eps: float = 1e-8):
+                 method: str = "adam"):
         if method not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer method {method!r}")
         self.params = dict(params)
         self.lr = lr
         self.method = method
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.steps: dict[str, int] = {name: 0 for name in self.params}
         if method == "adam":
             self.m = {n: np.zeros_like(p.values) for n, p in self.params.items()}
@@ -372,13 +372,13 @@ class Optimizer:
                 t = self.steps[name]
                 m = self.m[name]
                 v = self.v[name]
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * g ** 2
-                mhat = m / (1.0 - self.beta1 ** t)
-                vhat = v / (1.0 - self.beta2 ** t)
-                p.values -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * g ** 2
+                mhat = m / (1.0 - ADAM_BETA1 ** t)
+                vhat = v / (1.0 - ADAM_BETA2 ** t)
+                p.values -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
             _check_finite(p.values, f"parameter {name!r} after step")
 
 

@@ -128,10 +128,10 @@ def localize(query: ViewObservations, scene: SceneRepresentation,
             for vid in voxel_ids:
                 stage = f"decode of voxel {tuple(vid)}"
                 voxel = scene.voxels[vid]
-                result = decode(None, params, feats,
-                                _float32_copy(voxel.codes), voxel.origin)
-                keep = result.confidence.values[:, 0] >= opts.confidence_min
-                world.append(result.world()[keep])
+                local, conf = decode(None, params, feats,
+                                     _float32_copy(voxel.codes))
+                keep = conf.values[:, 0] >= opts.confidence_min
+                world.append((local.values + voxel.origin)[keep])
                 pixels.append(query.pixels[keep])
     except NumericError as err:
         raise NumericError(f"{err} ({stage})") from err

@@ -192,13 +192,10 @@ def _batch_losses(tape, params: DecoderParams, batch: list[Sample],
     coord_terms, conf_terms = [], []
     for sample in batch:
         feats = encode_feature(tape, params, DTensor(sample.descriptors))
-        result = decode(tape, params, feats, sample.voxel.codes,
-                        sample.voxel.origin)
-        coord_terms.append(coordinate_loss(tape, result.local,
-                                           sample.voxel.origin,
+        local, conf = decode(tape, params, feats, sample.voxel.codes)
+        coord_terms.append(coordinate_loss(tape, local, sample.voxel.origin,
                                            sample.targets, sample.in_voxel))
-        conf_terms.append(confidence_loss(tape, result.confidence,
-                                          sample.in_voxel))
+        conf_terms.append(confidence_loss(tape, conf, sample.in_voxel))
 
     def average(terms):
         acc = terms[0]
@@ -251,6 +248,8 @@ def run_training(scene: SceneRepresentation, dataset: ReferenceDataset,
     The learning-rate halving schedule runs on the global epoch counter
     across both stages.
     """
+    if _retained_codes(scene) == 0:
+        raise ValueError("the scene has no retained code to train")
     rng = seeded_rng(config.seed, 100)
     log = TrainingLog()
     opt_agnostic = Optimizer(params.named_parameters(), config.lr_agnostic,

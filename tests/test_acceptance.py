@@ -260,8 +260,8 @@ def test_criterion_6_confidence_classification(capsys, desk):
                                dcc.DTensor(view.descriptors))
         for vid in sorted(desk.scene.voxels):
             voxel = desk.scene.voxels[vid]
-            res = decode(None, desk.params, feats, voxel.codes, voxel.origin)
-            positive = res.confidence.values[:, 0] >= 0.5
+            _, conf = decode(None, desk.params, feats, voxel.codes)
+            positive = conf.values[:, 0] >= 0.5
             member = np.isin(view.point_ids, voxel.members)
             tp += int(np.sum(positive & member))
             fn += int(np.sum(~positive & member))
@@ -302,11 +302,13 @@ def test_float32_query_decode_on_the_desk_map(desk):
     feats32 = encode_feature(None, params32, dcc.DTensor(
         view.descriptors.astype(np.float32)))
     for voxel in desk.scene.voxels.values():
-        r64 = decode(None, desk.params, feats64, voxel.codes, voxel.origin)
-        r32 = decode(None, params32, feats32,
-                     pipeline._float32_copy(voxel.codes), voxel.origin)
-        assert r32.local.values.dtype == np.float32
-        assert np.abs(r32.world() - r64.world()).max() < 1e-5
+        local64, _ = decode(None, desk.params, feats64, voxel.codes)
+        local32, _ = decode(None, params32, feats32,
+                            pipeline._float32_copy(voxel.codes))
+        assert local32.values.dtype == np.float32
+        world64 = local64.values + voxel.origin
+        world32 = local32.values + voxel.origin
+        assert np.abs(world32 - world64).max() < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +427,7 @@ def test_criterion_7_oracle_equivalence(capsys):
     bank.scales[0].values[:] = rng.uniform(0.5, 1.5, size=(n, 1))
     f = rng.normal(size=(5, d))
     got_block = cross_attention_block(None, dcc.DTensor(f), bank, 0,
-                                      params).values
+                                      params)[0].values
     want_block = np.array(_scalar_attention_oracle(
         f.tolist(), bank.codes[0].values.tolist(),
         bank.scales[0].values[:, 0].tolist(), params.blocks[0], d))

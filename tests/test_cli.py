@@ -592,6 +592,42 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert key in err and len(err.strip().splitlines()) == 1
 
+    def test_finetune_of_a_scene_without_codes_is_2(self, workdir, tmp_path,
+                                                    capsys):
+        # the scene arrives empty: no threshold of finetune's removed a code
+        d, cfg = workdir
+        assert cli.main(["prune", "--scene", str(d / "scene.bin"),
+                         "--threshold", "inf",
+                         "--out-scene", str(tmp_path / "empty.bin")]) == 0
+        capsys.readouterr()
+        assert cli.main(["finetune", "--config", str(cfg),
+                         "--dataset", str(d / "ds.bin"),
+                         "--scene", str(tmp_path / "empty.bin"),
+                         "--weights", str(d / "weights.bin"),
+                         "--out-scene", str(tmp_path / "s.bin"),
+                         "--out-weights", str(tmp_path / "w.bin")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the scene has no retained code to train\n"
+        assert not (tmp_path / "s.bin").exists()
+
+    # sizes NumPy refuses at once, so no test touches the memory
+    def test_train_allocation_beyond_memory_is_2(self, workdir, tmp_path,
+                                                 capsys):
+        extra = "scene.codes_per_block = 10000000000000"
+        assert train_exit(workdir, tmp_path, extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "s.bin").exists()
+
+    def test_gen_allocation_beyond_memory_is_2(self, tmp_path, capsys):
+        cfg = tiny_config_with(tmp_path, "world.num_points = 10000000000000\n")
+        assert cli.main(["gen", "--config", cfg,
+                         "--out", str(tmp_path / "x.bin")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x.bin").exists()
 
     def test_int_beyond_the_float_range_in_config_json_is_2(self, workdir,
                                                             tmp_path, capsys):

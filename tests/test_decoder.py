@@ -33,7 +33,7 @@ def make_bank(seed=1, t=T, n=N, d=D, scale_std=0.3):
 
 def run_decode(params, bank, feats_raw):
     feats = encode_feature(None, params, dc.DTensor(feats_raw))
-    return decode(None, params, feats, bank, np.zeros(3))
+    return decode(None, params, feats, bank)
 
 
 class TestPermutationInvariance:
@@ -44,8 +44,8 @@ class TestPermutationInvariance:
         params = cast(make_params())
         bank = make_bank()
         raw = np.random.default_rng(2).normal(size=(7, DRAW)).astype(dtype)
-        base = run_decode(params, cast(bank), raw)
-        assert base.local.values.dtype == dtype
+        local, conf = run_decode(params, cast(bank), raw)
+        assert local.values.dtype == dtype
         for seed in range(3):
             rng = np.random.default_rng(seed + 10)
             shuffled = make_bank()
@@ -54,10 +54,9 @@ class TestPermutationInvariance:
                 shuffled.codes[bt].values[...] = bank.codes[bt].values[perm]
                 shuffled.scales[bt].values[...] = bank.scales[bt].values[perm]
                 shuffled.pruned[bt] = bank.pruned[bt][perm]
-            out = run_decode(params, cast(shuffled), raw)
-            assert np.array_equal(base.local.values, out.local.values)
-            assert np.array_equal(base.confidence.values,
-                                  out.confidence.values)
+            out_local, out_conf = run_decode(params, cast(shuffled), raw)
+            assert np.array_equal(local.values, out_local.values)
+            assert np.array_equal(conf.values, out_conf.values)
 
     def test_gradients_follow_the_permutation(self):
         params = make_params()
@@ -67,8 +66,8 @@ class TestPermutationInvariance:
         def grads(bank):
             tape = Tape()
             feats = encode_feature(tape, params, dc.DTensor(raw))
-            res = decode(tape, params, feats, bank, np.zeros(3))
-            loss = dc.sum_all(tape, res.local)
+            local, _ = decode(tape, params, feats, bank)
+            loss = dc.sum_all(tape, local)
             return tape.backward(loss, bank.named_parameters())
 
         a = make_bank()
@@ -95,10 +94,10 @@ class TestPrunedCodes:
         for bt in range(T):
             smaller.codes[bt].values[...] = bank.codes[bt].values[keep]
             smaller.scales[bt].values[...] = bank.scales[bt].values[keep]
-        a = run_decode(params, bank, raw)
-        b = run_decode(params, smaller, raw)
-        assert np.array_equal(a.local.values, b.local.values)
-        assert np.array_equal(a.confidence.values, b.confidence.values)
+        a_local, a_conf = run_decode(params, bank, raw)
+        b_local, b_conf = run_decode(params, smaller, raw)
+        assert np.array_equal(a_local.values, b_local.values)
+        assert np.array_equal(a_conf.values, b_conf.values)
 
     def test_pruned_mask_excludes_rows(self):
         params = make_params()
@@ -107,9 +106,9 @@ class TestPrunedCodes:
         a.pruned[0][3] = True
         b = make_bank()
         b.scales[0].values[3, 0] = 0.0
-        out_a = run_decode(params, a, raw)
-        out_b = run_decode(params, b, raw)
-        assert np.array_equal(out_a.local.values, out_b.local.values)
+        local_a, _ = run_decode(params, a, raw)
+        local_b, _ = run_decode(params, b, raw)
+        assert np.array_equal(local_a.values, local_b.values)
 
     def test_fully_pruned_block_is_identity_skip(self):
         params = make_params()
@@ -117,7 +116,8 @@ class TestPrunedCodes:
         bank = make_bank()
         bank.pruned[1][:] = True
         f = encode_feature(None, params, dc.DTensor(raw))
-        assert cross_attention_block(None, f, bank, 1, params) is f
+        out, attn = cross_attention_block(None, f, bank, 1, params)
+        assert out is f and attn is None
 
     def test_pruned_rows_get_no_gradient(self):
         params = make_params()
@@ -126,8 +126,8 @@ class TestPrunedCodes:
         bank.pruned[0][1] = True
         tape = Tape()
         feats = encode_feature(tape, params, dc.DTensor(raw))
-        res = decode(tape, params, feats, bank, np.zeros(3))
-        grads = tape.backward(dc.sum_all(tape, res.local),
+        local, _ = decode(tape, params, feats, bank)
+        grads = tape.backward(dc.sum_all(tape, local),
                               bank.named_parameters())
         code, scale = grads[bank.codes[0].name], grads[bank.scales[0].name]
         assert np.all(code[1] == 0.0)
@@ -139,19 +139,10 @@ class TestDecodeShape:
     def test_output_shapes_and_ranges(self):
         params = make_params()
         raw = np.random.default_rng(9).normal(size=(11, DRAW))
-        res = run_decode(params, make_bank(), raw)
-        assert res.local.shape == (11, 3)
-        assert res.confidence.shape == (11, 1)
-        assert np.all((res.confidence.values > 0)
-                      & (res.confidence.values < 1))
-
-    def test_world_adds_origin(self):
-        params = make_params()
-        raw = np.random.default_rng(10).normal(size=(3, DRAW))
-        feats = encode_feature(None, params, dc.DTensor(raw))
-        origin = np.array([4.0, -2.0, 6.0])
-        res = decode(None, params, feats, make_bank(), origin)
-        np.testing.assert_array_equal(res.world(), res.local.values + origin)
+        local, conf = run_decode(params, make_bank(), raw)
+        assert local.shape == (11, 3)
+        assert conf.shape == (11, 1)
+        assert np.all((conf.values > 0) & (conf.values < 1))
 
     def test_dimension_mismatches_raise(self):
         params = make_params()
@@ -159,10 +150,10 @@ class TestDecodeShape:
             encode_feature(None, params, dc.DTensor(np.zeros((2, DRAW + 1))))
         feats = dc.DTensor(np.zeros((2, D + 1)))
         with pytest.raises(DimensionError):
-            decode(None, params, feats, make_bank(), np.zeros(3))
+            decode(None, params, feats, make_bank())
         feats = dc.DTensor(np.zeros((2, D)))
         with pytest.raises(DimensionError):
-            decode(None, params, feats, make_bank(d=D + 2), np.zeros(3))
+            decode(None, params, feats, make_bank(d=D + 2))
 
     def test_untaped_decode_allocates_no_gradient_buffers(self, monkeypatch):
         params, bank = make_params(), make_bank()
@@ -171,8 +162,8 @@ class TestDecodeShape:
         def spy(*args, **kwargs):
             raise AssertionError("np.zeros_like called")
         monkeypatch.setattr(np, "zeros_like", spy)
-        res = run_decode(params, bank, raw)
-        assert res.local.shape == (5, 3)
+        local, _ = run_decode(params, bank, raw)
+        assert local.shape == (5, 3)
 
     def test_attention_scale_is_a_python_float(self, monkeypatch):
         # an np.float64 scale would make NumPy 2 run float32 logits in float64
@@ -224,6 +215,24 @@ class TestAttentionScores:
         p = np.exp(logits - logits.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(s, p[:, list(rows).index(2)], rtol=1e-12)
+
+    def test_equals_the_blocks_attention_column_with_pruned_rows(self):
+        params = make_params()
+        bank = make_bank()
+        bank.pruned[0][[0, 3]] = True
+        bank.pruned[1][[1, 4]] = True
+        raw = np.random.default_rng(14).normal(size=(8, DRAW))
+        feats = encode_feature(None, params, dc.DTensor(raw))
+        f, _ = cross_attention_block(None, feats, bank, 0, params)
+        _, attn = cross_attention_block(None, f, bank, 1, params)
+        # canonical order: active rows sorted by their (code, scale) values
+        codes, scales = bank.codes[1].values, bank.scales[1].values
+        order = sorted(bank.active_rows(1),
+                       key=lambda i: tuple(codes[i]) + tuple(scales[i]))
+        assert attn.shape == (8, len(order))
+        for c in order:
+            s, _ = attention_scores(params, feats, bank, block=1, code=c)
+            assert np.array_equal(s, attn[:, order.index(c)])
 
     def test_block_out_of_range_rejected(self):
         params = make_params()

@@ -117,24 +117,15 @@ def small_params(rng):
                               encoder_hidden=8, block_hidden=8, head_hidden=8)
 
 
-class FakeDecodeResult:
-    def __init__(self, local, confidence, origin):
-        self.local = DTensor(local)
-        self.confidence = DTensor(confidence)
-        self.origin = origin
-
-    def world(self):
-        return self.local.values + self.origin
-
-
 class TestLocalize:
     def patch_perfect_decoder(self, monkeypatch, positions, conf=0.9):
         """decode() stand-in returning ground-truth coordinates for member
         keypoints of the voxel and low confidence elsewhere."""
 
-        def fake_decode(tape, params, feats, bank, origin):
+        def fake_decode(tape, params, feats, bank):
             ids = fake_decode.current_ids
             members = fake_decode.current_members
+            origin = fake_decode.current_origin
             m = len(ids)
             local = np.zeros((m, 3))
             c = np.full((m, 1), 0.01)
@@ -142,7 +133,7 @@ class TestLocalize:
                 if pid in members:
                     local[i] = positions[pid] - origin
                     c[i, 0] = conf
-            return FakeDecodeResult(local, c, origin)
+            return DTensor(local), DTensor(c)
 
         monkeypatch.setattr(pipeline, "decode", fake_decode)
         monkeypatch.setattr(pipeline, "encode_feature",
@@ -167,11 +158,12 @@ class TestLocalize:
             order = sorted(scene.voxels)
             calls = iter(order)
 
-            def wrapping(tape, params, feats, bank, origin):
+            def wrapping(tape, params, feats, bank):
                 vid = next(calls)
                 fake.current_ids = [int(i) for i in query.point_ids]
                 fake.current_members = members_by_voxel[vid]
-                return real_localize_decode(tape, params, feats, bank, origin)
+                fake.current_origin = scene.voxels[vid].origin
+                return real_localize_decode(tape, params, feats, bank)
 
             monkeypatch.setattr(pipeline, "decode", wrapping)
             return localize(query, scene,
@@ -204,10 +196,9 @@ class TestLocalize:
         truth = look_at([5.0, 1.0, 2.0], [0.0, 0.0, 0.0])
         query = query_for(pts, truth, rng)
 
-        def fake_decode(tape, params, feats, bank, origin):
+        def fake_decode(tape, params, feats, bank):
             m = query.num_keypoints
-            return FakeDecodeResult(np.zeros((m, 3)),
-                                    np.full((m, 1), 0.01), origin)
+            return DTensor(np.zeros((m, 3))), DTensor(np.full((m, 1), 0.01))
 
         monkeypatch.setattr(pipeline, "decode", fake_decode)
         monkeypatch.setattr(pipeline, "encode_feature",
@@ -231,13 +222,14 @@ class TestLocalize:
         feats = encode_feature(None, params32, dc.DTensor(
             query.descriptors.astype(np.float32)))
         results = [decode(None, params32, feats,
-                          pipeline._float32_copy(scene.voxels[vid].codes),
-                          scene.voxels[vid].origin)
+                          pipeline._float32_copy(scene.voxels[vid].codes))
                    for vid in sorted(scene.voxels)]
-        confs = [r.confidence.values[:, 0] for r in results]
+        confs = [conf.values[:, 0] for _, conf in results]
         conf_min = float(np.median(np.concatenate(confs)))
-        world = np.concatenate([r.world()[c >= conf_min]
-                                for r, c in zip(results, confs)])
+        world = np.concatenate([
+            (local.values + scene.voxels[vid].origin)[c >= conf_min]
+            for vid, (local, _), c in zip(sorted(scene.voxels), results,
+                                          confs)])
         pixels = np.concatenate([query.pixels[c >= conf_min] for c in confs])
         assert 0 < len(world) < len(scene.voxels) * query.num_keypoints
 
