@@ -295,7 +295,8 @@ def cmd_heatmap(args):
     if vid not in loaded.voxels:
         raise ValueError(f"voxel {args.voxel} not in scene")
     if not 0 <= args.view < len(ds.views):
-        raise ValueError(f"view index {args.view} out of range")
+        raise ValueError(f"view index {args.view} out of range "
+                         f"[0, {len(ds.views)})")
     wrote_pgm = pipeline.export_heatmap(ds.views[args.view], loaded, params,
                                         vid, args.block, args.code,
                                         args.csv, args.pgm)

@@ -177,9 +177,10 @@ def attention_scores(params: DecoderParams, features: DTensor,
     result when the batch scores are constant.
     """
     _check_bank(params, bank)
-    if not 0 <= block < params.num_blocks:
-        raise ValueError(f"block {block} out of range "
-                         f"[0, {params.num_blocks})")
+    for name, i, n in (("block", block, params.num_blocks),
+                       ("code", code, bank.dims[1])):
+        if not 0 <= i < n:
+            raise ValueError(f"{name} {i} out of range [0, {n})")
     idx = bank.active_rows(block)
     if code not in idx:
         raise ValueError(f"code {code} in block {block} is pruned or inactive")

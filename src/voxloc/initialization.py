@@ -21,7 +21,7 @@ import numpy as np
 
 from .containers import bound, check_bounds
 from .decoder import DecoderParams
-from .scene import SceneRepresentation
+from .scene import SceneRepresentation, valid_members
 from .synthworld import ReferenceDataset
 
 # trailing code/feature dimensions reserved for the coordinate payload
@@ -80,25 +80,19 @@ def aligned_decoder_init(rng: np.random.Generator, d_raw: int = 64,
 
 
 def mean_observed_descriptors(dataset: ReferenceDataset) -> dict[int, np.ndarray]:
-    """Unit-norm mean of each point's descriptor over the reference views."""
-    sums: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-    for view in dataset.views:
-        for pid, desc in zip(view.point_ids, view.descriptors):
-            pid = int(pid)
-            if pid in sums:
-                sums[pid] += desc
-                counts[pid] += 1
-            else:
-                sums[pid] = desc.astype(float).copy()
-                counts[pid] = 1
-    out = {}
-    for pid, total in sums.items():
-        mean = total / counts[pid]
-        norm = np.linalg.norm(mean)
-        if norm > 0:
-            out[pid] = mean / norm
-    return out
+    """Unit-norm mean reference descriptor per point id, in id order (zero
+    means left out); summed in view order, and no view may repeat a point."""
+    all_ids = [np.zeros(0, np.int64)] + [v.point_ids for v in dataset.views]
+    ids, counts = np.unique(np.concatenate(all_ids), return_counts=True)
+    sums = np.zeros((len(ids), dataset.config.descriptor_dim))
+    for view_id, view in enumerate(dataset.views):
+        rows = np.searchsorted(ids, view.point_ids)
+        if len(np.unique(rows)) < len(rows):
+            raise ValueError(f"reference view {view_id} lists a point twice")
+        sums[rows] += view.descriptors
+    means = sums / counts[:, None]
+    return {pid: mean / norm for pid, mean in zip(ids.tolist(), means)
+            if (norm := np.linalg.norm(mean)) > 0}
 
 
 def inject_codes(scene: SceneRepresentation, dataset: ReferenceDataset,
@@ -106,9 +100,9 @@ def inject_codes(scene: SceneRepresentation, dataset: ReferenceDataset,
                  config: InitConfig | None = None) -> None:
     """Seed every code bank with the voxel's own observed points.
 
-    Each member point contributes rows spread cyclically over the T x N code
-    slots (a permutation fixes which points absorb the remainder), so every
-    point appears in every block when N is at least the member count. A row
+    Each valid member with a mean descriptor fills rows spread cyclically over
+    the T x N code slots (a permutation fixes which points absorb the
+    remainder), so each appears in every block when N covers them all. A row
     is the point's mean observed descriptor pushed through the encoder's
     descriptor columns, concatenated with its scaled local coordinates.
     Scales are left at their build-time value of one.
@@ -119,17 +113,15 @@ def inject_codes(scene: SceneRepresentation, dataset: ReferenceDataset,
     dp = d - COORD_DIMS
     desc_cols = params.encoder.weights[0].values[:, :dp]
     for voxel in scene.sorted_voxels():
-        members = [int(m) for m in voxel.members
-                   if int(m) in mean_desc and dataset.points[int(m)].valid]
+        members = [m for m in valid_members(voxel, dataset).tolist()
+                   if m in mean_desc]
         if not members:
             raise ValueError(f"voxel {voxel.id} has no observed member points")
-        order = rng.permutation(len(members))
-        slots = [members[order[i % len(members)]]
-                 for i in range(num_blocks * codes_per_block)]
-        for t, code in enumerate(voxel.codes.codes):
-            pids = slots[t * codes_per_block:(t + 1) * codes_per_block]
-            code.values[:, :dp] = np.array(
-                [mean_desc[p] for p in pids]) @ desc_cols
-            code.values[:, dp:] = np.array(
-                [dataset.points[p].position - voxel.origin
-                 for p in pids]) * cfg.coord_scale
+        cycle = np.arange(num_blocks * codes_per_block) % len(members)
+        slots = rng.permutation(len(members))[cycle].reshape(num_blocks, -1)
+        desc = np.array([mean_desc[m] for m in members])
+        local = np.array([dataset.points[m].position
+                          for m in members]) - voxel.origin
+        for code, rows in zip(voxel.codes.codes, slots):
+            code.values[:, :dp] = desc[rows] @ desc_cols
+            code.values[:, dp:] = local[rows] * cfg.coord_scale

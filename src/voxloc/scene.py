@@ -148,23 +148,22 @@ def build_scene(points, side_length: float, dims: tuple[int, int, int],
     return SceneRepresentation(side_length, dims, voxels)
 
 
+def valid_members(voxel: Voxel, dataset) -> np.ndarray:
+    """The voxel's distinct member ids the dataset holds as valid points."""
+    pts = dataset.points
+    return np.unique(np.array([m for m in voxel.members.tolist()
+                               if m in pts and pts[m].valid], np.int64))
+
+
 def assign_coverage(scene: SceneRepresentation, dataset,
                     min_points: int = 20) -> None:
-    """A view covers a voxel iff it observes >= min_points valid members."""
-    member_sets = {vid: set(int(m) for m in v.members)
-                   for vid, v in scene.voxels.items()}
+    """A view covers a voxel iff it observes >= min_points of its valid
+    members, each counted once; views are listed in dataset order."""
     for v in scene.voxels.values():
-        v.covering_views = []
-    for view_id, view in enumerate(dataset.views):
-        observed = set()
-        for pid in view.point_ids:
-            pid = int(pid)
-            pt = dataset.points.get(pid)
-            if pt is not None and pt.valid:
-                observed.add(pid)
-        for vid, members in member_sets.items():
-            if len(observed & members) >= min_points:
-                scene.voxels[vid].covering_views.append(view_id)
+        members = valid_members(v, dataset)
+        v.covering_views = [i for i, view in enumerate(dataset.views)
+                            if np.isin(members, view.point_ids).sum()
+                            >= min_points]
 
 
 def drop_uncovered(scene: SceneRepresentation) -> list[VoxelId]:

@@ -18,7 +18,7 @@ from . import diffcore as dc
 from .containers import bound, check_bounds
 from .decoder import DecoderParams, decode, encode_feature
 from .diffcore import DTensor, NumericError, Optimizer, Tape, halved_lr
-from .scene import SceneRepresentation, Voxel, prune
+from .scene import SceneRepresentation, Voxel, prune, valid_members
 from .synthworld import ReferenceDataset, seeded_rng
 
 
@@ -65,23 +65,22 @@ class Sample:
 def make_sample(voxel: Voxel, view_id: int, dataset: ReferenceDataset,
                 max_keypoints: int = 0,
                 rng: np.random.Generator | None = None) -> Sample:
+    """The view's keypoints, marked 1 with their point's position where they
+    observe a valid voxel member; max_keypoints > 0 draws that many via rng."""
     view = dataset.views[view_id]
-    members = set(int(m) for m in voxel.members)
+    in_voxel = np.isin(view.point_ids, valid_members(voxel, dataset))
     m = view.num_keypoints
     targets = np.zeros((m, 3))
-    y = np.zeros(m)
-    for i, pid in enumerate(view.point_ids):
-        pt = dataset.points.get(int(pid))
-        if pt is not None and pt.valid and int(pid) in members:
-            y[i] = 1.0
-            targets[i] = pt.position
+    pos = [dataset.points[p].position
+           for p in view.point_ids[in_voxel].tolist()]
+    targets[in_voxel] = np.reshape(pos, (-1, 3))
     desc = view.descriptors
     if 0 < max_keypoints < m:
         if rng is None:
             raise ValueError("keypoint subsampling needs an rng")
         keep = rng.choice(m, size=max_keypoints, replace=False)
-        desc, targets, y = desc[keep], targets[keep], y[keep]
-    return Sample(voxel, view_id, desc, targets, y)
+        desc, targets, in_voxel = desc[keep], targets[keep], in_voxel[keep]
+    return Sample(voxel, view_id, desc, targets, in_voxel.astype(np.float64))
 
 
 def coordinate_loss(tape, local: DTensor, origin: np.ndarray,
@@ -139,6 +138,9 @@ def sample_epoch(scene: SceneRepresentation, dataset: ReferenceDataset,
         if not v.covering_views:
             raise ValueError(f"voxel {v.id} has no covering views; "
                              "scene/dataset construction is inconsistent")
+        if (last := max(v.covering_views)) >= len(dataset.views):
+            raise ValueError(f"voxel {v.id} is covered by view {last}, but "
+                             f"the dataset has {len(dataset.views)} views")
     order = rng.permutation(len(voxels))
     samples = []
     for i in order:

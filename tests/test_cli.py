@@ -352,6 +352,25 @@ class TestErrorExits:
                              "--csv", str(d / "h.csv")]) == 2
             assert "out of range" in capsys.readouterr().err
 
+    def test_heatmap_code_and_view_out_of_range_name_the_range(self, workdir,
+                                                               capsys):
+        d, _ = workdir
+        vid = sorted(load_scene(d / "scene.bin").voxels)[0]
+        cases = [("0", "99", "code 99 out of range [0, 48)"),
+                 ("0", "-1", "code -1 out of range [0, 48)"),
+                 ("-1", "0", "view index -1 out of range [0, 12)"),
+                 ("12", "0", "view index 12 out of range [0, 12)")]
+        for view, code, message in cases:
+            assert cli.main(["heatmap",
+                             "--dataset", str(d / "ds.bin"),
+                             "--scene", str(d / "scene.bin"),
+                             "--weights", str(d / "weights.bin"),
+                             f"--view={view}",
+                             f"--voxel={vid.ix},{vid.iy},{vid.iz}",
+                             "--block", "0", f"--code={code}",
+                             "--csv", str(d / "h.csv")]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("field", ["origin", "scale", "code"])
     def test_non_finite_scene_value_is_2(self, workdir, tmp_path, capsys,
                                          field):
@@ -608,6 +627,42 @@ class TestErrorExits:
                          "--out-weights", str(tmp_path / "w.bin")]) == 2
         err = capsys.readouterr().err
         assert err == "error: the scene has no retained code to train\n"
+        assert not (tmp_path / "s.bin").exists()
+
+    def test_finetune_with_a_dataset_of_fewer_views_is_2(self, workdir,
+                                                         tmp_path, capsys):
+        # the scene's covering views index the 12 views it was trained on
+        d, _ = workdir
+        cfg = tiny_config_with(tmp_path, "world.num_ref_views = 4\n")
+        assert cli.main(["gen", "--config", cfg,
+                         "--out", str(tmp_path / "ds4.bin")]) == 0
+        capsys.readouterr()
+        assert cli.main(["finetune", "--config", cfg,
+                         "--dataset", str(tmp_path / "ds4.bin"),
+                         "--scene", str(d / "scene.bin"),
+                         "--weights", str(d / "weights.bin"),
+                         "--out-scene", str(tmp_path / "s.bin"),
+                         "--out-weights", str(tmp_path / "w.bin")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: voxel VoxelId\(.*\) is covered by view "
+                            r"\d+, but the dataset has 4 views\n", err)
+        assert not (tmp_path / "s.bin").exists()
+
+    def test_train_on_a_view_that_lists_a_point_twice_is_2(self, workdir,
+                                                           tmp_path, capsys):
+        d, cfg = workdir
+        ds = load_dataset(d / "ds.bin")
+        view = ds.views[2]
+        view.pixels = np.vstack([view.pixels, view.pixels[:1]])
+        view.descriptors = np.vstack([view.descriptors, view.descriptors[:1]])
+        view.point_ids = np.r_[view.point_ids, view.point_ids[:1]]
+        save_dataset(ds, tmp_path / "twice.bin")
+        assert cli.main(["train", "--config", str(cfg),
+                         "--dataset", str(tmp_path / "twice.bin"),
+                         "--out-scene", str(tmp_path / "s.bin"),
+                         "--out-weights", str(tmp_path / "w.bin")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: reference view 2 lists a point twice\n"
         assert not (tmp_path / "s.bin").exists()
 
     # sizes NumPy refuses at once, so no test touches the memory

@@ -70,6 +70,37 @@ class TestMeanDescriptors:
         for v in means.values():
             np.testing.assert_allclose(np.linalg.norm(v), 1.0, atol=1e-12)
 
+    def test_equals_a_running_sum_in_view_order_bit_for_bit(self):
+        ds = generate_dataset(CFG)
+        sums, counts = {}, {}
+        for view in ds.views:
+            for pid, desc in zip(view.point_ids.tolist(), view.descriptors):
+                if pid in sums:
+                    sums[pid] = sums[pid] + desc
+                else:
+                    sums[pid] = desc.copy()
+                counts[pid] = counts.get(pid, 0) + 1
+        means = mean_observed_descriptors(ds)
+        assert list(means) == sorted(sums)
+        for pid, total in sums.items():
+            mean = total / counts[pid]
+            np.testing.assert_array_equal(means[pid],
+                                          mean / np.linalg.norm(mean))
+
+    def test_a_view_that_lists_a_point_twice_is_refused(self):
+        ds = generate_dataset(CFG)
+        view = ds.views[3]
+        view.point_ids = np.r_[view.point_ids, view.point_ids[5]]
+        view.descriptors = np.vstack([view.descriptors, view.descriptors[5]])
+        with pytest.raises(ValueError,
+                           match="^reference view 3 lists a point twice$"):
+            mean_observed_descriptors(ds)
+
+    def test_no_reference_views_gives_no_means(self):
+        ds = generate_dataset(CFG)
+        ds.views = []
+        assert mean_observed_descriptors(ds) == {}
+
 
 class TestInjectCodes:
     def test_rows_carry_member_payloads(self):

@@ -8,11 +8,13 @@ import pytest
 
 from voxloc.containers import FormatError, Writer
 from voxloc.geometry import Point3D
+from voxloc.synthworld import WorldConfig, generate_dataset
 from voxloc.scene import (MAX_CODE_DIM, SCENE_FORMAT_VERSION, SCENE_MAGIC,
                           CodeBank, SceneRepresentation, VoxelId,
                           assign_coverage, build_scene, drop_uncovered,
                           load_scene, prune, save_scene, scene_from_bytes,
-                          scene_to_bytes, size_bytes, voxelize)
+                          scene_to_bytes, size_bytes, valid_members,
+                          voxelize)
 
 # file header: magic + version + side length + (T, N, D) + voxel count
 FILE_HEADER_BYTES = 28
@@ -164,7 +166,42 @@ class FakeDataset:
     points: dict
 
 
+class TestValidMembers:
+    def test_keeps_distinct_members_the_dataset_holds_as_valid(self):
+        scene = small_scene(n=30)
+        voxel = scene.sorted_voxels()[0]
+        voxel.members = np.array([9, 3, 5, 3, 11, 7])
+        pts = {3: Point3D(3, np.zeros(3), True),
+               5: Point3D(5, None, False),
+               7: Point3D(7, np.ones(3), True),
+               9: Point3D(9, np.zeros(3), True)}
+        got = valid_members(voxel, FakeDataset([], pts))
+        np.testing.assert_array_equal(got, [3, 7, 9])
+        assert got.dtype == np.int64
+        empty = valid_members(voxel, FakeDataset([], {}))
+        assert empty.shape == (0,) and empty.dtype == np.int64
+
+
 class TestCoverage:
+    def test_matches_a_set_count_per_view(self):
+        ds = generate_dataset(WorldConfig(num_points=150, num_ref_views=12,
+                                          num_query_views=2, seed=3))
+        scene = build_scene(list(ds.points.values()), 4.0, (1, 2, 4),
+                            np.random.default_rng(0))
+        for pid in list(ds.points)[::7]:  # some members turn invalid
+            ds.points[pid] = Point3D(pid, None, False)
+        for i, view in enumerate(ds.views):  # and views see fewer of them
+            view.point_ids = view.point_ids[::i % 4 + 1]
+        assign_coverage(scene, ds, min_points=9)
+        for v in scene.sorted_voxels():
+            members = set(v.members.tolist())
+            expect = [i for i, view in enumerate(ds.views)
+                      if len({p for p in view.point_ids.tolist()
+                              if p in members and ds.points[p].valid}) >= 9]
+            assert v.covering_views == expect
+        assert any(0 < len(v.covering_views) < 12
+                   for v in scene.sorted_voxels())
+
     def test_min_points_threshold(self):
         scene = small_scene(n=30)
         voxels = scene.sorted_voxels()
@@ -185,6 +222,18 @@ class TestCoverage:
         ds = FakeDataset([FakeView(np.array(list(target.members)))], pts)
         assign_coverage(scene, ds, min_points=1)
         assert target.covering_views == []
+
+    def test_a_member_listed_twice_counts_once(self):
+        scene = small_scene(n=30)
+        target = max(scene.sorted_voxels(), key=lambda v: len(v.members))
+        pts = {int(m): Point3D(int(m), np.zeros(3), True)
+               for m in target.members}
+        twice = np.repeat(target.members[:2], 2)
+        ds = FakeDataset([FakeView(twice)], pts)
+        assign_coverage(scene, ds, min_points=3)
+        assert target.covering_views == []
+        assign_coverage(scene, ds, min_points=2)
+        assert target.covering_views == [0]
 
     def test_drop_uncovered(self):
         scene = small_scene(n=30)

@@ -5,6 +5,8 @@ import pytest
 
 from voxloc import diffcore as dc
 from voxloc.decoder import DecoderParams, params_to_bytes
+from voxloc.initialization import (COORD_DIMS, InitConfig,
+                                   aligned_decoder_init, inject_codes)
 from voxloc.scene import assign_coverage, build_scene, drop_uncovered
 from voxloc.synthworld import WorldConfig, generate_dataset
 from voxloc.training import (TrainConfig, adapt_scene, confidence_loss,
@@ -129,6 +131,63 @@ class TestSampling:
         b = sample_epoch(scene, ds, 2, np.random.default_rng(5))
         assert [(s.voxel.id, s.view_id) for x in a for s in x] \
             == [(s.voxel.id, s.view_id) for x in b for s in x]
+
+    def test_sample_epoch_refuses_a_covering_view_beyond_the_dataset(self):
+        ds, scene, _ = tiny_setup()
+        voxel = scene.sorted_voxels()[1]
+        voxel.covering_views = voxel.covering_views + [12]
+        with pytest.raises(ValueError) as err:
+            sample_epoch(scene, ds, 2, np.random.default_rng(0))
+        assert str(err.value) == (f"voxel {voxel.id} is covered by view 12, "
+                                  "but the dataset has 12 views")
+
+
+def invalidated_member():
+    """tiny_setup with one member of the first voxel, observed by the voxel's
+    first covering view, made invalid. Also returns the point as it was and
+    how many members that view observed."""
+    ds, scene, _ = tiny_setup()
+    voxel = scene.sorted_voxels()[0]
+    view_id = voxel.covering_views[0]
+    observed = np.intersect1d(voxel.members, ds.views[view_id].point_ids)
+    lost = ds.points[int(observed[0])]
+    ds.points[lost.id] = type(lost)(lost.id, None, False)
+    return ds, scene, voxel, view_id, lost, len(observed)
+
+
+class TestInvalidMember:
+    def test_make_sample_marks_its_rows_out_with_zero_targets(self):
+        ds, _, voxel, view_id, lost, observed = invalidated_member()
+        sample = make_sample(voxel, view_id, ds)
+        rows = ds.views[view_id].point_ids == lost.id
+        assert rows.sum() == 1
+        np.testing.assert_array_equal(sample.in_voxel[rows], 0.0)
+        np.testing.assert_array_equal(sample.targets[rows], 0.0)
+        assert sample.in_voxel.sum() == observed - 1
+
+    def test_assign_coverage_does_not_count_it(self):
+        ds, scene, voxel, view_id, _, observed = invalidated_member()
+        assign_coverage(scene, ds, min_points=observed)
+        assert view_id not in voxel.covering_views
+        assign_coverage(scene, ds, min_points=observed - 1)
+        assert view_id in voxel.covering_views
+
+    def test_inject_codes_writes_no_payload_for_it(self):
+        ds, scene, voxel, _, lost, _ = invalidated_member()
+        params = aligned_decoder_init(np.random.default_rng(1), d_raw=64,
+                                      d=16, num_blocks=2)
+        inject_codes(scene, ds, params, np.random.default_rng(2),
+                     InitConfig(coord_scale=0.5))
+        payloads = np.vstack([c.values[:, 16 - COORD_DIMS:]
+                              for c in voxel.codes.codes])
+        gone = (lost.position - voxel.origin) * 0.5
+        assert not (payloads == gone).all(axis=1).any()
+        # the T x N slots outnumber the members, so every valid one shows
+        valid = [int(m) for m in voxel.members if m != lost.id]
+        assert len(payloads) >= len(valid)
+        for m in valid:
+            want = (ds.points[m].position - voxel.origin) * 0.5
+            assert (payloads == want).all(axis=1).any()
 
 
 class TestRunTraining:
