@@ -31,8 +31,8 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):  # also rejects NaN
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):  # NaN fails too
+            raise ValueError("focal lengths must be positive and finite")
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
             raise ValueError("principal point outside image")
 
@@ -63,10 +63,6 @@ class Pose:
     @property
     def center(self) -> np.ndarray:
         return -self.rotation.T @ self.translation
-
-    def matrix(self) -> np.ndarray:
-        """3x4 [R | t]."""
-        return np.hstack([self.rotation, self.translation[:, None]])
 
 
 @dataclass
@@ -154,47 +150,34 @@ def pinhole(rot: np.ndarray, trans: np.ndarray, k: Intrinsics,
         return k.fx * x / z + k.cx, k.fy * y / z + k.cy, z
 
 
-def triangulate_dlt(observations, poses, intrinsics,
-                    reproj_tol: float = 2.0, point_id: int = -1) -> Point3D:
-    """Homogeneous DLT triangulation of one track.
+def triangulate_dlt(rot: np.ndarray, trans: np.ndarray, k: Intrinsics,
+                    pixels: np.ndarray, reproj_tol: float = 2.0,
+                    point_id: int = -1) -> Point3D:
+    """Homogeneous DLT triangulation of one track: its pixels (n,2) in n
+    views of rotations (n,3,3) and translations (n,3), all through k.
 
-    observations: list of (view id, pixel (2,)); poses/intrinsics indexable
-    by view id. The point is marked invalid when the worst reprojection
-    error exceeds reproj_tol pixels or the widest triangulation angle is
-    below MIN_TRIANGULATION_ANGLE_DEG.
+    The point is marked invalid when it lies at or behind a camera, when
+    the worst reprojection error exceeds reproj_tol pixels, or when the
+    widest triangulation angle is below MIN_TRIANGULATION_ANGLE_DEG.
     """
-    if len(observations) < 2:
-        raise ValueError(f"triangulation needs >= 2 views, got {len(observations)}")
-    rows = []
-    for vid, pix in observations:
-        p = intrinsics[vid].matrix() @ poses[vid].matrix()
-        rows.append(pix[0] * p[2] - p[0])
-        rows.append(pix[1] * p[2] - p[1])
-    a = np.vstack(rows)
+    if len(pixels) < 2:
+        raise ValueError(f"triangulation needs >= 2 views, got {len(pixels)}")
+    p = k.matrix() @ np.concatenate([rot, trans[:, :, None]], axis=2)
+    a = (pixels[:, :, None] * p[:, 2:3, :] - p[:, :2, :]).reshape(-1, 4)
     _, _, vt = np.linalg.svd(a)
     xh = vt[-1]
     if abs(xh[3]) < 1e-15:
         return Point3D(point_id, None, False)
     x = xh[:3] / xh[3]
 
-    rot = np.array([poses[vid].rotation for vid, _ in observations])
-    trans = np.array([poses[vid].translation for vid, _ in observations])
-    kmat = np.array([intrinsics[vid].matrix() for vid, _ in observations])
-    pix = np.array([p for _, p in observations], dtype=np.float64)
-    cam = rot @ x + trans
-    if np.any(cam[:, 2] <= MIN_DEPTH):
-        return Point3D(point_id, None, False)
-    proj = np.einsum("nij,nj->ni", kmat[:, :2, :], cam) / cam[:, 2:3]
-    if np.linalg.norm(proj - pix, axis=1).max() > reproj_tol:
+    u, v, z = pinhole(rot, trans, k, x[None])
+    if (np.any(z <= MIN_DEPTH) or np.hypot(
+            u - pixels[:, :1], v - pixels[:, 1:]).max() > reproj_tol):
         return Point3D(point_id, None, False)
 
-    centers = np.einsum("nji,nj->ni", rot, -trans)
-    rays = x - centers
-    norms = np.linalg.norm(rays, axis=1)
-    ok = norms > 1e-12
-    if ok.sum() < 2:
-        return Point3D(point_id, None, False)
-    unit = rays[ok] / norms[ok, None]
+    # rays from the camera centers, none shorter than its depth z > 0
+    rays = x - np.einsum("nji,nj->ni", rot, -trans)
+    unit = rays / np.linalg.norm(rays, axis=1, keepdims=True)
     min_cos = np.clip((unit @ unit.T).min(), -1.0, 1.0)
     if np.degrees(np.arccos(min_cos)) < MIN_TRIANGULATION_ANGLE_DEG:
         return Point3D(point_id, None, False)

@@ -126,6 +126,10 @@ class ViewObservations:
     descriptors: np.ndarray        # (M, D_raw) unit-norm
     point_ids: np.ndarray          # (M,)
 
+    def __post_init__(self):
+        if not np.isfinite(self.pixels).all():
+            raise ValueError("a keypoint pixel is non-finite")
+
     @property
     def num_keypoints(self) -> int:
         return len(self.point_ids)
@@ -177,29 +181,31 @@ class ReferenceDataset:
 
 
 def build_dataset(world: World, config: WorldConfig) -> ReferenceDataset:
-    """Observe all views and triangulate reference tracks with the DLT."""
+    """Observe all views; triangulate each point seen by >= 2 reference
+    views once, from its track in view order, with the DLT."""
     views = [observe(pose, world, config, seeded_rng(config.seed, 10, i))
              for i, pose in enumerate(world.ref_poses)]
     query_views = [observe(pose, world, config,
                            seeded_rng(config.seed, 20, i), include_pose=False)
                    for i, pose in enumerate(world.query_poses)]
 
-    tracks: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for view_id, view in enumerate(views):
-        for pix, pid in zip(view.pixels, view.point_ids):
-            tracks.setdefault(int(pid), []).append((view_id, pix))
-
-    poses = [v.pose for v in views]
-    intrinsics = [v.intrinsics for v in views]
+    # a stable sort keeps each track in view order
+    pids = np.concatenate([v.point_ids for v in views])
+    order = np.argsort(pids, kind="stable")
+    view_ids = np.repeat(np.arange(len(views)),
+                         [v.num_keypoints for v in views])[order]
+    pixels = np.concatenate([v.pixels for v in views])[order]
+    start = np.searchsorted(pids[order], np.arange(config.num_points + 1))
+    rot = np.array([v.pose.rotation for v in views])
+    trans = np.array([v.pose.translation for v in views])
     points: dict[int, Point3D] = {}
     for pid in range(config.num_points):
-        obs = tracks.get(pid, [])
-        if len(obs) < 2:
-            points[pid] = Point3D(pid, None, False)
-            continue
-        points[pid] = triangulate_dlt(obs, poses, intrinsics,
-                                      reproj_tol=config.triangulation_tol,
-                                      point_id=pid)
+        track = slice(start[pid], start[pid + 1])
+        vids = view_ids[track]
+        points[pid] = (Point3D(pid, None, False) if len(vids) < 2 else
+                       triangulate_dlt(rot[vids], trans[vids], world.intrinsics,
+                                       pixels[track], config.triangulation_tol,
+                                       pid))
     gt = EvalGroundTruth(world.query_poses, world.points.copy())
     return ReferenceDataset(views, points, query_views, config, gt)
 

@@ -129,11 +129,12 @@ def test_criterion_2_geometric_exactness(capsys):
     poses = [look_at(np.array([7.0 * math.cos(a), 7.0 * math.sin(a), 1.0]),
                      np.zeros(3))
              for a in np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False)]
-    intr = [K] * len(poses)
+    rot = np.array([p.rotation for p in poses])
+    trans = np.array([p.translation for p in poses])
     worst_x = 0.0
     for x in rng.uniform(-2.0, 2.0, size=(20, 3)):
-        obs = [(i, project_many(p, K, x)[0][0]) for i, p in enumerate(poses)]
-        pt = triangulate_dlt(obs, poses, intr, reproj_tol=2.0)
+        pixels = np.array([project_many(p, K, x)[0][0] for p in poses])
+        pt = triangulate_dlt(rot, trans, K, pixels, reproj_tol=2.0)
         assert pt.valid
         worst_x = max(worst_x, float(np.linalg.norm(pt.position - x)))
     tri_ok = worst_x < 1e-8

@@ -430,6 +430,28 @@ class TestErrorExits:
         assert f"point {pid} " in err and "non-finite" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("field, message", [
+        ("fx", "focal lengths must be positive and finite"),
+        ("pixel", "a keypoint pixel is non-finite")])
+    def test_non_finite_query_intrinsics_or_pixel_is_2(self, workdir,
+                                                       tmp_path, capsys,
+                                                       field, message):
+        # the writer stores any float64, so the damage is saved as it is
+        d, cfg = workdir
+        ds = load_dataset(d / "ds.bin")
+        if field == "fx":
+            ds.query_views[0].intrinsics.fx = np.inf
+        else:
+            ds.query_views[0].pixels[3, 1] = np.nan
+        save_dataset(ds, tmp_path / "bad.bin")
+        assert cli.main(["localize", "--config", str(cfg),
+                         "--dataset", str(tmp_path / "bad.bin"),
+                         "--scene", str(d / "scene.bin"),
+                         "--weights", str(d / "weights.bin"),
+                         "--query", "0"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {message}\n"
+
     def test_config_json_past_the_recursion_limit_is_2(self, workdir,
                                                        tmp_path, capsys):
         d, cfg = workdir

@@ -51,12 +51,6 @@ class TestPose:
                 with pytest.raises(ValueError, match="orthonormal"):
                     Pose(bad, np.zeros(3))
 
-    def test_matrix_layout(self):
-        pose = random_pose(np.random.default_rng(1))
-        m = pose.matrix()
-        np.testing.assert_array_equal(m[:, :3], pose.rotation)
-        np.testing.assert_array_equal(m[:, 3], pose.translation)
-
 
 class TestRotations:
     def test_axis_angle_quarter_turn(self):
@@ -136,49 +130,48 @@ class TestProjection:
     def test_intrinsics_validation(self):
         with pytest.raises(ValueError):
             Intrinsics(fx=-1.0, fy=1.0, cx=0, cy=0, width=10, height=10)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                Intrinsics(fx=1.0, fy=bad, cx=0, cy=0, width=10, height=10)
         with pytest.raises(ValueError):
             Intrinsics(fx=1.0, fy=1.0, cx=99, cy=0, width=10, height=10)
 
 
-def make_track(x, centers, noise=0.0, rng=None):
-    poses, intr, obs = {}, {}, []
-    for vid, c in enumerate(centers):
-        poses[vid] = look_at(np.asarray(c, float), [0.0, 0.0, 0.0])
-        intr[vid] = K
-        pix = project_point(poses[vid], K, x)
-        if pix is None:
-            continue
-        if noise:
-            pix = pix + rng.normal(size=2) * noise
-        obs.append((vid, pix))
-    return obs, poses, intr
+def make_track(x, centers):
+    """Rotations (n,3,3), translations (n,3) and pixels (n,2) of x in the
+    views at `centers`, looking at the origin, that see it."""
+    poses = [look_at(np.asarray(c, float), [0.0, 0.0, 0.0]) for c in centers]
+    poses = [p for p in poses if project_point(p, K, x) is not None]
+    return (np.reshape([p.rotation for p in poses], (-1, 3, 3)),
+            np.reshape([p.translation for p in poses], (-1, 3)),
+            np.reshape([project_point(p, K, x) for p in poses], (-1, 2)))
 
 
 class TestTriangulation:
     def test_noiseless_recovery(self):
         x = np.array([0.4, -0.2, 0.3])
-        obs, poses, intr = make_track(
+        rot, trans, pixels = make_track(
             x, [[4, 0, 1], [0, 4, 1], [-3, 2, 2], [2, -3, 1]])
-        pt = triangulate_dlt(obs, poses, intr, point_id=7)
+        pt = triangulate_dlt(rot, trans, K, pixels, point_id=7)
         assert pt.valid and pt.id == 7
         assert np.linalg.norm(pt.position - x) < 1e-8
 
     def test_outlier_observation_invalidates(self):
         x = np.array([0.4, -0.2, 0.3])
-        obs, poses, intr = make_track(x, [[4, 0, 1], [0, 4, 1], [-3, 2, 2]])
-        obs[1] = (obs[1][0], obs[1][1] + np.array([25.0, 0.0]))
-        assert not triangulate_dlt(obs, poses, intr).valid
+        rot, trans, pixels = make_track(x, [[4, 0, 1], [0, 4, 1], [-3, 2, 2]])
+        pixels[1] += [25.0, 0.0]
+        assert not triangulate_dlt(rot, trans, K, pixels).valid
 
     def test_narrow_baseline_invalidates(self):
         x = np.array([0.0, 0.0, 0.0])
-        obs, poses, intr = make_track(x, [[5, 0, 0], [5.0, 0.02, 0.0]])
-        assert not triangulate_dlt(obs, poses, intr).valid
+        rot, trans, pixels = make_track(x, [[5, 0, 0], [5.0, 0.02, 0.0]])
+        assert not triangulate_dlt(rot, trans, K, pixels).valid
 
     def test_needs_two_views(self):
         x = np.array([0.0, 0.0, 0.0])
-        obs, poses, intr = make_track(x, [[5, 0, 0]])
+        rot, trans, pixels = make_track(x, [[5, 0, 0]])
         with pytest.raises(ValueError):
-            triangulate_dlt(obs, poses, intr)
+            triangulate_dlt(rot, trans, K, pixels)
 
 
 def synthetic_corrs(pose, points, outliers=0, rng=None):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from voxloc.containers import FormatError
-from voxloc.geometry import project_many
+from voxloc.geometry import (MIN_DEPTH, MIN_TRIANGULATION_ANGLE_DEG, Point3D,
+                             project_many)
 from voxloc.synthworld import (ReferenceDataset, WorldConfig,
                                build_dataset, dataset_from_bytes,
                                dataset_to_bytes, generate_dataset,
@@ -15,6 +16,44 @@ from voxloc.synthworld import (ReferenceDataset, WorldConfig,
                                save_dataset, write_manifest)
 
 SMALL = dict(num_points=150, num_ref_views=12, num_query_views=3, seed=7)
+
+
+def per_observation_dlt(observations, poses, intrinsics, reproj_tol,
+                        point_id):
+    """The DLT as it was run one observation at a time: observations is a
+    list of (view id, pixel (2,)), and every observation rebuilds its
+    view's K[R|t] and reprojects through K's top rows."""
+    rows = []
+    for vid, pix in observations:
+        p = intrinsics[vid].matrix() @ np.hstack(
+            [poses[vid].rotation, poses[vid].translation[:, None]])
+        rows.append(pix[0] * p[2] - p[0])
+        rows.append(pix[1] * p[2] - p[1])
+    _, _, vt = np.linalg.svd(np.vstack(rows))
+    xh = vt[-1]
+    if abs(xh[3]) < 1e-15:
+        return Point3D(point_id, None, False)
+    x = xh[:3] / xh[3]
+    rot = np.array([poses[vid].rotation for vid, _ in observations])
+    trans = np.array([poses[vid].translation for vid, _ in observations])
+    kmat = np.array([intrinsics[vid].matrix() for vid, _ in observations])
+    pix = np.array([p for _, p in observations], dtype=np.float64)
+    cam = rot @ x + trans
+    if np.any(cam[:, 2] <= MIN_DEPTH):
+        return Point3D(point_id, None, False)
+    proj = np.einsum("nij,nj->ni", kmat[:, :2, :], cam) / cam[:, 2:3]
+    if np.linalg.norm(proj - pix, axis=1).max() > reproj_tol:
+        return Point3D(point_id, None, False)
+    rays = x - np.einsum("nji,nj->ni", rot, -trans)
+    norms = np.linalg.norm(rays, axis=1)
+    ok = norms > 1e-12
+    if ok.sum() < 2:
+        return Point3D(point_id, None, False)
+    unit = rays[ok] / norms[ok, None]
+    min_cos = np.clip((unit @ unit.T).min(), -1.0, 1.0)
+    if np.degrees(np.arccos(min_cos)) < MIN_TRIANGULATION_ANGLE_DEG:
+        return Point3D(point_id, None, False)
+    return Point3D(point_id, x, True)
 
 
 def small_config(**over):
@@ -114,6 +153,34 @@ class TestTriangulatedPoints:
         errs = np.array([np.linalg.norm(p.position - w.points[pid])
                          for pid, p in ds.points.items() if p.valid])
         assert np.median(errs) < 0.05
+
+    def test_build_dataset_matches_per_track_reference(self):
+        # a noisy world with a wide frustum margin: some points fail the
+        # reprojection check, some are seen by fewer than two views
+        cfg = small_config(pixel_noise_sigma=0.7, frustum_margin=150.0)
+        ds = generate_dataset(cfg)
+        tracks = {}
+        for vid, view in enumerate(ds.views):
+            for pix, pid in zip(view.pixels, view.point_ids):
+                tracks.setdefault(int(pid), []).append((vid, pix))
+        poses = [v.pose for v in ds.views]
+        intrinsics = [v.intrinsics for v in ds.views]
+        short = failed = 0
+        for pid in range(cfg.num_points):
+            got, obs = ds.points[pid], tracks.get(pid, [])
+            if len(obs) < 2:
+                short += 1
+                assert not got.valid and got.position is None
+                continue
+            want = per_observation_dlt(obs, poses, intrinsics,
+                                       cfg.triangulation_tol, pid)
+            failed += not want.valid
+            assert (got.id, got.valid) == (pid, want.valid)
+            if want.valid:
+                np.testing.assert_array_equal(got.position, want.position)
+            else:
+                assert got.position is None
+        assert short > 0 and failed > 0
 
     def test_single_view_tracks_invalid(self):
         ds = generate_dataset(small_config())
