@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import BinaryIO
 
 import numpy as np
@@ -235,22 +236,26 @@ def params_from_bytes(data: bytes | BinaryIO) -> DecoderParams:
     if 4 * _param_count(*dims) > r.remaining:
         raise FormatError(r.offset, f"dims {dims} need {_param_count(*dims)} "
                                     f"values, more than the file holds")
-    params = DecoderParams.init(np.random.default_rng(0), *dims)
+    # shape-only buffers: a generator stand-in that draws zeros, since
+    # every value is overwritten below
+    zeros = SimpleNamespace(uniform=lambda low, high, size: np.zeros(size))
+    params = DecoderParams.init(zeros, *dims)
     named = params.named_parameters()
     count = r.u32("parameter count")
     if count != len(named):
         raise FormatError(r.offset, f"expected {len(named)} parameters, got {count}")
+    # count names each parameter once, so every one is overwritten
     for _ in range(count):
         nlen = r.u32("name length")
         name = r.raw(nlen, "parameter name").decode()
         if name not in named:
-            raise FormatError(r.offset, f"unknown parameter {name!r}")
+            raise FormatError(r.offset, f"unknown or repeated parameter {name!r}")
         ndim = r.u32("ndim")
         shape = tuple(r.u32("dim") for _ in range(ndim))
         if named[name].values.shape != shape:
             raise FormatError(r.offset, f"shape mismatch for {name!r}")
         vals = r.f32_array(int(np.prod(shape)), f"values of {name}")
-        named[name].values[...] = vals.reshape(shape)
+        named.pop(name).values[...] = vals.reshape(shape)
     r.expect_end()
     return params
 

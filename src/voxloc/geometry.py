@@ -323,12 +323,15 @@ class RansacResult:
 
 
 def ransac_pnp(world: np.ndarray, pixels: np.ndarray, k: Intrinsics,
-               inlier_tol: float = 3.0, max_iters: int = 1000,
+               inlier_tol: float = 3.0, *, max_iters: int,
                seed: int = 0) -> RansacResult:
     """Seeded RANSAC over rows of world points (n, 3) and their pixels
     (n, 2): minimal 6-point PnP samples, then refinement.
 
-    Each trial draws one 6-point sample from the seeded generator. Trials
+    The caller sets the budget of `max_iters` trials (`localize` takes
+    `LocalizeOptions.ransac_iters`). Each trial draws one 6-point sample
+    from the seeded generator, so a budget of b trials runs exactly the
+    first b trials of any larger one. Trials
     are solved by a bare DLT, with no Gauss-Newton, and scored against
     every correspondence in stacks of _CHUNK; the most inliers wins, ties
     keep the earlier trial, degenerate samples are skipped. Only the

@@ -81,7 +81,8 @@ def aligned_decoder_init(rng: np.random.Generator, d_raw: int = 64,
 
 def mean_observed_descriptors(dataset: ReferenceDataset) -> dict[int, np.ndarray]:
     """Unit-norm mean reference descriptor per point id, in id order (zero
-    means left out); summed in view order, and no view may repeat a point."""
+    means left out); summed in view order. No view may repeat a point, and
+    no point's sum may be non-finite."""
     all_ids = [np.zeros(0, np.int64)] + [v.point_ids for v in dataset.views]
     ids, counts = np.unique(np.concatenate(all_ids), return_counts=True)
     sums = np.zeros((len(ids), dataset.config.descriptor_dim))
@@ -90,6 +91,10 @@ def mean_observed_descriptors(dataset: ReferenceDataset) -> dict[int, np.ndarray
         if len(np.unique(rows)) < len(rows):
             raise ValueError(f"reference view {view_id} lists a point twice")
         sums[rows] += view.descriptors
+    finite = np.isfinite(sums).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"point {ids[np.argmin(finite)]} has a non-finite "
+                         f"reference descriptor")
     means = sums / counts[:, None]
     return {pid: mean / norm for pid, mean in zip(ids.tolist(), means)
             if (norm := np.linalg.norm(mean)) > 0}

@@ -33,7 +33,7 @@ class LocalizeOptions:
     bypass_retrieval: bool = False  # small scenes may activate all voxels
     confidence_min: float = bound(0.5, 0, 1)  # c >= this is kept
     inlier_tol: float = bound(3.0, 0, strict=True)
-    ransac_iters: int = bound(1000, 1)
+    ransac_iters: int = bound(256, 1)  # two RANSAC chunks
     seed: int = bound(0, 0)
 
     def __post_init__(self):
@@ -61,19 +61,18 @@ def retrieve_views(query: ViewObservations, dataset: ReferenceDataset,
                    top_k: int) -> list[int]:
     """Reference view ids ranked by cosine similarity of mean descriptors.
 
-    Ties break toward the lower view id.
+    One mat-vec against the dataset's `view_means`; a zero norm on either
+    side scores -1.0, and ties break toward the lower view id.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     if query.num_keypoints == 0:
         return []
     q = query.descriptors.mean(axis=0)
-    qn = np.linalg.norm(q)
-    sims = []
-    for view_id, view in enumerate(dataset.views):
-        r = view.descriptors.mean(axis=0)
-        denom = qn * np.linalg.norm(r)
-        sims.append(float(q @ r / denom) if denom > 0 else -1.0)
+    means = dataset.view_means
+    denom = np.linalg.norm(q) * np.linalg.norm(means, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sims = np.where(denom > 0, means @ q / denom, -1.0)
     order = sorted(range(len(sims)), key=lambda i: (-sims[i], i))
     return order[:top_k]
 
@@ -101,6 +100,7 @@ def localize(query: ViewObservations, scene: SceneRepresentation,
     Confident candidates reach RANSAC in voxel-id order, then keypoint
     order; a keypoint may contribute in several voxels, and RANSAC
     arbitrates. With bypass_retrieval (or no dataset) all voxels activate.
+    A non-finite query descriptor raises ValueError before any work.
     """
     opts = opts or LocalizeOptions()
     start = time.perf_counter()
@@ -111,6 +111,8 @@ def localize(query: ViewObservations, scene: SceneRepresentation,
 
     if query.num_keypoints == 0:
         return fail()
+    if not np.isfinite(query.descriptors).all():
+        raise ValueError("a query descriptor is non-finite")
     if opts.bypass_retrieval or dataset is None:
         voxel_ids = sorted(scene.voxels)
     else:

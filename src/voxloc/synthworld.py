@@ -9,6 +9,7 @@ error, never on the exact ground truth.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -178,6 +179,23 @@ class ReferenceDataset:
 
     def evaluation_ground_truth(self) -> EvalGroundTruth:
         return self._ground_truth
+
+    @functools.cached_property
+    def view_means(self) -> np.ndarray:
+        """(views, D) mean descriptor of each reference view, computed on
+        first use and kept, read-only: nothing mutates a dataset's views.
+        A view without keypoints has a zero row; a non-finite row is
+        refused."""
+        means = np.zeros((len(self.views), self.config.descriptor_dim))
+        for i, view in enumerate(self.views):
+            if view.num_keypoints:
+                means[i] = view.descriptors.mean(axis=0)
+        finite = np.isfinite(means).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"reference view {int(np.argmin(finite))} has a "
+                             f"non-finite descriptor")
+        means.flags.writeable = False
+        return means
 
 
 def build_dataset(world: World, config: WorldConfig) -> ReferenceDataset:

@@ -408,7 +408,8 @@ def test_criterion_7_oracle_equivalence(capsys):
                                 np.arange(m, dtype=np.int64))
     ref_views = [make_view(12) for _ in range(15)]
     query = make_view(9)
-    got = retrieve_views(query, SimpleNamespace(views=ref_views), 15)
+    got = retrieve_views(query, synthworld.ReferenceDataset(
+        ref_views, {}, [], WorldConfig(descriptor_dim=16)), 15)
     q = query.descriptors.mean(axis=0)
     sims = [float(q @ v.descriptors.mean(axis=0)
                   / (np.linalg.norm(q)

@@ -452,6 +452,41 @@ class TestErrorExits:
         out = capsys.readouterr()
         assert out.out == "" and out.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["localize", "eval"])
+    @pytest.mark.parametrize("where, message", [
+        ("reference", "reference view 5 has a non-finite descriptor"),
+        ("query", "a query descriptor is non-finite")])
+    def test_non_finite_descriptor_is_2(self, workdir, tmp_path, capsys,
+                                        command, where, message):
+        d, _ = workdir
+        ds = load_dataset(d / "ds.bin")
+        view = ds.views[5] if where == "reference" else ds.query_views[0]
+        view.descriptors[3, 1] = np.nan
+        save_dataset(ds, tmp_path / "bad.bin")
+        cfg = tiny_config_with(tmp_path, "localize.bypass_retrieval = false\n")
+        query = ["--query", "0"] if command == "localize" else []
+        assert cli.main([command, "--config", cfg,
+                         "--dataset", str(tmp_path / "bad.bin"),
+                         "--scene", str(d / "scene.bin"),
+                         "--weights", str(d / "weights.bin")] + query) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {message}\n"
+
+    def test_non_finite_reference_descriptor_stops_train(self, workdir,
+                                                         tmp_path, capsys):
+        d, cfg = workdir
+        ds = load_dataset(d / "ds.bin")
+        pid = int(ds.views[5].point_ids[3])
+        ds.views[5].descriptors[3, 1] = np.nan
+        save_dataset(ds, tmp_path / "bad.bin")
+        assert cli.main(["train", "--config", str(cfg),
+                         "--dataset", str(tmp_path / "bad.bin"),
+                         "--out-scene", str(tmp_path / "s.bin"),
+                         "--out-weights", str(tmp_path / "w.bin")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: point {pid} has a non-finite reference descriptor\n")
+        assert not (tmp_path / "s.bin").exists()
+
     def test_config_json_past_the_recursion_limit_is_2(self, workdir,
                                                        tmp_path, capsys):
         d, cfg = workdir

@@ -276,6 +276,23 @@ class TestWeightsPersistence:
                 p.values.astype("<f4"),
                 loaded.named_parameters()[name].values.astype("<f4"))
 
+    def test_load_draws_no_random_weights(self, monkeypatch):
+        blob = params_to_bytes(make_params())
+
+        def spy(*args, **kwargs):
+            raise AssertionError("a generator was made")
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        assert params_to_bytes(params_from_bytes(blob)) == blob
+
+    def test_repeated_parameter_rejected(self):
+        # two names of one length and shape: the gain is never written
+        blob = params_to_bytes(make_params())
+        assert blob.count(b"block.0.ln1.gain") == 1
+        with pytest.raises(FormatError, match="repeated parameter "
+                                              "'block.0.ln1.bias'"):
+            params_from_bytes(blob.replace(b"block.0.ln1.gain",
+                                           b"block.0.ln1.bias"))
+
     def test_bad_magic(self):
         blob = bytearray(params_to_bytes(make_params()))
         blob[:4] = b"ZZZZ"

@@ -1,6 +1,7 @@
 """Oracle tests for poses, projection, triangulation, PnP, and RANSAC."""
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -409,13 +410,14 @@ class TestRansac:
         pose = look_at([4.0, 1.0, 2.0], [0.0, 0.0, 0.0])
         points = np.random.default_rng(15).uniform(-1.5, 1.5, size=(10, 3))
         world, pixels = synthetic_corrs(pose, points)
-        for solve in (pnp_solve, ransac_pnp):
+        for solve in (pnp_solve, partial(ransac_pnp, max_iters=_CHUNK)):
             for w, p in ((world, pixels[:-1]), (world[:3], pixels[:2])):
                 with pytest.raises(ValueError, match="pixels"):
                     solve(w, p, K)
 
     def test_too_few_correspondences_fails_cleanly(self):
-        res = ransac_pnp(np.zeros((0, 3)), np.zeros((0, 2)), K)
+        res = ransac_pnp(np.zeros((0, 3)), np.zeros((0, 2)), K,
+                         max_iters=_CHUNK)
         assert not res.success and res.pose is None and res.num_inliers == 0
 
     def test_pure_noise_fails_cleanly(self):

@@ -96,6 +96,14 @@ class TestMeanDescriptors:
                            match="^reference view 3 lists a point twice$"):
             mean_observed_descriptors(ds)
 
+    def test_a_non_finite_descriptor_names_its_point(self):
+        ds = generate_dataset(CFG)
+        pid = int(ds.views[3].point_ids[5])
+        ds.views[3].descriptors[5, 2] = np.inf
+        with pytest.raises(ValueError, match=f"^point {pid} has a non-finite "
+                                             f"reference descriptor$"):
+            mean_observed_descriptors(ds)
+
     def test_no_reference_views_gives_no_means(self):
         ds = generate_dataset(CFG)
         ds.views = []

@@ -18,7 +18,8 @@ from voxloc.pipeline import (DEFAULT_THRESHOLDS, EvalReport,
                              localize, retrieve_views)
 from voxloc.scene import assign_coverage, build_scene, drop_uncovered
 from voxloc.geometry import Point3D
-from voxloc.synthworld import ViewObservations, WorldConfig, generate_dataset
+from voxloc.synthworld import (ReferenceDataset, ViewObservations,
+                               WorldConfig, generate_dataset)
 from voxloc.training import TrainConfig, run_training
 
 K = Intrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -34,9 +35,10 @@ class FakeView:
         return len(self.descriptors)
 
 
-@dataclass
-class FakeDataset:
-    views: list
+def fake_dataset(views, d=4):
+    """A reference dataset of stand-in views: retrieval runs the library's
+    view_means on it."""
+    return ReferenceDataset(views, {}, [], WorldConfig(descriptor_dim=d))
 
 
 def unit(v):
@@ -51,7 +53,7 @@ class TestRetrieval:
                 FakeView(np.tile(unit(-np.ones(d)), (2, 1))),          # sim -1
                 FakeView(np.tile(unit(np.r_[np.ones(d - 1), -1.0]),
                                  (2, 1)))]                             # middle
-        ds = FakeDataset(refs)
+        ds = fake_dataset(refs, d)
         order = retrieve_views(FakeView(q), ds, top_k=3)
         assert order == [0, 2, 1]
         assert retrieve_views(FakeView(q), ds, top_k=1) == [0]
@@ -59,16 +61,27 @@ class TestRetrieval:
     def test_ties_break_to_lower_id(self):
         d = 4
         same = FakeView(np.tile(unit(np.ones(d)), (2, 1)))
-        ds = FakeDataset([same, same, same])
+        ds = fake_dataset([same, same, same])
         assert retrieve_views(same, ds, top_k=2) == [0, 1]
 
+    def test_zero_norms_score_minus_one(self):
+        # a view without keypoints and a view of zero mean both rank last
+        d = 4
+        ds = fake_dataset([FakeView(np.zeros((0, d))),
+                           FakeView(np.array([unit(np.ones(d)),
+                                              -unit(np.ones(d))])),
+                           FakeView(np.tile(unit(np.r_[1.0, 1, 1, -1]),
+                                            (2, 1)))])        # sim 0.5
+        q = FakeView(np.tile(unit(np.ones(d)), (2, 1)))
+        assert retrieve_views(q, ds, top_k=3) == [2, 0, 1]
+
     def test_empty_query(self):
-        ds = FakeDataset([FakeView(np.ones((2, 4)))])
+        ds = fake_dataset([FakeView(np.ones((2, 4)))])
         assert retrieve_views(FakeView(np.zeros((0, 4))), ds, 3) == []
 
     def test_bad_top_k(self):
         with pytest.raises(ValueError):
-            retrieve_views(FakeView(np.ones((1, 4))), FakeDataset([]), 0)
+            retrieve_views(FakeView(np.ones((1, 4))), fake_dataset([]), 0)
 
 
 def grid_scene(rng, nx=4, side=1.0):

@@ -193,6 +193,33 @@ class TestTriangulatedPoints:
                 assert not p.valid
 
 
+class TestViewMeans:
+    def test_per_view_means_bit_for_bit_computed_once(self):
+        ds = generate_dataset(small_config())
+        want = np.array([v.descriptors.mean(axis=0) for v in ds.views])
+        means = ds.view_means
+        assert means.shape == (len(ds.views), ds.config.descriptor_dim)
+        assert means.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            means[0, 0] = 1.0
+        for view in ds.views:   # a second read must not look at the views
+            view.descriptors = None
+        assert ds.view_means is means
+
+    def test_a_view_without_keypoints_has_a_zero_row(self):
+        ds = generate_dataset(small_config())
+        ds.views[2].descriptors = ds.views[2].descriptors[:0]
+        ds.views[2].point_ids = ds.views[2].point_ids[:0]
+        assert not ds.view_means[2].any() and ds.view_means[3].any()
+
+    def test_a_non_finite_descriptor_names_its_view(self):
+        ds = generate_dataset(small_config())
+        ds.views[4].descriptors[3, 1] = np.nan
+        with pytest.raises(ValueError, match="^reference view 4 has a "
+                                             "non-finite descriptor$"):
+            ds.view_means
+
+
 class TestDatasetPersistence:
     def test_roundtrip_byte_identical(self):
         ds = generate_dataset(small_config())
