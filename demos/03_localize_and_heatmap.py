@@ -47,7 +47,8 @@ activated = activate_voxels(retrieved, scene)
 print(f"activation: {len(activated)} voxels covered by those views")
 
 result = localize(query, scene, params, dataset, LocalizeOptions())
-print(f"decode: {result.num_candidate_points} candidates -> "
+print(f"decode: {result.num_candidate_points} (keypoint, voxel) pairs -> "
+      f"{result.num_decoded_pairs} routed by block 0 and decoded -> "
       f"{result.num_confident_points} confident (c >= 0.5) -> "
       f"{result.num_inliers} RANSAC inliers")
 if result.success:

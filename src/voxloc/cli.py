@@ -159,6 +159,13 @@ def _new_map(dataset, cfg, params=None):
     return built, params
 
 
+def _load_map(args):
+    """The dataset, scene and weights the arguments name, read in order."""
+    return (synthworld.load_dataset(args.dataset),
+            scene_mod.load_scene(args.scene),
+            decoder.load_params(args.weights))
+
+
 def cmd_gen(args):
     cfg = load_config(args.config)
     ds = synthworld.generate_dataset(cfg["world"])
@@ -206,9 +213,7 @@ def cmd_finetune(args):
     if cfg["train"].epochs_stage2 == 0:
         raise ConfigError("train.epochs_stage2 is 0: finetune would run no "
                           "epochs")
-    ds = synthworld.load_dataset(args.dataset)
-    loaded = scene_mod.load_scene(args.scene)
-    params = decoder.load_params(args.weights)
+    ds, loaded, params = _load_map(args)
     tc = dataclasses.replace(cfg["train"], epochs_stage1=0, prune_threshold=0.0)
     log = training.run_training(loaded, ds, params, tc)
     scene_mod.save_scene(loaded, args.out_scene)
@@ -238,9 +243,7 @@ def cmd_adapt(args):
 
 def cmd_localize(args):
     cfg = load_config(args.config)
-    ds = synthworld.load_dataset(args.dataset)
-    loaded = scene_mod.load_scene(args.scene)
-    params = decoder.load_params(args.weights)
+    ds, loaded, params = _load_map(args)
     if not 0 <= args.query < len(ds.query_views):
         raise ValueError(f"query index {args.query} out of range "
                          f"[0, {len(ds.query_views)})")
@@ -248,20 +251,20 @@ def cmd_localize(args):
                             cfg["localize"])
     if not res.success:
         print(f"query {args.query}: localization failed "
-              f"({res.num_confident_points} confident candidates)")
+              f"({res.num_confident_points} confident candidates of "
+              f"{res.num_decoded_pairs} decoded pairs)")
         return 0
     c = res.pose.center
     print(f"query {args.query}: center=({c[0]:.4f}, {c[1]:.4f}, {c[2]:.4f}) m, "
           f"{res.num_inliers}/{res.num_confident_points} inliers, "
+          f"{res.num_confident_points}/{res.num_decoded_pairs} confident, "
           f"{res.num_activated_voxels} voxels, {res.wall_time_s * 1e3:.1f} ms")
     return 0
 
 
 def cmd_eval(args):
     cfg = load_config(args.config)
-    ds = synthworld.load_dataset(args.dataset)
-    loaded = scene_mod.load_scene(args.scene)
-    params = decoder.load_params(args.weights)
+    ds, loaded, params = _load_map(args)
     report = pipeline.evaluate_scene(loaded, params, ds, cfg["localize"])
     if args.out:
         report.write_csv(args.out)
@@ -284,9 +287,7 @@ def cmd_inspect(args):
 
 
 def cmd_heatmap(args):
-    ds = synthworld.load_dataset(args.dataset)
-    loaded = scene_mod.load_scene(args.scene)
-    params = decoder.load_params(args.weights)
+    ds, loaded, params = _load_map(args)
     try:
         ix, iy, iz = (int(x) for x in args.voxel.split(","))
     except ValueError as err:
@@ -316,12 +317,9 @@ def _parser() -> argparse.ArgumentParser:
         if "config" in names:
             sp.add_argument("--config", default=None,
                             help="flat key=value config file")
-        if "dataset" in names:
-            sp.add_argument("--dataset", required=True)
-        if "scene" in names:
-            sp.add_argument("--scene", required=True)
-        if "weights" in names:
-            sp.add_argument("--weights", required=True)
+        for name in ("dataset", "scene", "weights"):
+            if name in names:
+                sp.add_argument(f"--{name}", required=True)
 
     sp = sub.add_parser("gen", help="generate a synthetic world/dataset")
     common(sp, "config")

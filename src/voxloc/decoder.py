@@ -196,6 +196,25 @@ def attention_scores(params: DecoderParams, features: DTensor,
     return s, (s - lo) / (hi - lo)
 
 
+def route_scores(params: DecoderParams, q: np.ndarray, bank: CodeBank):
+    """(M,) gate score of one voxel for each keypoint: its largest block-0
+    logit q·k/√D over the bank's active block-0 codes, for block-0 queries
+    q = features·Wq. A max, so code-row order does not matter. None when
+    block 0 has no active code; a non-finite logit raises NumericError.
+    """
+    _check_bank(params, bank)
+    idx = bank.active_rows(0)
+    if len(idx) == 0:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        k = (bank.codes[0].values[idx] * bank.scales[0].values[idx]) \
+            @ params.blocks[0].wk.values
+        logits = q @ k.T
+        logits *= float(1.0 / np.sqrt(params.d))
+    dc._check_finite(logits, "routing logits")
+    return logits.max(axis=1)
+
+
 def params_to_bytes(params: DecoderParams) -> bytes:
     w = Writer(WEIGHTS_MAGIC, WEIGHTS_FORMAT_VERSION)
     for v in (params.d_raw, params.d, params.num_blocks,

@@ -1,11 +1,12 @@
 """End-to-end localization of query views plus benchmark evaluation.
 
 Retrieval ranks reference views by mean-descriptor cosine similarity; the
-retrieved views activate voxels via the coverage rule; every keypoint is
-decoded in float32 against every activated voxel; candidates with
-confidence >= 0.5 become row-aligned 2D-3D arrays for PnP+RANSAC, whose
-pose is refined by Cauchy-weighted IRLS over all of them, not only the
-inliers. Failure is a first-class result value, never an exception.
+retrieved views activate voxels via the coverage rule; block 0's largest
+logit routes each keypoint to its best few activated voxels, and it is
+decoded in float32 only there; candidates with confidence >= 0.5 become
+row-aligned 2D-3D arrays for PnP+RANSAC, whose pose is refined by
+Cauchy-weighted IRLS over all of them, not only the inliers. Failure is a
+first-class result value, never an exception.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .containers import bound, check_bounds
-from .decoder import DecoderParams, attention_scores, decode, encode_feature
-from .diffcore import DTensor, NumericError
+from .decoder import (DecoderParams, attention_scores, decode, encode_feature,
+                      route_scores)
+from .diffcore import DTensor, NumericError, matmul
 from .geometry import Pose, pose_error, ransac_pnp
 from .scene import SceneRepresentation, VoxelId, size_bytes
 from .synthworld import ReferenceDataset, ViewObservations
@@ -35,6 +37,7 @@ class LocalizeOptions:
     inlier_tol: float = bound(3.0, 0, strict=True)
     ransac_iters: int = bound(256, 1)  # two RANSAC chunks
     seed: int = bound(0, 0)
+    voxels_per_keypoint: int = bound(2, 1)  # r best-scoring voxels each
 
     def __post_init__(self):
         check_bounds(self, "localize")
@@ -45,14 +48,15 @@ class LocalizationResult:
     success: bool
     pose: Pose | None
     num_activated_voxels: int = 0
-    num_candidate_points: int = 0
+    num_candidate_points: int = 0   # activated voxels x keypoints
+    num_decoded_pairs: int = 0      # the (keypoint, voxel) pairs decoded
     num_confident_points: int = 0
     num_inliers: int = 0
     wall_time_s: float = 0.0
 
     def __post_init__(self):
         ok = (self.num_inliers <= self.num_confident_points
-              <= self.num_candidate_points)
+              <= self.num_decoded_pairs <= self.num_candidate_points)
         if not ok:
             raise ValueError("inconsistent candidate counting chain")
 
@@ -92,15 +96,36 @@ def _float32_copy(obj):
                                for t in obj.named_parameters().values()})
 
 
+def route_keypoints(scores: list, r: int, m: int) -> list[np.ndarray]:
+    """Rows of the m keypoints each voxel decodes, given each voxel's (m,)
+    gate scores: a keypoint goes to its r best-scoring voxels, ties to the
+    earlier (lower-id) voxel. A voxel without scores (None) gets every
+    keypoint and takes none of the r places.
+    """
+    scored = [i for i, s in enumerate(scores) if s is not None]
+    routed = np.ones((m, len(scores)), dtype=bool)
+    if r < len(scored):
+        best = np.argsort(-np.stack([scores[i] for i in scored], axis=1),
+                          axis=1, kind="stable")[:, :r]
+        keep = np.zeros((m, len(scored)), dtype=bool)
+        np.put_along_axis(keep, best, True, axis=1)
+        routed[:, scored] = keep
+    return [np.flatnonzero(col) for col in routed.T]
+
+
 def localize(query: ViewObservations, scene: SceneRepresentation,
              params: DecoderParams, dataset: ReferenceDataset | None = None,
              opts: LocalizeOptions | None = None) -> LocalizationResult:
-    """Decode every (keypoint, activated voxel) pair and solve PnP+RANSAC.
+    """Decode each keypoint in its routed activated voxels; PnP+RANSAC.
 
-    Confident candidates reach RANSAC in voxel-id order, then keypoint
-    order; a keypoint may contribute in several voxels, and RANSAC
-    arbitrates. With bypass_retrieval (or no dataset) all voxels activate.
-    A non-finite query descriptor raises ValueError before any work.
+    Each keypoint is decoded only in the opts.voxels_per_keypoint activated
+    voxels where block 0 gives it its largest logit (in all of them when
+    there are no more); decode works row by row, so its rows match a full
+    decode bit for bit. Confident candidates reach RANSAC in voxel-id
+    order, then keypoint order; a keypoint may contribute in several
+    voxels, and RANSAC arbitrates. With bypass_retrieval (or no dataset)
+    all voxels activate. A non-finite query descriptor raises ValueError
+    before any work.
     """
     opts = opts or LocalizeOptions()
     start = time.perf_counter()
@@ -126,15 +151,32 @@ def localize(query: ViewObservations, scene: SceneRepresentation,
         with np.errstate(over="ignore", invalid="ignore"):
             params = _float32_copy(params)
             feats = encode_feature(None, params, DTensor(query.descriptors.astype(np.float32)))
+            voxels = [scene.voxels[vid] for vid in voxel_ids]
+            banks = [_float32_copy(v.codes) for v in voxels]
+            stages = [f"decode of voxel {tuple(vid)}" for vid in voxel_ids]
+            routes = [np.arange(query.num_keypoints)] * len(voxels)
+            if opts.voxels_per_keypoint < len(voxels):
+                # block 0's query projection, which every decode starts with
+                stage = stages[0]
+                q = matmul(None, feats, params.blocks[0].wq).values
+                scores = []
+                for stage, bank in zip(stages, banks):  # names the voxel
+                    scores.append(route_scores(params, q, bank))
+                routes = route_keypoints(scores, opts.voxels_per_keypoint,
+                                         query.num_keypoints)
             world, pixels = [], []
-            for vid in voxel_ids:
-                stage = f"decode of voxel {tuple(vid)}"
-                voxel = scene.voxels[vid]
-                local, conf = decode(None, params, feats,
-                                     _float32_copy(voxel.codes))
-                keep = conf.values[:, 0] >= opts.confidence_min
-                world.append((local.values + voxel.origin)[keep])
-                pixels.append(query.pixels[keep])
+            for stage, voxel, bank, rows in zip(stages, voxels, banks, routes):
+                if len(rows) == 0:
+                    continue
+                # NumPy multiplies a lone row as a vector, which rounds
+                # unlike a full decode's matrix products: decode it twice
+                two = len(rows) == 1 < query.num_keypoints
+                local, conf = decode(None, params, DTensor(
+                    feats.values[np.resize(rows, 2) if two else rows]), bank)
+                local, conf = local.values[:len(rows)], conf.values[:len(rows)]
+                keep = conf[:, 0] >= opts.confidence_min
+                world.append((local + voxel.origin)[keep])
+                pixels.append(query.pixels[rows[keep]])
     except NumericError as err:
         raise NumericError(f"{err} ({stage})") from err
     world, pixels = np.concatenate(world), np.concatenate(pixels)
@@ -145,8 +187,8 @@ def localize(query: ViewObservations, scene: SceneRepresentation,
                         max_iters=opts.ransac_iters, seed=opts.seed)
     return LocalizationResult(ransac.success, ransac.pose, len(voxel_ids),
                               len(voxel_ids) * query.num_keypoints,
-                              len(world), ransac.num_inliers,
-                              time.perf_counter() - start)
+                              sum(len(rows) for rows in routes), len(world),
+                              ransac.num_inliers, time.perf_counter() - start)
 
 
 @dataclass

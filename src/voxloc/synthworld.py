@@ -268,11 +268,16 @@ def _write_view(w: Writer, view: ViewObservations) -> None:
     w.u32_array(view.point_ids)
 
 
-def _read_view(r: Reader) -> ViewObservations:
+def _read_view(r: Reader, dim: int, name: str) -> ViewObservations:
+    """The next view; FormatError naming it unless its descriptors are
+    dim wide."""
     pose = _read_pose(r) if r.u8("has pose") else None
     k = _read_intrinsics(r)
     m = r.u32("keypoint count")
     d = r.u32("descriptor dim")
+    if d != dim:
+        raise FormatError(r.offset - 4, f"{name} has {d}-wide descriptors, the "
+                                        f"header's descriptor_dim is {dim}")
     pixels = r.f64_array(2 * m, "pixels").reshape(m, 2)
     desc = r.f64_array(m * d, "descriptors").reshape(m, d)
     ids = r.u32_array(m, "point ids")
@@ -323,8 +328,11 @@ def dataset_from_bytes(data: bytes | BinaryIO) -> ReferenceDataset:
     cfg_len = r.u32("config length")
     cfg_at = r.offset
     config = _config_from_json(r.raw(cfg_len, "config json"), cfg_at)
-    views = [_read_view(r) for _ in range(r.u32("view count"))]
-    query_views = [_read_view(r) for _ in range(r.u32("query view count"))]
+    dim = config.descriptor_dim
+    views = [_read_view(r, dim, f"reference view {i}")
+             for i in range(r.u32("view count"))]
+    query_views = [_read_view(r, dim, f"query view {i}")
+                   for i in range(r.u32("query view count"))]
     points = {}
     points_at = r.offset
     for _ in range(r.u32("point count")):

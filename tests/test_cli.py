@@ -472,6 +472,23 @@ class TestErrorExits:
         out = capsys.readouterr()
         assert out.out == "" and out.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("where", ["reference", "query"])
+    def test_a_view_of_other_descriptor_width_is_2(self, workdir, tmp_path,
+                                                   capsys, where):
+        d, cfg = workdir
+        ds = load_dataset(d / "ds.bin")
+        views = ds.views if where == "reference" else ds.query_views
+        views[1].descriptors = views[1].descriptors[:, :32]
+        save_dataset(ds, tmp_path / "cut.bin")
+        assert cli.main(["eval", "--config", str(cfg),
+                         "--dataset", str(tmp_path / "cut.bin"),
+                         "--scene", str(d / "scene.bin"),
+                         "--weights", str(d / "weights.bin")]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and re.fullmatch(
+            rf"error: at byte \d+: {where} view 1 has 32-wide descriptors, "
+            rf"the header's descriptor_dim is 64\n", out.err)
+
     def test_non_finite_reference_descriptor_stops_train(self, workdir,
                                                          tmp_path, capsys):
         d, cfg = workdir

@@ -7,8 +7,8 @@ from voxloc import diffcore as dc
 from voxloc.containers import FormatError
 from voxloc.decoder import (DecoderParams, attention_scores,
                             cross_attention_block, decode, encode_feature,
-                            params_from_bytes, params_to_bytes)
-from voxloc.diffcore import DTensor, DimensionError, Tape
+                            params_from_bytes, params_to_bytes, route_scores)
+from voxloc.diffcore import DTensor, DimensionError, NumericError, Tape
 from voxloc.pipeline import _float32_copy
 from voxloc.scene import CodeBank
 
@@ -79,6 +79,84 @@ class TestPermutationInvariance:
         for bt in range(T):
             for t in (a.codes[bt], a.scales[bt]):
                 assert np.array_equal(ga[t.name][perm], gb[t.name])
+
+
+def permuted(bank, seed):
+    """A copy of bank with each block's code rows in a random order."""
+    rng = np.random.default_rng(seed)
+    out = make_bank()
+    for bt in range(T):
+        perm = rng.permutation(N)
+        out.codes[bt].values[...] = bank.codes[bt].values[perm]
+        out.scales[bt].values[...] = bank.scales[bt].values[perm]
+        out.pruned[bt] = bank.pruned[bt][perm]
+    return out
+
+
+class TestRouting:
+    """route_scores gates voxels by block 0's logits; localize decodes the
+    routed rows only, which must match the full decode's rows."""
+
+    @staticmethod
+    def queries(params, raw):
+        feats = encode_feature(None, params, dc.DTensor(raw))
+        return feats.values @ params.blocks[0].wq.values
+
+    def test_is_the_largest_active_block0_logit(self):
+        params, bank = make_params(), make_bank()
+        bank.pruned[0][[1, 3]] = True
+        q = self.queries(params, np.random.default_rng(20).normal(
+            size=(6, DRAW)))
+        rows = bank.active_rows(0)
+        keys = (bank.codes[0].values[rows] * bank.scales[0].values[rows]) \
+            @ params.blocks[0].wk.values
+        want = (q @ keys.T / np.sqrt(D)).max(axis=1)
+        np.testing.assert_allclose(route_scores(params, q, bank), want,
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_unchanged_under_row_permutation(self, dtype):
+        cast = _float32_copy if dtype == np.float32 else (lambda obj: obj)
+        params, bank = cast(make_params()), make_bank()
+        bank.pruned[0][2] = True
+        q = self.queries(params, np.random.default_rng(21).normal(
+            size=(9, DRAW)).astype(dtype))
+        scores = route_scores(params, q, cast(bank))
+        assert scores.dtype == dtype
+        for seed in range(3):
+            again = route_scores(params, q, cast(permuted(bank, seed + 30)))
+            assert np.array_equal(scores, again)
+
+    def test_no_active_block0_code_gives_no_score(self):
+        params, bank = make_params(), make_bank()
+        bank.pruned[0][:] = True
+        q = self.queries(params, np.zeros((2, DRAW)))
+        assert route_scores(params, q, bank) is None
+
+    def test_non_finite_logit_raises(self):
+        params, bank = _float32_copy(make_params()), _float32_copy(make_bank())
+        params.blocks[0].wk.values[...] = 3e38
+        q = self.queries(params, np.random.default_rng(22).normal(
+            size=(3, DRAW)).astype(np.float32))
+        with pytest.raises(NumericError, match="routing logits"):
+            route_scores(params, q, bank)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_decoding_a_row_subset_matches_the_full_decode(self, dtype):
+        # two or more rows: NumPy multiplies a lone row as a vector, which
+        # rounds differently (localize decodes a lone row twice)
+        cast = _float32_copy if dtype == np.float32 else (lambda obj: obj)
+        params, bank = cast(make_params()), cast(make_bank())
+        raw = np.random.default_rng(23).normal(size=(40, DRAW)).astype(dtype)
+        feats = encode_feature(None, params, dc.DTensor(raw))
+        local, conf = decode(None, params, feats, bank)
+        rng = np.random.default_rng(24)
+        for size in (2, 3, 7, 39):
+            rows = np.sort(rng.choice(40, size=size, replace=False))
+            sub_local, sub_conf = decode(None, params,
+                                         DTensor(feats.values[rows]), bank)
+            assert np.array_equal(sub_local.values, local.values[rows])
+            assert np.array_equal(sub_conf.values, conf.values[rows])
 
 
 class TestPrunedCodes:

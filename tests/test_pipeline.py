@@ -1,6 +1,7 @@
 """Retrieval, voxel activation, localization mechanics, and evaluation."""
 
 import csv
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,14 +9,14 @@ import pytest
 
 from voxloc import pipeline
 from voxloc import diffcore as dc
-from voxloc.decoder import DecoderParams, decode, encode_feature
-from voxloc.diffcore import DTensor
+from voxloc.decoder import DecoderParams, decode, encode_feature, route_scores
+from voxloc.diffcore import DTensor, NumericError
 from voxloc.geometry import MIN_DEPTH, Intrinsics, Pose, RansacResult, \
     look_at, pose_error, project_many, rotation_from_axis_angle
 from voxloc.pipeline import (DEFAULT_THRESHOLDS, EvalReport,
                              LocalizationResult, LocalizeOptions,
                              activate_voxels, evaluate, export_heatmap,
-                             localize, retrieve_views)
+                             localize, retrieve_views, route_keypoints)
 from voxloc.scene import assign_coverage, build_scene, drop_uncovered
 from voxloc.geometry import Point3D
 from voxloc.synthworld import (ReferenceDataset, ViewObservations,
@@ -163,6 +164,7 @@ class TestLocalize:
         members_by_voxel = {vid: set(int(m) for m in v.members)
                             for vid, v in scene.voxels.items()}
         fake = self.patch_perfect_decoder(monkeypatch, positions)
+        every = len(scene.voxels)  # the fake decodes every pair
 
         real_localize_decode = pipeline.decode
 
@@ -182,7 +184,8 @@ class TestLocalize:
             return localize(query, scene,
                             small_params(np.random.default_rng(0)), None,
                             LocalizeOptions(bypass_retrieval=True,
-                                            ransac_iters=100))
+                                            ransac_iters=100,
+                                            voxels_per_keypoint=every))
 
         res = run()
         assert res.success
@@ -217,7 +220,9 @@ class TestLocalize:
         monkeypatch.setattr(pipeline, "encode_feature",
                             lambda tape, params, raw: raw)
         res = localize(query, scene, small_params(np.random.default_rng(0)),
-                       None, LocalizeOptions(bypass_retrieval=True))
+                       None, LocalizeOptions(
+                           bypass_retrieval=True,
+                           voxels_per_keypoint=len(scene.voxels)))
         assert not res.success
         assert res.num_confident_points == 0
         assert res.num_candidate_points > 0
@@ -255,7 +260,8 @@ class TestLocalize:
         monkeypatch.setattr(pipeline, "ransac_pnp", stub)
         res = localize(query, scene, params, None,
                        LocalizeOptions(bypass_retrieval=True,
-                                       confidence_min=conf_min))
+                                       confidence_min=conf_min,
+                                       voxels_per_keypoint=len(scene.voxels)))
         for name, expected in (("world", world), ("pixels", pixels)):
             assert captured[name].shape == expected.shape
             assert captured[name].tobytes() == expected.tobytes()
@@ -282,8 +288,198 @@ class TestLocalize:
                     t.values.astype(np.float32).tobytes()
 
     def test_counting_chain_validated(self):
-        with pytest.raises(ValueError):
-            LocalizationResult(True, None, 1, 10, 20, 5)
+        for counts in [dict(num_candidate_points=10, num_decoded_pairs=20),
+                       dict(num_decoded_pairs=10, num_confident_points=20),
+                       dict(num_confident_points=5, num_inliers=6)]:
+            chain = dict(num_candidate_points=30, num_decoded_pairs=20,
+                         num_confident_points=10, num_inliers=5)
+            with pytest.raises(ValueError):
+                LocalizationResult(True, None, 1, **{**chain, **counts})
+
+
+class TestRouting:
+    """Each keypoint is decoded only in the voxels block 0 routes it to."""
+
+    @staticmethod
+    def world():
+        rng = np.random.default_rng(4)
+        pts, scene = make_world_scene(rng)
+        query = query_for(pts, look_at([5.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
+                          rng)
+        return scene, query, small_params(rng)
+
+    @staticmethod
+    def spy_on_decode(monkeypatch, params, query):
+        """Each decode call's (keypoint rows, bank), in call order."""
+        feats = encode_feature(None, pipeline._float32_copy(params),
+                               DTensor(query.descriptors.astype(np.float32)))
+        row_of = {row.tobytes(): i for i, row in enumerate(feats.values)}
+        calls, real = [], pipeline.decode
+
+        def spy(tape, params, feats, bank):
+            rows = sorted({row_of[row.tobytes()] for row in feats.values})
+            calls.append((rows, bank))
+            return real(tape, params, feats, bank)
+
+        monkeypatch.setattr(pipeline, "decode", spy)
+        return calls
+
+    def test_ties_go_to_the_lower_voxel_id(self):
+        # keypoint 0 ties in all three voxels, keypoint 1 in the first two,
+        # keypoint 2 in the last two
+        scores = [np.array([1.0, 2.0, 0.5]), np.array([1.0, 2.0, 3.0]),
+                  np.array([1.0, 1.0, 3.0])]
+        routes = route_keypoints(scores, 2, 3)
+        assert [r.tolist() for r in routes] == [[0, 1], [0, 1, 2], [2]]
+        routes = route_keypoints(scores, 1, 3)
+        assert [r.tolist() for r in routes] == [[0, 1], [2], []]
+
+    def test_a_voxel_without_scores_takes_every_keypoint(self):
+        scores = [None, np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+        routes = route_keypoints(scores, 1, 2)
+        assert [r.tolist() for r in routes] == [[0, 1], [0], [1]]
+        routes = route_keypoints(scores, 2, 2)
+        assert [r.tolist() for r in routes] == [[0, 1]] * 3
+        assert [r.tolist() for r in route_keypoints([None], 1, 2)] == [[0, 1]]
+
+    def test_each_keypoint_is_decoded_in_min_r_voxels(self, monkeypatch):
+        scene, query, params = self.world()
+        v, m = len(scene.voxels), query.num_keypoints
+        assert v > 3
+        for r in (1, 2, 3, v, v + 2):
+            calls = self.spy_on_decode(monkeypatch, params, query)
+            res = localize(query, scene, params, None, LocalizeOptions(
+                bypass_retrieval=True, voxels_per_keypoint=r))
+            per_keypoint = np.bincount(
+                np.concatenate([rows for rows, _ in calls]), minlength=m)
+            assert (per_keypoint == min(r, v)).all()
+            assert res.num_decoded_pairs == m * min(r, v)
+            assert res.num_candidate_points == m * v
+            assert res.num_confident_points <= res.num_decoded_pairs
+
+    @staticmethod
+    def candidates_from_full_decode(scene, query, params, routes):
+        """world and pixels localize should pass RANSAC at confidence_min
+        0, taken from full decodes of each voxel by the rows routed there."""
+        params32 = pipeline._float32_copy(params)
+        feats = encode_feature(None, params32, DTensor(
+            query.descriptors.astype(np.float32)))
+        world = []
+        for vid, rows in zip(sorted(scene.voxels), routes):
+            bank = pipeline._float32_copy(scene.voxels[vid].codes)
+            local, _ = decode(None, params32, feats, bank)
+            world.append(local.values[rows] + scene.voxels[vid].origin)
+        return (np.concatenate(world),
+                np.concatenate([query.pixels[rows] for rows in routes]))
+
+    @staticmethod
+    def ransac_input(monkeypatch, *args):
+        captured = {}
+
+        def stub(world, pixels, k, **kwargs):
+            captured.update(world=world, pixels=pixels)
+            return RansacResult(False, None)
+
+        monkeypatch.setattr(pipeline, "ransac_pnp", stub)
+        localize(*args, None, LocalizeOptions(bypass_retrieval=True,
+                                              confidence_min=0.0))
+        return captured["world"], captured["pixels"]
+
+    def test_routed_candidates_are_rows_of_the_full_decode(self,
+                                                            monkeypatch):
+        scene, query, params = self.world()
+        params32 = pipeline._float32_copy(params)
+        q = encode_feature(None, params32, DTensor(
+            query.descriptors.astype(np.float32))).values \
+            @ params32.blocks[0].wq.values
+        routes = route_keypoints(
+            [route_scores(params32, q,
+                          pipeline._float32_copy(scene.voxels[vid].codes))
+             for vid in sorted(scene.voxels)], 2, query.num_keypoints)
+        want = self.candidates_from_full_decode(scene, query, params, routes)
+        got = self.ransac_input(monkeypatch, query, scene, params)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_a_lone_routed_row_is_its_full_decode_row(self, monkeypatch):
+        # NumPy multiplies a single row as a vector, rounding otherwise
+        scene, query, params = self.world()
+        for first in range(0, 40, 4):
+            routes = [np.array([first + i]) for i in range(len(scene.voxels))]
+            monkeypatch.setattr(pipeline, "route_keypoints",
+                                lambda *args: routes)
+            want = self.candidates_from_full_decode(scene, query, params,
+                                                    routes)
+            got = self.ransac_input(monkeypatch, query, scene, params)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+    def test_r_at_or_above_the_voxel_count_decodes_every_pair(self,
+                                                              monkeypatch):
+        scene, query, params = self.world()
+        v = len(scene.voxels)
+        runs = []
+        for r in (v, v + 5):
+            calls = self.spy_on_decode(monkeypatch, params, query)
+            res = localize(query, scene, params, None, LocalizeOptions(
+                bypass_retrieval=True, voxels_per_keypoint=r,
+                confidence_min=0.0))
+            assert len(calls) == v
+            assert all(len(rows) == query.num_keypoints for rows, _ in calls)
+            runs.append(res)
+        assert runs[0].num_confident_points == v * query.num_keypoints
+        assert runs[0].success == runs[1].success
+        if runs[0].success:
+            for a, b in ((runs[0].pose.rotation, runs[1].pose.rotation),
+                         (runs[0].pose.translation,
+                          runs[1].pose.translation)):
+                assert a.tobytes() == b.tobytes()
+
+    def test_a_voxel_without_block0_codes_gets_every_keypoint(self,
+                                                              monkeypatch):
+        scene, query, params = self.world()
+        v, m = len(scene.voxels), query.num_keypoints
+        assert v > 3
+        target = scene.voxels[sorted(scene.voxels)[1]].codes
+        target.pruned[0][:] = True
+        calls = self.spy_on_decode(monkeypatch, params, query)
+        res = localize(query, scene, params, None, LocalizeOptions(
+            bypass_retrieval=True, voxels_per_keypoint=2))
+        pruned = [rows for rows, bank in calls if bank.pruned[0].all()]
+        assert pruned == [list(range(m))]
+        assert res.num_decoded_pairs == m * 3
+
+    def test_a_voxel_no_keypoint_picks_gets_no_decode(self, monkeypatch):
+        scene, query, params = self.world()
+        # one voxel's block-0 codes are pushed far from every query: each
+        # keypoint scores it lowest, so with r = 1 it is never decoded
+        far = sorted(scene.voxels)[0]
+        bank = scene.voxels[far].codes
+        wq = params.blocks[0].wq.values
+        calls = self.spy_on_decode(monkeypatch, params, query)
+        feats = encode_feature(None, params, DTensor(query.descriptors))
+        bank.codes[0].values[...] = -100.0 * np.linalg.lstsq(
+            params.blocks[0].wk.values.T,
+            (feats.values @ wq).mean(axis=0), rcond=None)[0]
+        res = localize(query, scene, params, None, LocalizeOptions(
+            bypass_retrieval=True, voxels_per_keypoint=1))
+        assert len(calls) < len(scene.voxels)
+        assert res.num_decoded_pairs == query.num_keypoints
+
+    def test_a_non_finite_score_names_the_decode_stage(self):
+        # finite float32 keys of the first voxel overflow in its logits
+        scene, query, params = self.world()
+        params.blocks[0].wk.values[...] = 1e38
+        first = sorted(scene.voxels)[0]
+        scene.voxels[first].codes.codes[0].values[...] = 1.0
+        stage = re.escape(f"routing logits (decode of voxel {tuple(first)})")
+        with pytest.raises(NumericError, match=stage):
+            localize(query, scene, params, None, LocalizeOptions(
+                bypass_retrieval=True, voxels_per_keypoint=2))
+
+    def test_voxels_per_keypoint_is_bounded(self):
+        with pytest.raises(ValueError, match="voxels_per_keypoint"):
+            LocalizeOptions(voxels_per_keypoint=0)
 
 
 def result(dt=0.0, dr=0.0, success=True):
