@@ -117,23 +117,33 @@ def _canonical_order(bank: CodeBank, t: int, idx: np.ndarray) -> np.ndarray:
     return idx[np.lexsort(rows.T[::-1])]
 
 
+def block_keys(tape, params: DecoderParams, bank: CodeBank, t: int):
+    """(scaled, keys): block t's (K, D) active codes times their scales in
+    canonical order, and their keys scaled·Wk; None when all are pruned."""
+    idx = bank.active_rows(t)
+    if len(idx) == 0:
+        return None
+    idx = _canonical_order(bank, t, idx)
+    scaled = dc.mul(tape, dc.take_rows(tape, bank.codes[t], idx),
+                    dc.take_rows(tape, bank.scales[t], idx))
+    return scaled, dc.matmul(tape, scaled, params.blocks[t].wk)
+
+
 def cross_attention_block(tape, f: DTensor, bank: CodeBank, t: int,
-                          params: DecoderParams):
+                          params: DecoderParams, keys=None):
     """One post-norm residual cross-attention block over block-t codes.
 
     Returns the new (M, D) features and the block's (M, K) softmax over its
     K active codes in canonical order, a plain array off the tape. A block
     whose codes are all pruned acts as identity on f (skip): (f, None).
+    keys is block_keys' result for this bank and block, when already built.
     """
     blk = params.blocks[t]
-    idx = bank.active_rows(t)
-    if len(idx) == 0:
+    keys = keys or block_keys(tape, params, bank, t)
+    if keys is None:
         return f, None
-    idx = _canonical_order(bank, t, idx)
-    scaled = dc.mul(tape, dc.take_rows(tape, bank.codes[t], idx),
-                    dc.take_rows(tape, bank.scales[t], idx))
+    scaled, k = keys
     q = dc.matmul(tape, f, blk.wq)
-    k = dc.matmul(tape, scaled, blk.wk)
     v = dc.matmul(tape, scaled, blk.wv)
     attended, attn = dc.attention(tape, q, k, v,
                                   float(1.0 / np.sqrt(params.d)))
@@ -150,12 +160,14 @@ def _check_bank(params: DecoderParams, bank: CodeBank) -> None:
                                 f"(T, D) ({params.num_blocks}, {params.d})")
 
 
-def decode(tape, params: DecoderParams, features: DTensor, bank: CodeBank):
+def decode(tape, params: DecoderParams, features: DTensor, bank: CodeBank,
+           keys0=None):
     """Run encoded features (M, D) through all blocks and the output head.
 
     Returns (local, confidence): (M, 3) coordinates in the voxel's frame,
     meters, and (M, 1) sigmoid probabilities of lying in the voxel. The
-    caller adds the voxel's origin for world coordinates.
+    caller adds the voxel's origin for world coordinates. keys0 is
+    block_keys' result for block 0 of this bank, when already built.
     """
     if features.shape[1] != params.d:
         raise dc.DimensionError(
@@ -163,7 +175,8 @@ def decode(tape, params: DecoderParams, features: DTensor, bank: CodeBank):
     _check_bank(params, bank)
     f = features
     for t in range(params.num_blocks):
-        f, _ = cross_attention_block(tape, f, bank, t, params)
+        f, _ = cross_attention_block(tape, f, bank, t, params,
+                                     keys0 if t == 0 else None)
     out = params.head.forward(tape, f)
     return (dc.slice_cols(tape, out, 0, 3),
             dc.sigmoid(tape, dc.slice_cols(tape, out, 3, 4)))
@@ -197,22 +210,21 @@ def attention_scores(params: DecoderParams, features: DTensor,
 
 
 def route_scores(params: DecoderParams, q: np.ndarray, bank: CodeBank):
-    """(M,) gate score of one voxel for each keypoint: its largest block-0
-    logit q·k/√D over the bank's active block-0 codes, for block-0 queries
-    q = features·Wq. A max, so code-row order does not matter. None when
-    block 0 has no active code; a non-finite logit raises NumericError.
+    """(scores, keys) of one voxel: scores (M,) is each keypoint's largest
+    block-0 logit q·k/√D over the active block-0 codes, for queries q =
+    features·Wq (a max, so code-row order does not matter); keys is
+    block_keys' block-0 result, for decode's keys0. (None, None) when block
+    0 has no active code; a non-finite logit raises NumericError.
     """
     _check_bank(params, bank)
-    idx = bank.active_rows(0)
-    if len(idx) == 0:
-        return None
+    keys = block_keys(None, params, bank, 0)
+    if keys is None:
+        return None, None
     with np.errstate(over="ignore", invalid="ignore"):  # checked next
-        k = (bank.codes[0].values[idx] * bank.scales[0].values[idx]) \
-            @ params.blocks[0].wk.values
-        logits = q @ k.T
+        logits = q @ keys[1].values.T
         logits *= float(1.0 / np.sqrt(params.d))
     dc._check_finite(logits, "routing logits")
-    return logits.max(axis=1)
+    return logits.max(axis=1), keys
 
 
 def params_to_bytes(params: DecoderParams) -> bytes:

@@ -27,6 +27,7 @@ from .scene import SceneRepresentation, VoxelId, size_bytes
 from .synthworld import ReferenceDataset, ViewObservations
 
 DEFAULT_THRESHOLDS = ((0.25, 2.0), (0.5, 5.0), (5.0, 10.0))
+_ROUTE_TOP_R = 2  # each keypoint is decoded in its r best-scoring voxels
 
 
 @dataclass
@@ -37,7 +38,6 @@ class LocalizeOptions:
     inlier_tol: float = bound(3.0, 0, strict=True)
     ransac_iters: int = bound(256, 1)  # two RANSAC chunks
     seed: int = bound(0, 0)
-    voxels_per_keypoint: int = bound(2, 1)  # r best-scoring voxels each
 
     def __post_init__(self):
         check_bounds(self, "localize")
@@ -49,9 +49,9 @@ class LocalizationResult:
     pose: Pose | None
     num_activated_voxels: int = 0
     num_candidate_points: int = 0   # activated voxels x keypoints
-    num_decoded_pairs: int = 0      # the (keypoint, voxel) pairs decoded
     num_confident_points: int = 0
     num_inliers: int = 0
+    num_decoded_pairs: int = 0      # the (keypoint, voxel) pairs decoded
     wall_time_s: float = 0.0
 
     def __post_init__(self):
@@ -118,14 +118,14 @@ def localize(query: ViewObservations, scene: SceneRepresentation,
              opts: LocalizeOptions | None = None) -> LocalizationResult:
     """Decode each keypoint in its routed activated voxels; PnP+RANSAC.
 
-    Each keypoint is decoded only in the opts.voxels_per_keypoint activated
-    voxels where block 0 gives it its largest logit (in all of them when
-    there are no more); decode works row by row, so its rows match a full
-    decode bit for bit. Confident candidates reach RANSAC in voxel-id
-    order, then keypoint order; a keypoint may contribute in several
-    voxels, and RANSAC arbitrates. With bypass_retrieval (or no dataset)
-    all voxels activate. A non-finite query descriptor raises ValueError
-    before any work.
+    Each keypoint is decoded only in the _ROUTE_TOP_R activated voxels
+    where block 0 gives it its largest logit; block 0's keys are built once
+    per voxel for both. With no more activated voxels than that, routing is
+    skipped and outputs are bit-identical to decoding every pair. Confident
+    candidates reach RANSAC in voxel-id order, then keypoint order; a
+    keypoint may contribute in several voxels, and RANSAC arbitrates. With
+    bypass_retrieval (or no dataset) all voxels activate. A non-finite
+    query descriptor raises ValueError before any work.
     """
     opts = opts or LocalizeOptions()
     start = time.perf_counter()
@@ -155,27 +155,27 @@ def localize(query: ViewObservations, scene: SceneRepresentation,
             banks = [_float32_copy(v.codes) for v in voxels]
             stages = [f"decode of voxel {tuple(vid)}" for vid in voxel_ids]
             routes = [np.arange(query.num_keypoints)] * len(voxels)
-            if opts.voxels_per_keypoint < len(voxels):
+            keys = [None] * len(voxels)  # block 0's, when routing built them
+            if _ROUTE_TOP_R < len(voxels):
                 # block 0's query projection, which every decode starts with
                 stage = stages[0]
                 q = matmul(None, feats, params.blocks[0].wq).values
                 scores = []
-                for stage, bank in zip(stages, banks):  # names the voxel
-                    scores.append(route_scores(params, q, bank))
-                routes = route_keypoints(scores, opts.voxels_per_keypoint,
+                for i, (stage, bank) in enumerate(zip(stages, banks)):
+                    # stage names the voxel for a NumericError
+                    score, keys[i] = route_scores(params, q, bank)
+                    scores.append(score)
+                routes = route_keypoints(scores, _ROUTE_TOP_R,
                                          query.num_keypoints)
             world, pixels = [], []
-            for stage, voxel, bank, rows in zip(stages, voxels, banks, routes):
+            for stage, voxel, bank, rows, keys0 in zip(stages, voxels, banks,
+                                                       routes, keys):
                 if len(rows) == 0:
                     continue
-                # NumPy multiplies a lone row as a vector, which rounds
-                # unlike a full decode's matrix products: decode it twice
-                two = len(rows) == 1 < query.num_keypoints
-                local, conf = decode(None, params, DTensor(
-                    feats.values[np.resize(rows, 2) if two else rows]), bank)
-                local, conf = local.values[:len(rows)], conf.values[:len(rows)]
-                keep = conf[:, 0] >= opts.confidence_min
-                world.append((local + voxel.origin)[keep])
+                local, conf = decode(None, params, DTensor(feats.values[rows]),
+                                     bank, keys0=keys0)
+                keep = conf.values[:, 0] >= opts.confidence_min
+                world.append((local.values + voxel.origin)[keep])
                 pixels.append(query.pixels[rows[keep]])
     except NumericError as err:
         raise NumericError(f"{err} ({stage})") from err
@@ -185,10 +185,11 @@ def localize(query: ViewObservations, scene: SceneRepresentation,
     ransac = ransac_pnp(world, pixels, query.intrinsics,
                         inlier_tol=opts.inlier_tol,
                         max_iters=opts.ransac_iters, seed=opts.seed)
-    return LocalizationResult(ransac.success, ransac.pose, len(voxel_ids),
-                              len(voxel_ids) * query.num_keypoints,
-                              sum(len(rows) for rows in routes), len(world),
-                              ransac.num_inliers, time.perf_counter() - start)
+    return LocalizationResult(
+        ransac.success, ransac.pose, len(voxel_ids),
+        len(voxel_ids) * query.num_keypoints, len(world), ransac.num_inliers,
+        num_decoded_pairs=sum(len(rows) for rows in routes),
+        wall_time_s=time.perf_counter() - start)
 
 
 @dataclass

@@ -484,7 +484,9 @@ def test_criterion_7_oracle_equivalence(capsys):
         rot = rd @ pose.rotation
         center = pose.center + np.array([dt, 0.0, 0.0])
         est = Pose(rot, -rot @ center)
-        results.append(LocalizationResult(True, est, 1, 1, 1, 1))
+        results.append(LocalizationResult(
+            True, est, num_activated_voxels=1, num_candidate_points=1,
+            num_confident_points=1, num_inliers=1, num_decoded_pairs=1))
     results.append(LocalizationResult(False, None))  # one failed query
     rep = evaluate(results, truth)
     errors = [pose_error(r.pose, t) if r.success else None

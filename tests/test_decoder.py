@@ -111,7 +111,7 @@ class TestRouting:
         keys = (bank.codes[0].values[rows] * bank.scales[0].values[rows]) \
             @ params.blocks[0].wk.values
         want = (q @ keys.T / np.sqrt(D)).max(axis=1)
-        np.testing.assert_allclose(route_scores(params, q, bank), want,
+        np.testing.assert_allclose(route_scores(params, q, bank)[0], want,
                                    rtol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -121,30 +121,46 @@ class TestRouting:
         bank.pruned[0][2] = True
         q = self.queries(params, np.random.default_rng(21).normal(
             size=(9, DRAW)).astype(dtype))
-        scores = route_scores(params, q, cast(bank))
+        scores, _ = route_scores(params, q, cast(bank))
         assert scores.dtype == dtype
         for seed in range(3):
-            again = route_scores(params, q, cast(permuted(bank, seed + 30)))
+            again, _ = route_scores(params, q, cast(permuted(bank, seed + 30)))
             assert np.array_equal(scores, again)
 
     def test_no_active_block0_code_gives_no_score(self):
         params, bank = make_params(), make_bank()
         bank.pruned[0][:] = True
         q = self.queries(params, np.zeros((2, DRAW)))
-        assert route_scores(params, q, bank) is None
+        assert route_scores(params, q, bank) == (None, None)
 
     def test_non_finite_logit_raises(self):
         params, bank = _float32_copy(make_params()), _float32_copy(make_bank())
-        params.blocks[0].wk.values[...] = 3e38
+        # finite float32 queries and keys whose logits overflow
+        params.blocks[0].wq.values[...] = 1e20
+        params.blocks[0].wk.values[...] = 1e20
         q = self.queries(params, np.random.default_rng(22).normal(
             size=(3, DRAW)).astype(np.float32))
         with pytest.raises(NumericError, match="routing logits"):
             route_scores(params, q, bank)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_decode_reuses_the_routing_keys_bit_for_bit(self, dtype):
+        cast = _float32_copy if dtype == np.float32 else (lambda obj: obj)
+        params, bank = cast(make_params()), cast(make_bank())
+        bank.pruned[0][1] = True
+        raw = np.random.default_rng(25).normal(size=(12, DRAW)).astype(dtype)
+        feats = encode_feature(None, params, dc.DTensor(raw))
+        _, keys = route_scores(params, feats.values @ params.blocks[0].wq.values,
+                               bank)
+        want = decode(None, params, feats, bank)
+        got = decode(None, params, feats, bank, keys0=keys)
+        for a, b in zip(got, want):
+            assert a.values.tobytes() == b.values.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_decoding_a_row_subset_matches_the_full_decode(self, dtype):
-        # two or more rows: NumPy multiplies a lone row as a vector, which
-        # rounds differently (localize decodes a lone row twice)
+        # two or more rows: BLAS may multiply a lone row as a vector, which
+        # can round differently
         cast = _float32_copy if dtype == np.float32 else (lambda obj: obj)
         params, bank = cast(make_params()), cast(make_bank())
         raw = np.random.default_rng(23).normal(size=(40, DRAW)).astype(dtype)

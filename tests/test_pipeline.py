@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from voxloc import pipeline
+from voxloc import decoder, pipeline
 from voxloc import diffcore as dc
 from voxloc.decoder import DecoderParams, decode, encode_feature, route_scores
 from voxloc.diffcore import DTensor, NumericError
@@ -136,7 +136,7 @@ class TestLocalize:
         """decode() stand-in returning ground-truth coordinates for member
         keypoints of the voxel and low confidence elsewhere."""
 
-        def fake_decode(tape, params, feats, bank):
+        def fake_decode(tape, params, feats, bank, keys0=None):
             ids = fake_decode.current_ids
             members = fake_decode.current_members
             origin = fake_decode.current_origin
@@ -164,7 +164,8 @@ class TestLocalize:
         members_by_voxel = {vid: set(int(m) for m in v.members)
                             for vid, v in scene.voxels.items()}
         fake = self.patch_perfect_decoder(monkeypatch, positions)
-        every = len(scene.voxels)  # the fake decodes every pair
+        # the fake models every (keypoint, voxel) pair decoded
+        monkeypatch.setattr(pipeline, "_ROUTE_TOP_R", len(scene.voxels))
 
         real_localize_decode = pipeline.decode
 
@@ -173,19 +174,18 @@ class TestLocalize:
             order = sorted(scene.voxels)
             calls = iter(order)
 
-            def wrapping(tape, params, feats, bank):
+            def wrapping(tape, params, feats, bank, keys0=None):
                 vid = next(calls)
                 fake.current_ids = [int(i) for i in query.point_ids]
                 fake.current_members = members_by_voxel[vid]
                 fake.current_origin = scene.voxels[vid].origin
-                return real_localize_decode(tape, params, feats, bank)
+                return real_localize_decode(tape, params, feats, bank, keys0)
 
             monkeypatch.setattr(pipeline, "decode", wrapping)
             return localize(query, scene,
                             small_params(np.random.default_rng(0)), None,
                             LocalizeOptions(bypass_retrieval=True,
-                                            ransac_iters=100,
-                                            voxels_per_keypoint=every))
+                                            ransac_iters=100))
 
         res = run()
         assert res.success
@@ -212,17 +212,17 @@ class TestLocalize:
         truth = look_at([5.0, 1.0, 2.0], [0.0, 0.0, 0.0])
         query = query_for(pts, truth, rng)
 
-        def fake_decode(tape, params, feats, bank):
+        def fake_decode(tape, params, feats, bank, keys0=None):
             m = query.num_keypoints
             return DTensor(np.zeros((m, 3))), DTensor(np.full((m, 1), 0.01))
 
         monkeypatch.setattr(pipeline, "decode", fake_decode)
         monkeypatch.setattr(pipeline, "encode_feature",
                             lambda tape, params, raw: raw)
+        # the fake models every (keypoint, voxel) pair decoded
+        monkeypatch.setattr(pipeline, "_ROUTE_TOP_R", len(scene.voxels))
         res = localize(query, scene, small_params(np.random.default_rng(0)),
-                       None, LocalizeOptions(
-                           bypass_retrieval=True,
-                           voxels_per_keypoint=len(scene.voxels)))
+                       None, LocalizeOptions(bypass_retrieval=True))
         assert not res.success
         assert res.num_confident_points == 0
         assert res.num_candidate_points > 0
@@ -258,10 +258,11 @@ class TestLocalize:
             return RansacResult(False, None)
 
         monkeypatch.setattr(pipeline, "ransac_pnp", stub)
+        # the expected arrays are the every-pair loop's
+        monkeypatch.setattr(pipeline, "_ROUTE_TOP_R", len(scene.voxels))
         res = localize(query, scene, params, None,
                        LocalizeOptions(bypass_retrieval=True,
-                                       confidence_min=conf_min,
-                                       voxels_per_keypoint=len(scene.voxels)))
+                                       confidence_min=conf_min))
         for name, expected in (("world", world), ("pixels", pixels)):
             assert captured[name].shape == expected.shape
             assert captured[name].tobytes() == expected.tobytes()
@@ -316,10 +317,10 @@ class TestRouting:
         row_of = {row.tobytes(): i for i, row in enumerate(feats.values)}
         calls, real = [], pipeline.decode
 
-        def spy(tape, params, feats, bank):
+        def spy(tape, params, feats, bank, keys0=None):
             rows = sorted({row_of[row.tobytes()] for row in feats.values})
             calls.append((rows, bank))
-            return real(tape, params, feats, bank)
+            return real(tape, params, feats, bank, keys0=keys0)
 
         monkeypatch.setattr(pipeline, "decode", spy)
         return calls
@@ -347,9 +348,10 @@ class TestRouting:
         v, m = len(scene.voxels), query.num_keypoints
         assert v > 3
         for r in (1, 2, 3, v, v + 2):
+            monkeypatch.setattr(pipeline, "_ROUTE_TOP_R", r)
             calls = self.spy_on_decode(monkeypatch, params, query)
-            res = localize(query, scene, params, None, LocalizeOptions(
-                bypass_retrieval=True, voxels_per_keypoint=r))
+            res = localize(query, scene, params, None,
+                           LocalizeOptions(bypass_retrieval=True))
             per_keypoint = np.bincount(
                 np.concatenate([rows for rows, _ in calls]), minlength=m)
             assert (per_keypoint == min(r, v)).all()
@@ -357,20 +359,21 @@ class TestRouting:
             assert res.num_candidate_points == m * v
             assert res.num_confident_points <= res.num_decoded_pairs
 
-    @staticmethod
-    def candidates_from_full_decode(scene, query, params, routes):
-        """world and pixels localize should pass RANSAC at confidence_min
-        0, taken from full decodes of each voxel by the rows routed there."""
-        params32 = pipeline._float32_copy(params)
-        feats = encode_feature(None, params32, DTensor(
-            query.descriptors.astype(np.float32)))
-        world = []
-        for vid, rows in zip(sorted(scene.voxels), routes):
-            bank = pipeline._float32_copy(scene.voxels[vid].codes)
-            local, _ = decode(None, params32, feats, bank)
-            world.append(local.values[rows] + scene.voxels[vid].origin)
-        return (np.concatenate(world),
-                np.concatenate([query.pixels[rows] for rows in routes]))
+    def test_block0_keys_are_built_once_per_voxel(self, monkeypatch):
+        scene, query, params = self.world()
+        built, real = [], decoder.block_keys
+
+        def spy(tape, params, bank, t):
+            built.append(t)
+            return real(tape, params, bank, t)
+
+        monkeypatch.setattr(decoder, "block_keys", spy)
+        calls = self.spy_on_decode(monkeypatch, params, query)
+        localize(query, scene, params, None,
+                 LocalizeOptions(bypass_retrieval=True))
+        assert 0 < len(calls) <= len(scene.voxels)
+        assert built.count(0) == len(scene.voxels)
+        assert built.count(1) == len(calls)
 
     @staticmethod
     def ransac_input(monkeypatch, *args):
@@ -387,32 +390,25 @@ class TestRouting:
 
     def test_routed_candidates_are_rows_of_the_full_decode(self,
                                                             monkeypatch):
+        # equal up to rounding: BLAS may multiply a lone row otherwise
         scene, query, params = self.world()
         params32 = pipeline._float32_copy(params)
-        q = encode_feature(None, params32, DTensor(
-            query.descriptors.astype(np.float32))).values \
-            @ params32.blocks[0].wq.values
-        routes = route_keypoints(
-            [route_scores(params32, q,
-                          pipeline._float32_copy(scene.voxels[vid].codes))
-             for vid in sorted(scene.voxels)], 2, query.num_keypoints)
-        want = self.candidates_from_full_decode(scene, query, params, routes)
-        got = self.ransac_input(monkeypatch, query, scene, params)
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
-
-    def test_a_lone_routed_row_is_its_full_decode_row(self, monkeypatch):
-        # NumPy multiplies a single row as a vector, rounding otherwise
-        scene, query, params = self.world()
-        for first in range(0, 40, 4):
-            routes = [np.array([first + i]) for i in range(len(scene.voxels))]
-            monkeypatch.setattr(pipeline, "route_keypoints",
-                                lambda *args: routes)
-            want = self.candidates_from_full_decode(scene, query, params,
-                                                    routes)
-            got = self.ransac_input(monkeypatch, query, scene, params)
-            for a, b in zip(got, want):
-                assert a.tobytes() == b.tobytes()
+        feats = encode_feature(None, params32, DTensor(
+            query.descriptors.astype(np.float32)))
+        q = feats.values @ params32.blocks[0].wq.values
+        banks = [pipeline._float32_copy(scene.voxels[vid].codes)
+                 for vid in sorted(scene.voxels)]
+        routes = route_keypoints([route_scores(params32, q, bank)[0]
+                                  for bank in banks], 2, query.num_keypoints)
+        world = np.concatenate([
+            decode(None, params32, feats, bank)[0].values[rows]
+            + scene.voxels[vid].origin
+            for vid, bank, rows in zip(sorted(scene.voxels), banks, routes)])
+        pixels = np.concatenate([query.pixels[rows] for rows in routes])
+        got_world, got_pixels = self.ransac_input(monkeypatch, query, scene,
+                                                  params)
+        assert got_pixels.tobytes() == pixels.tobytes()
+        np.testing.assert_allclose(got_world, world, rtol=1e-5, atol=1e-6)
 
     def test_r_at_or_above_the_voxel_count_decodes_every_pair(self,
                                                               monkeypatch):
@@ -420,10 +416,10 @@ class TestRouting:
         v = len(scene.voxels)
         runs = []
         for r in (v, v + 5):
+            monkeypatch.setattr(pipeline, "_ROUTE_TOP_R", r)
             calls = self.spy_on_decode(monkeypatch, params, query)
             res = localize(query, scene, params, None, LocalizeOptions(
-                bypass_retrieval=True, voxels_per_keypoint=r,
-                confidence_min=0.0))
+                bypass_retrieval=True, confidence_min=0.0))
             assert len(calls) == v
             assert all(len(rows) == query.num_keypoints for rows, _ in calls)
             runs.append(res)
@@ -443,11 +439,11 @@ class TestRouting:
         target = scene.voxels[sorted(scene.voxels)[1]].codes
         target.pruned[0][:] = True
         calls = self.spy_on_decode(monkeypatch, params, query)
-        res = localize(query, scene, params, None, LocalizeOptions(
-            bypass_retrieval=True, voxels_per_keypoint=2))
+        res = localize(query, scene, params, None,
+                       LocalizeOptions(bypass_retrieval=True))
         pruned = [rows for rows, bank in calls if bank.pruned[0].all()]
         assert pruned == [list(range(m))]
-        assert res.num_decoded_pairs == m * 3
+        assert res.num_decoded_pairs == m * (pipeline._ROUTE_TOP_R + 1)
 
     def test_a_voxel_no_keypoint_picks_gets_no_decode(self, monkeypatch):
         scene, query, params = self.world()
@@ -456,30 +452,28 @@ class TestRouting:
         far = sorted(scene.voxels)[0]
         bank = scene.voxels[far].codes
         wq = params.blocks[0].wq.values
+        monkeypatch.setattr(pipeline, "_ROUTE_TOP_R", 1)
         calls = self.spy_on_decode(monkeypatch, params, query)
         feats = encode_feature(None, params, DTensor(query.descriptors))
         bank.codes[0].values[...] = -100.0 * np.linalg.lstsq(
             params.blocks[0].wk.values.T,
             (feats.values @ wq).mean(axis=0), rcond=None)[0]
-        res = localize(query, scene, params, None, LocalizeOptions(
-            bypass_retrieval=True, voxels_per_keypoint=1))
+        res = localize(query, scene, params, None,
+                       LocalizeOptions(bypass_retrieval=True))
         assert len(calls) < len(scene.voxels)
         assert res.num_decoded_pairs == query.num_keypoints
 
     def test_a_non_finite_score_names_the_decode_stage(self):
-        # finite float32 keys of the first voxel overflow in its logits
+        # finite float32 queries and keys overflow in the first voxel's
+        # logits
         scene, query, params = self.world()
-        params.blocks[0].wk.values[...] = 1e38
+        params.blocks[0].wq.values[...] = 1e20
+        params.blocks[0].wk.values[...] = 1e20
         first = sorted(scene.voxels)[0]
-        scene.voxels[first].codes.codes[0].values[...] = 1.0
         stage = re.escape(f"routing logits (decode of voxel {tuple(first)})")
         with pytest.raises(NumericError, match=stage):
-            localize(query, scene, params, None, LocalizeOptions(
-                bypass_retrieval=True, voxels_per_keypoint=2))
-
-    def test_voxels_per_keypoint_is_bounded(self):
-        with pytest.raises(ValueError, match="voxels_per_keypoint"):
-            LocalizeOptions(voxels_per_keypoint=0)
+            localize(query, scene, params, None,
+                     LocalizeOptions(bypass_retrieval=True))
 
 
 def result(dt=0.0, dr=0.0, success=True):
