@@ -263,6 +263,8 @@ def params_from_bytes(data: bytes | BinaryIO) -> DecoderParams:
                                      "head hidden")]
     if dims[1] == 0:
         raise FormatError(r.offset, "feature width d is 0")
+    if dims[2] == 0:
+        raise FormatError(r.offset, "num_blocks is 0")
     # every parameter value is stored as 4 bytes: check before allocating
     if 4 * _param_count(*dims) > r.remaining:
         raise FormatError(r.offset, f"dims {dims} need {_param_count(*dims)} "

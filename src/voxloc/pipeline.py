@@ -120,12 +120,12 @@ def localize(query: ViewObservations, scene: SceneRepresentation,
 
     Each keypoint is decoded only in the _ROUTE_TOP_R activated voxels
     where block 0 gives it its largest logit; block 0's keys are built once
-    per voxel for both. With no more activated voxels than that, routing is
-    skipped and outputs are bit-identical to decoding every pair. Confident
-    candidates reach RANSAC in voxel-id order, then keypoint order; a
-    keypoint may contribute in several voxels, and RANSAC arbitrates. With
-    bypass_retrieval (or no dataset) all voxels activate. A non-finite
-    query descriptor raises ValueError before any work.
+    per voxel for both. With no more activated voxels than that, every
+    keypoint goes to every voxel: the every-pair result, byte for byte.
+    Confident candidates reach RANSAC in voxel-id order, then keypoint
+    order; a keypoint may contribute in several voxels, and RANSAC
+    arbitrates. With bypass_retrieval (or no dataset) all voxels activate.
+    A non-finite query descriptor raises ValueError before any work.
     """
     opts = opts or LocalizeOptions()
     start = time.perf_counter()
@@ -154,19 +154,14 @@ def localize(query: ViewObservations, scene: SceneRepresentation,
             voxels = [scene.voxels[vid] for vid in voxel_ids]
             banks = [_float32_copy(v.codes) for v in voxels]
             stages = [f"decode of voxel {tuple(vid)}" for vid in voxel_ids]
-            routes = [np.arange(query.num_keypoints)] * len(voxels)
-            keys = [None] * len(voxels)  # block 0's, when routing built them
-            if _ROUTE_TOP_R < len(voxels):
-                # block 0's query projection, which every decode starts with
-                stage = stages[0]
-                q = matmul(None, feats, params.blocks[0].wq).values
-                scores = []
-                for i, (stage, bank) in enumerate(zip(stages, banks)):
-                    # stage names the voxel for a NumericError
-                    score, keys[i] = route_scores(params, q, bank)
-                    scores.append(score)
-                routes = route_keypoints(scores, _ROUTE_TOP_R,
-                                         query.num_keypoints)
+            # block 0's query projection, which every decode starts with
+            stage = stages[0]
+            q = matmul(None, feats, params.blocks[0].wq).values
+            scored = []
+            for stage, bank in zip(stages, banks):  # names the voxel on error
+                scored.append(route_scores(params, q, bank))
+            scores, keys = zip(*scored)
+            routes = route_keypoints(scores, _ROUTE_TOP_R, query.num_keypoints)
             world, pixels = [], []
             for stage, voxel, bank, rows, keys0 in zip(stages, voxels, banks,
                                                        routes, keys):

@@ -277,6 +277,8 @@ def scene_from_bytes(data: bytes | BinaryIO) -> SceneRepresentation:
     r = Reader(data, SCENE_MAGIC, SCENE_FORMAT_VERSION, "scene")
     side = r.f32("side length")
     t = r.u32("T")
+    if t == 0:
+        raise FormatError(r.offset - 4, "block count T is 0")
     n = r.u32("N")
     d = r.u32("D")
     if d > MAX_CODE_DIM:

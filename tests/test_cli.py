@@ -853,6 +853,44 @@ class TestErrorExits:
             assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "heat.csv").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "localize"])
+    def test_weights_without_blocks_are_2(self, workdir, tmp_path, capsys,
+                                          command):
+        # localize routes with block 0: an IndexError traceback before
+        d, _ = workdir
+        params = load_params(d / "weights.bin")
+        save_params(DecoderParams.init(
+            np.random.default_rng(0), d_raw=params.d_raw, d=params.d,
+            num_blocks=0, encoder_hidden=params.encoder_hidden,
+            block_hidden=8, head_hidden=8), tmp_path / "weights.bin")
+        assert cli.main(map_command(workdir, tmp_path, command,
+                                    weights=tmp_path / "weights.bin")) == 2
+        err = capsys.readouterr().err
+        assert "num_blocks is 0" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["inspect", "eval", "localize"])
+    def test_scene_without_blocks_is_2(self, workdir, tmp_path, capsys,
+                                       command):
+        # 60 bytes: T = 0 and one voxel, whose bank has no block to size
+        # CodeBank.dims by: an IndexError traceback before
+        w = Writer(SCENE_MAGIC, SCENE_FORMAT_VERSION)
+        w.f32(4.0)
+        for count in (0, 1, 16, 1):  # T, N, D, voxel count
+            w.u32(count)
+        for c in (0, 0, 0):
+            w.i32(c)
+        w.f32_array(np.zeros(3))
+        w.u32(0)  # members
+        w.u32(0)  # covering views
+        path = tmp_path / "scene.bin"
+        path.write_bytes(w.getvalue())
+        assert path.stat().st_size == 60
+        argv = (["inspect", "--scene", str(path)] if command == "inspect"
+                else map_command(workdir, tmp_path, command, scene=path))
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "T is 0" in err and len(err.strip().splitlines()) == 1
+
 
 def map_command(workdir, tmp_path, command, block=0, **files):
     """argv for a command that reads a dataset, a scene and weights, with

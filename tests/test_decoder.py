@@ -398,10 +398,11 @@ class TestWeightsPersistence:
         with pytest.raises(FormatError):
             params_from_bytes(blob[:-3])
 
-    @pytest.mark.parametrize("at, value", [(8, 2 ** 31), (12, 0)])
+    @pytest.mark.parametrize("at, value", [(8, 2 ** 31), (12, 0), (16, 0)])
     def test_bad_header_dims_rejected_before_init(self, monkeypatch, at,
                                                   value):
-        # d_raw = 2**31 would allocate ~256 GiB; d = 0 divides by zero
+        # d_raw = 2**31 would allocate ~256 GiB; d = 0 divides by zero;
+        # num_blocks = 0 leaves localize no block 0 to route with
         blob = bytearray(params_to_bytes(make_params()))
         blob[at:at + 4] = value.to_bytes(4, "little")
 

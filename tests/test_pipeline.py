@@ -150,8 +150,10 @@ class TestLocalize:
             return DTensor(local), DTensor(c)
 
         monkeypatch.setattr(pipeline, "decode", fake_decode)
+        # block 0's query projection needs features of the decoder's width
         monkeypatch.setattr(pipeline, "encode_feature",
-                            lambda tape, params, raw: raw)
+                            lambda tape, params, raw:
+                            DTensor(raw.values[:, :params.d]))
         return fake_decode
 
     def test_perfect_candidates_recover_pose(self, monkeypatch):
@@ -217,8 +219,10 @@ class TestLocalize:
             return DTensor(np.zeros((m, 3))), DTensor(np.full((m, 1), 0.01))
 
         monkeypatch.setattr(pipeline, "decode", fake_decode)
+        # block 0's query projection needs features of the decoder's width
         monkeypatch.setattr(pipeline, "encode_feature",
-                            lambda tape, params, raw: raw)
+                            lambda tape, params, raw:
+                            DTensor(raw.values[:, :params.d]))
         # the fake models every (keypoint, voxel) pair decoded
         monkeypatch.setattr(pipeline, "_ROUTE_TOP_R", len(scene.voxels))
         res = localize(query, scene, small_params(np.random.default_rng(0)),
@@ -311,7 +315,7 @@ class TestRouting:
 
     @staticmethod
     def spy_on_decode(monkeypatch, params, query):
-        """Each decode call's (keypoint rows, bank), in call order."""
+        """Each decode call's (keypoint rows, bank, keys0), in call order."""
         feats = encode_feature(None, pipeline._float32_copy(params),
                                DTensor(query.descriptors.astype(np.float32)))
         row_of = {row.tobytes(): i for i, row in enumerate(feats.values)}
@@ -319,7 +323,7 @@ class TestRouting:
 
         def spy(tape, params, feats, bank, keys0=None):
             rows = sorted({row_of[row.tobytes()] for row in feats.values})
-            calls.append((rows, bank))
+            calls.append((rows, bank, keys0))
             return real(tape, params, feats, bank, keys0=keys0)
 
         monkeypatch.setattr(pipeline, "decode", spy)
@@ -353,7 +357,7 @@ class TestRouting:
             res = localize(query, scene, params, None,
                            LocalizeOptions(bypass_retrieval=True))
             per_keypoint = np.bincount(
-                np.concatenate([rows for rows, _ in calls]), minlength=m)
+                np.concatenate([rows for rows, _, _ in calls]), minlength=m)
             assert (per_keypoint == min(r, v)).all()
             assert res.num_decoded_pairs == m * min(r, v)
             assert res.num_candidate_points == m * v
@@ -412,16 +416,30 @@ class TestRouting:
 
     def test_r_at_or_above_the_voxel_count_decodes_every_pair(self,
                                                               monkeypatch):
+        # routing still runs, and each decode gets the block-0 keys that
+        # routing built for its voxel
         scene, query, params = self.world()
         v = len(scene.voxels)
-        runs = []
+        runs, routed, real = [], [], pipeline.route_scores
+
+        def spy(params, q, bank):
+            scores, keys = real(params, q, bank)
+            routed.append(keys)
+            return scores, keys
+
+        monkeypatch.setattr(pipeline, "route_scores", spy)
         for r in (v, v + 5):
             monkeypatch.setattr(pipeline, "_ROUTE_TOP_R", r)
             calls = self.spy_on_decode(monkeypatch, params, query)
+            routed.clear()
             res = localize(query, scene, params, None, LocalizeOptions(
                 bypass_retrieval=True, confidence_min=0.0))
             assert len(calls) == v
-            assert all(len(rows) == query.num_keypoints for rows, _ in calls)
+            assert all(len(rows) == query.num_keypoints
+                       for rows, _, _ in calls)
+            assert len(routed) == v and None not in routed
+            assert all(keys0 is keys
+                       for (_, _, keys0), keys in zip(calls, routed))
             runs.append(res)
         assert runs[0].num_confident_points == v * query.num_keypoints
         assert runs[0].success == runs[1].success
@@ -441,7 +459,7 @@ class TestRouting:
         calls = self.spy_on_decode(monkeypatch, params, query)
         res = localize(query, scene, params, None,
                        LocalizeOptions(bypass_retrieval=True))
-        pruned = [rows for rows, bank in calls if bank.pruned[0].all()]
+        pruned = [rows for rows, bank, _ in calls if bank.pruned[0].all()]
         assert pruned == [list(range(m))]
         assert res.num_decoded_pairs == m * (pipeline._ROUTE_TOP_R + 1)
 

@@ -414,6 +414,13 @@ class TestPersistence:
         with pytest.raises(FormatError, match="format maximum"):
             scene_from_bytes(blob)
 
+    def test_zero_blocks_rejected(self):
+        # a voxel without blocks has no block 0 for CodeBank.dims to read
+        blob = raw_scene(0, 1, 1, [([], [], [])])
+        assert len(blob) == 60
+        with pytest.raises(FormatError, match="T is 0"):
+            scene_from_bytes(blob)
+
     def test_largest_code_dim_roundtrips(self):
         scene = small_scene(dims=(1, 2, MAX_CODE_DIM))
         for v in scene.voxels.values():
