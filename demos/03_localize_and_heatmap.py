@@ -59,11 +59,9 @@ else:
     print("localization failed")
 
 # --- attention heatmap --------------------------------------------------------
-# scores of one code over a reference view's keypoints; the CSV lists every
-# keypoint, and a PGM image is written when the keypoints form a pixel grid
+# scores of one code over a reference view's keypoints, one CSV row each
 voxel_id = sorted(scene.voxels)[0]
 export_heatmap(dataset.views[0], scene, params, voxel_id, block=0, code=0,
-               csv_path="/tmp/heatmap.csv", pgm_path="/tmp/heatmap.pgm")
+               csv_path="/tmp/heatmap.csv")
 print(f"\nattention scores for voxel {tuple(voxel_id)}, block 0, code 0 "
       "written to /tmp/heatmap.csv")
-print("(keypoints are scattered, not a lattice, so no PGM image here)")

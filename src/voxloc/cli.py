@@ -27,7 +27,7 @@ class SceneConfig:
     side_length: float = bound(4.0, 0, strict=True)
     blocks: int = bound(6, 1)
     codes_per_block: int = bound(256, 1)
-    code_dim: int = bound(32, 2, MAX_CODE_DIM)
+    code_dim: int = bound(32, initialization.COORD_DIMS + 1, MAX_CODE_DIM)
 
     def __post_init__(self):
         check_bounds(self, "scene")
@@ -35,12 +35,7 @@ class SceneConfig:
 
 @dataclasses.dataclass
 class DecoderConfig(initialization.InitConfig):
-    # structured_init seeds the decoder with aligned attention weights and
-    # the code banks with observed descriptors/coordinates, at InitConfig's
-    # three scales (see initialization.py); disabling it falls back to
-    # random initialization, which needs a far longer schedule to converge
-    structured_init: bool = True
-    encoder_hidden: int = bound(64, 0)   # 0: one linear layer
+    # InitConfig's three scales set up structured init (initialization.py)
     block_hidden: int = bound(32, 1)
     head_hidden: int = bound(32, 1)
 
@@ -122,17 +117,12 @@ def load_config(path: str | None) -> dict[str, object]:
                 if name not in fields:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 overrides[section][name] = _coerce(raw, fields[name].type, key)
-    cfg = {s: cls(**overrides[s]) for s, cls in _SECTIONS.items()}
-    code_dim, coord_dims = cfg["scene"].code_dim, initialization.COORD_DIMS
-    if cfg["decoder"].structured_init and code_dim <= coord_dims:
-        raise ConfigError(f"scene.code_dim must be > {coord_dims} when "
-                          f"decoder.structured_init is true, got {code_dim}")
-    return cfg
+    return {s: cls(**overrides[s]) for s, cls in _SECTIONS.items()}
 
 
 def _new_map(dataset, cfg, params=None):
-    """A covered scene for the dataset, and params or new decoder weights
-    sized for its descriptors; structured init seeds new weights and codes."""
+    """A covered scene for the dataset with codes injected through params,
+    or through new aligned decoder weights sized for its descriptors."""
     sc, dc_, tc = cfg["scene"], cfg["decoder"], cfg["train"]
     dims = dict(d_raw=dataset.config.descriptor_dim, d=sc.code_dim,
                 num_blocks=sc.blocks, block_hidden=dc_.block_hidden,
@@ -147,15 +137,11 @@ def _new_map(dataset, cfg, params=None):
         (sc.blocks, sc.codes_per_block, sc.code_dim), seeded_rng(tc.seed, 300))
     scene_mod.assign_coverage(built, dataset, min_points=tc.min_points)
     scene_mod.drop_uncovered(built)
-    if params is None and dc_.structured_init:
+    if params is None:
         params = initialization.aligned_decoder_init(
             seeded_rng(tc.seed, 400), **dims, config=dc_)
-    elif params is None:
-        params = decoder.DecoderParams.init(
-            seeded_rng(tc.seed, 400), encoder_hidden=dc_.encoder_hidden, **dims)
-    if dc_.structured_init:
-        initialization.inject_codes(built, dataset, params,
-                                    seeded_rng(tc.seed, 500), dc_)
+    initialization.inject_codes(built, dataset, params,
+                                seeded_rng(tc.seed, 500), dc_)
     return built, params
 
 
@@ -298,14 +284,9 @@ def cmd_heatmap(args):
     if not 0 <= args.view < len(ds.views):
         raise ValueError(f"view index {args.view} out of range "
                          f"[0, {len(ds.views)})")
-    wrote_pgm = pipeline.export_heatmap(ds.views[args.view], loaded, params,
-                                        vid, args.block, args.code,
-                                        args.csv, args.pgm)
-    msg = f"wrote {args.csv}"
-    if args.pgm:
-        msg += f" and {args.pgm}" if wrote_pgm else \
-            " (keypoints are not a lattice; PGM skipped)"
-    print(msg)
+    pipeline.export_heatmap(ds.views[args.view], loaded, params, vid,
+                            args.block, args.code, args.csv)
+    print(f"wrote {args.csv}")
     return 0
 
 
@@ -375,7 +356,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--block", type=int, required=True)
     sp.add_argument("--code", type=int, required=True)
     sp.add_argument("--csv", required=True)
-    sp.add_argument("--pgm", default=None)
     sp.set_defaults(func=cmd_heatmap)
     return p
 

@@ -228,6 +228,8 @@ def route_scores(params: DecoderParams, q: np.ndarray, bank: CodeBank):
 
 
 def params_to_bytes(params: DecoderParams) -> bytes:
+    if params.num_blocks == 0:  # params_from_bytes refuses it
+        raise ValueError("num_blocks is 0: weights would not load")
     w = Writer(WEIGHTS_MAGIC, WEIGHTS_FORMAT_VERSION)
     for v in (params.d_raw, params.d, params.num_blocks,
               params.encoder_hidden, params.block_hidden, params.head_hidden):

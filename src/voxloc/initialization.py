@@ -110,8 +110,12 @@ def inject_codes(scene: SceneRepresentation, dataset: ReferenceDataset,
     remainder), so each appears in every block when N covers them all. A row
     is the point's mean observed descriptor pushed through the encoder's
     descriptor columns, concatenated with its scaled local coordinates.
-    Scales are left at their build-time value of one.
+    Scales are left at their build-time value of one. The encoder must be
+    one linear layer, whose first weight is the descriptor projection.
     """
+    if len(params.encoder.weights) != 1:
+        raise ValueError(f"weights have a hidden encoder layer (encoder_hidden"
+                         f" = {params.encoder_hidden}); injection needs none")
     cfg = config or InitConfig()
     mean_desc = mean_observed_descriptors(dataset)
     num_blocks, codes_per_block, d = scene.dims

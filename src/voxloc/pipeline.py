@@ -260,25 +260,10 @@ def evaluate_scene(scene: SceneRepresentation, params: DecoderParams,
     return evaluate(results, truths, thresholds, size_bytes(scene, 4))
 
 
-def _lattice_shape(pixels: np.ndarray):
-    """(rows, cols, row index, col index) when keypoints form a full grid."""
-    us = np.unique(pixels[:, 0])
-    vs = np.unique(pixels[:, 1])
-    if len(us) * len(vs) != len(pixels):
-        return None
-    ui = np.searchsorted(us, pixels[:, 0])
-    vi = np.searchsorted(vs, pixels[:, 1])
-    if len(set(zip(vi.tolist(), ui.tolist()))) != len(pixels):
-        return None
-    return len(vs), len(us), vi, ui
-
-
 def export_heatmap(view: ViewObservations, scene: SceneRepresentation,
                    params: DecoderParams, voxel: VoxelId, block: int,
-                   code: int, csv_path, pgm_path=None) -> bool:
-    """Write per-keypoint attention scores as CSV; also as an 8-bit PGM when
-    the keypoints form a pixel lattice. Returns True when the PGM was written.
-    """
+                   code: int, csv_path) -> None:
+    """Write one code's raw and normalized attention score per keypoint."""
     bank = scene.voxels[voxel].codes
     feats = encode_feature(None, params, DTensor(view.descriptors))
     s, s_norm = attention_scores(params, feats, bank, block, code)
@@ -287,15 +272,3 @@ def export_heatmap(view: ViewObservations, scene: SceneRepresentation,
         w.writerow(["feature_index", "score", "normalized_score"])
         for i, (a, b) in enumerate(zip(s, s_norm)):
             w.writerow([i, f"{a:.17g}", f"{b:.17g}"])
-    if pgm_path is None:
-        return False
-    grid = _lattice_shape(view.pixels)
-    if grid is None:
-        return False
-    rows, cols, vi, ui = grid
-    img = np.zeros((rows, cols), dtype=np.uint8)
-    img[vi, ui] = np.round(s_norm * 255.0).astype(np.uint8)
-    with open(pgm_path, "wb") as f:
-        f.write(f"P5\n{cols} {rows}\n255\n".encode())
-        f.write(img.tobytes())
-    return True

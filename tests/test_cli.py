@@ -145,6 +145,15 @@ class TestHappyPaths:
         assert "median translation error" in out
         assert (d / "report.csv").exists()
 
+    def test_eval_with_a_hidden_encoder_layer(self, workdir, tmp_path,
+                                              capsys):
+        # such weights still load and decode; only code injection needs a
+        # one-layer encoder
+        save_hidden_encoder_weights(workdir, tmp_path / "weights.bin", 8)
+        assert cli.main(map_command(workdir, tmp_path, "eval",
+                                    weights=tmp_path / "weights.bin")) == 0
+        assert "median translation error" in capsys.readouterr().out
+
     def test_heatmap(self, workdir, capsys):
         d, cfg = workdir
         scene = load_scene(d / "scene.bin")
@@ -182,6 +191,19 @@ class TestConfigParsing:
                          "--out", str(tmp_path / "x.bin")]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["decoder.structured_init = false",
+                                      "decoder.encoder_hidden = 64"])
+    def test_random_init_keys_are_unknown(self, tmp_path, capsys, line):
+        # every map is built by structured init; these keys chose another
+        cfg = tmp_path / "old.txt"
+        cfg.write_text(line + "\n")
+        assert cli.main(["gen", "--config", str(cfg),
+                         "--out", str(tmp_path / "x.bin")]) == 2
+        key = line.partition(" = ")[0]
+        assert capsys.readouterr().err == \
+            f"error: {cfg}:1: unknown key {key!r}\n"
+        assert not (tmp_path / "x.bin").exists()
+
     def test_unknown_section_rejected(self, tmp_path):
         cfg = tmp_path / "bad.txt"
         cfg.write_text("wurld.num_points = 5\n")
@@ -198,7 +220,7 @@ class TestConfigParsing:
         assert "train.epochs_stage1" in cli.CONFIG_KEYS
         assert "world.num_points" in cli.CONFIG_KEYS
         assert "localize.confidence_min" in cli.CONFIG_KEYS
-        assert "decoder.structured_init" in cli.CONFIG_KEYS
+        assert "decoder.attn_scale" in cli.CONFIG_KEYS
 
     def test_extent_tuple_parsing(self, tmp_path):
         cfg = tmp_path / "c.txt"
@@ -582,7 +604,6 @@ class TestErrorExits:
         # each exited 0, leaving an unusable or misread map
         "decoder.head_hidden = 0",
         "decoder.block_hidden = 0",
-        "decoder.encoder_hidden = -1",
         "train.lr_codes = -1",
         "train.lr_agnostic = -1",
         "train.keypoints_per_sample = -5",
@@ -598,7 +619,8 @@ class TestErrorExits:
         "scene.side_length = -1",
         "scene.blocks = 0",
         "train.optimizer = sgdx",
-        # in range, but structured init keeps the last 3 dims for coordinates
+        # scene.code_dim's lower bound states that structured init keeps
+        # the last 3 dims for coordinates
         "scene.code_dim = 2",
         "scene.code_dim = 3",
         # exited 1 with an OverflowError traceback from saving the scene
@@ -611,6 +633,8 @@ class TestErrorExits:
         key = extra.partition(" = ")[0]
         assert key in err and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "s.bin").exists()
+        if extra == "scene.code_dim = 3":
+            assert err == "error: scene.code_dim must be >= 4, got 3\n"
 
     def test_attention_overflow_is_3_on_one_line(self, workdir, tmp_path,
                                                  capsys):
@@ -802,6 +826,25 @@ class TestErrorExits:
         assert err == f"error: weights have {named}\n"
         assert not (tmp_path / "s.bin").exists()
 
+    @pytest.mark.parametrize("encoder_hidden", [8, 64])
+    def test_adapt_with_a_hidden_encoder_layer_is_2(self, workdir, tmp_path,
+                                                    capsys, encoder_hidden):
+        # codes were injected through the hidden layer's first columns (a
+        # final loss near 96), or NumPy refused to broadcast (48, 8) into
+        # (48, 13), naming neither the key nor the file
+        d, cfg = workdir
+        save_hidden_encoder_weights(workdir, tmp_path / "weights.bin",
+                                    encoder_hidden)
+        assert cli.main(["adapt", "--config", str(cfg),
+                         "--dataset", str(d / "ds.bin"),
+                         "--weights", str(tmp_path / "weights.bin"),
+                         "--out-scene", str(tmp_path / "s.bin")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: weights have a hidden encoder layer "
+                              f"(encoder_hidden = {encoder_hidden})")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "s.bin").exists()
+
     @pytest.mark.parametrize("command", ["eval", "localize", "heatmap"])
     def test_weights_for_other_descriptors_are_2(self, workdir, tmp_path,
                                                  capsys, command):
@@ -856,13 +899,14 @@ class TestErrorExits:
     @pytest.mark.parametrize("command", ["eval", "localize"])
     def test_weights_without_blocks_are_2(self, workdir, tmp_path, capsys,
                                           command):
-        # localize routes with block 0: an IndexError traceback before
+        # localize routes with block 0: an IndexError traceback before;
+        # save_params refuses such weights, so num_blocks (bytes 16-19,
+        # after magic, version, d_raw and d) is zeroed in a saved file
         d, _ = workdir
-        params = load_params(d / "weights.bin")
-        save_params(DecoderParams.init(
-            np.random.default_rng(0), d_raw=params.d_raw, d=params.d,
-            num_blocks=0, encoder_hidden=params.encoder_hidden,
-            block_hidden=8, head_hidden=8), tmp_path / "weights.bin")
+        blob = bytearray((d / "weights.bin").read_bytes())
+        assert blob[16:20] == (2).to_bytes(4, "little")
+        blob[16:20] = bytes(4)
+        (tmp_path / "weights.bin").write_bytes(blob)
         assert cli.main(map_command(workdir, tmp_path, command,
                                     weights=tmp_path / "weights.bin")) == 2
         err = capsys.readouterr().err
@@ -890,6 +934,16 @@ class TestErrorExits:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "T is 0" in err and len(err.strip().splitlines()) == 1
+
+
+def save_hidden_encoder_weights(workdir, path, encoder_hidden):
+    """Random weights sized for the workdir's map, with a hidden encoder
+    layer of the given width, saved to path."""
+    params = load_params(workdir[0] / "weights.bin")
+    save_params(DecoderParams.init(
+        np.random.default_rng(0), d_raw=params.d_raw, d=params.d,
+        num_blocks=params.num_blocks, encoder_hidden=encoder_hidden,
+        block_hidden=8, head_hidden=8), path)
 
 
 def map_command(workdir, tmp_path, command, block=0, **files):

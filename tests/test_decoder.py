@@ -7,7 +7,8 @@ from voxloc import diffcore as dc
 from voxloc.containers import FormatError
 from voxloc.decoder import (DecoderParams, attention_scores,
                             cross_attention_block, decode, encode_feature,
-                            params_from_bytes, params_to_bytes, route_scores)
+                            params_from_bytes, params_to_bytes, route_scores,
+                            save_params)
 from voxloc.diffcore import DTensor, DimensionError, NumericError, Tape
 from voxloc.pipeline import _float32_copy
 from voxloc.scene import CodeBank
@@ -288,6 +289,16 @@ class TestLinearEncoder:
         loaded = params_from_bytes(params_to_bytes(params))
         assert loaded.encoder_hidden == 0
         assert len(loaded.encoder.weights) == 1
+
+
+def test_weights_without_blocks_are_not_saved(tmp_path):
+    # they were written, and params_from_bytes refused them on load
+    params = make_params(num_blocks=0)
+    with pytest.raises(ValueError, match="^num_blocks is 0"):
+        params_to_bytes(params)
+    with pytest.raises(ValueError, match="^num_blocks is 0"):
+        save_params(params, tmp_path / "w.bin")
+    assert not (tmp_path / "w.bin").exists()
 
 
 class TestAttentionScores:

@@ -542,7 +542,7 @@ class TestEvaluate:
 
 
 class TestHeatmap:
-    def make_lattice_view(self, rng, rows=4, cols=5, d_raw=24):
+    def make_view(self, rng, rows=4, cols=5, d_raw=24):
         us, vs = np.arange(cols) * 10.0, np.arange(rows) * 10.0
         uu, vv = np.meshgrid(us, vs)
         pixels = np.stack([uu.ravel(), vv.ravel()], axis=1)
@@ -558,32 +558,15 @@ class TestHeatmap:
                                     head_hidden=8)
         return scene, params
 
-    def test_csv_and_pgm(self, tmp_path):
+    def test_csv(self, tmp_path):
         rng = np.random.default_rng(4)
         scene, params = self.setup_scene(rng)
-        view = self.make_lattice_view(rng)
+        view = self.make_view(rng)
         vid = sorted(scene.voxels)[0]
         csv_path = tmp_path / "scores.csv"
-        pgm_path = tmp_path / "scores.pgm"
-        wrote = export_heatmap(view, scene, params, vid, 0, 1,
-                               csv_path, pgm_path)
-        assert wrote
+        assert export_heatmap(view, scene, params, vid, 0, 1, csv_path) is None
         rows = list(csv.reader(csv_path.open()))
         assert rows[0] == ["feature_index", "score", "normalized_score"]
         assert len(rows) == 21
         scores = np.array([float(r[2]) for r in rows[1:]])
         assert scores.min() == 0.0 and scores.max() == 1.0
-        blob = pgm_path.read_bytes()
-        assert blob.startswith(b"P5\n5 4\n255\n")
-        assert len(blob) == len(b"P5\n5 4\n255\n") + 20
-
-    def test_non_lattice_skips_pgm(self, tmp_path):
-        rng = np.random.default_rng(5)
-        scene, params = self.setup_scene(rng)
-        view = self.make_lattice_view(rng)
-        view.pixels[0] += 0.5  # break the grid
-        wrote = export_heatmap(view, scene, params, sorted(scene.voxels)[0],
-                               0, 1, tmp_path / "s.csv", tmp_path / "s.pgm")
-        assert not wrote
-        assert (tmp_path / "s.csv").exists()
-        assert not (tmp_path / "s.pgm").exists()
