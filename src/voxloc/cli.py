@@ -79,7 +79,6 @@ _PARSERS = {
     "bool": lambda raw: _BOOLS[raw.lower()],
     "int": int,
     "float": float,
-    "str": str,
     "tuple[float, float, float]": _triple,
 }
 
@@ -152,6 +151,12 @@ def _load_map(args):
             decoder.load_params(args.weights))
 
 
+def _final_losses(log) -> str:
+    """The last epoch's losses L_x and L_c, as the --log columns name them."""
+    last = log.records[-1]
+    return f"final L_x {last.l_coord:.4f}, L_c {last.l_conf:.4f}"
+
+
 def cmd_gen(args):
     cfg = load_config(args.config)
     ds = synthworld.generate_dataset(cfg["world"])
@@ -178,7 +183,7 @@ def cmd_train(args):
         log.write_csv(args.log)
     last = log.records[-1]
     print(f"trained {len(built.voxels)} voxels for {len(log.records)} epochs; "
-          f"final loss {last.total:.4f}, retained codes {last.retained_codes}")
+          f"{_final_losses(log)}, retained codes {last.retained_codes}")
     return 0
 
 
@@ -206,8 +211,7 @@ def cmd_finetune(args):
     decoder.save_params(params, args.out_weights)
     if args.log:
         log.write_csv(args.log)
-    print(f"fine-tuned for {tc.epochs_stage2} epochs; "
-          f"final loss {log.records[-1].total:.4f}")
+    print(f"fine-tuned for {tc.epochs_stage2} epochs; {_final_losses(log)}")
     return 0
 
 
@@ -223,7 +227,7 @@ def cmd_adapt(args):
     if args.log:
         log.write_csv(args.log)
     print(f"adapted {len(built.voxels)} voxels over {len(log.records)} epochs; "
-          f"final loss {log.records[-1].total:.4f}")
+          f"{_final_losses(log)}")
     return 0
 
 
@@ -274,6 +278,7 @@ def cmd_inspect(args):
 
 def cmd_heatmap(args):
     ds, loaded, params = _load_map(args)
+    ds.view_means  # refuses a non-finite reference descriptor
     try:
         ix, iy, iz = (int(x) for x in args.voxel.split(","))
     except ValueError as err:

@@ -26,12 +26,12 @@ class FormatError(ValueError):
         self.offset = offset
 
 
-def bound(default, lo=None, hi=None, *, strict=False, choices=None):
-    """A config field whose value check_bounds keeps in choices, or at or
-    above lo and at or below hi (strictly when strict). lo and hi are
-    numbers or the name of another field of the same config."""
+def bound(default, lo=None, hi=None, *, strict=False):
+    """A config field whose value check_bounds keeps at or above lo and at
+    or below hi (strictly when strict). lo and hi are numbers or the name
+    of another field of the same config."""
     return dataclasses.field(default=default,
-                             metadata={"bound": (lo, hi, strict, choices)})
+                             metadata={"bound": (lo, hi, strict)})
 
 
 _COMPARE = {">": np.greater, ">=": np.greater_equal,
@@ -41,7 +41,7 @@ _COMPARE = {">": np.greater, ">=": np.greater_equal,
 # keyed by the annotation string, as the config modules postpone
 # annotations; a bool is no int or float
 _TYPES = {"bool": (bool, np.bool_), "int": (int, np.integer),
-          "float": (int, float, np.integer, np.floating), "str": str}
+          "float": (int, float, np.integer, np.floating)}
 
 
 def _has_type(value, typ: str) -> bool:
@@ -68,9 +68,7 @@ def check_bounds(config, section: str) -> None:
             finite = False
         if not finite:
             raise ValueError(f"{key} must be finite, got {value}")
-        lo, hi, strict, choices = f.metadata.get("bound", (None,) * 4)
-        if choices is not None and value not in choices:
-            raise ValueError(f"{key} must be one of {choices}, got {value!r}")
+        lo, hi, strict = f.metadata.get("bound", (None,) * 3)
         for end, op in ((lo, ">"), (hi, "<")):
             other = isinstance(end, str)
             limit = getattr(config, end) if other else end

@@ -3,8 +3,8 @@
 Just enough machinery for the cross-attention decoder: dense tensors, a
 recording tape whose reverse sweep returns the gradients it is asked for,
 the handful of primitives the decoder and losses need (single-head
-attention among them, as one op with a hand-written VJP), and an optimizer
-that steps named parameters by given gradients. Nothing stores a gradient.
+attention among them, as one op with a hand-written VJP), and Adam,
+which steps named parameters by given gradients. Nothing stores a gradient.
 Everything is deterministic: fixed reduction orders, no threading. Tensors
 are float64 unless made from float32 values, and ops run in their inputs'
 dtype, so one forward pass serves float64 training and a float32 untaped
@@ -342,23 +342,18 @@ class MLP:
 
 
 class Optimizer:
-    """Adam (default) or plain gradient descent over named parameters.
+    """Adam (Kingma & Ba, 2015) over named parameters.
 
     step(grads) updates exactly the parameters that grads names, in sorted
     order; the others keep their values, step counts and moments.
     """
 
-    def __init__(self, params: dict[str, DTensor], lr: float,
-                 method: str = "adam"):
-        if method not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer method {method!r}")
+    def __init__(self, params: dict[str, DTensor], lr: float):
         self.params = dict(params)
         self.lr = lr
-        self.method = method
         self.steps: dict[str, int] = {name: 0 for name in self.params}
-        if method == "adam":
-            self.m = {n: np.zeros_like(p.values) for n, p in self.params.items()}
-            self.v = {n: np.zeros_like(p.values) for n, p in self.params.items()}
+        self.m = {n: np.zeros_like(p.values) for n, p in self.params.items()}
+        self.v = {n: np.zeros_like(p.values) for n, p in self.params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         for name in sorted(grads):
@@ -366,19 +361,15 @@ class Optimizer:
             if np.any(np.isnan(g)):
                 raise NumericError(f"NaN gradient in parameter {name!r}")
             self.steps[name] += 1
-            if self.method == "sgd":
-                p.values -= self.lr * g
-            else:
-                t = self.steps[name]
-                m = self.m[name]
-                v = self.v[name]
-                m *= ADAM_BETA1
-                m += (1.0 - ADAM_BETA1) * g
-                v *= ADAM_BETA2
-                v += (1.0 - ADAM_BETA2) * g ** 2
-                mhat = m / (1.0 - ADAM_BETA1 ** t)
-                vhat = v / (1.0 - ADAM_BETA2 ** t)
-                p.values -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            t = self.steps[name]
+            m, v = self.m[name], self.v[name]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g ** 2
+            mhat = m / (1.0 - ADAM_BETA1 ** t)
+            vhat = v / (1.0 - ADAM_BETA2 ** t)
+            p.values -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
             _check_finite(p.values, f"parameter {name!r} after step")
 
 

@@ -35,9 +35,6 @@ class TrainConfig:
     lr_codes: float = bound(0.02, 0)
     epochs_stage1: int = bound(60, 0)
     epochs_stage2: int = bound(30, 0)
-    # single-voxel batches give the shared decoder the most update steps
-    # per epoch, which matters under the short desk schedule
-    batch_voxels: int = bound(1, 1)
     # keypoints drawn per (voxel, view) sample; 0 decodes the full view.
     # Subsampling keeps epochs cheap so small scenes can afford the many
     # epochs the shared decoder needs to generalize across views.
@@ -45,7 +42,6 @@ class TrainConfig:
     lr_halving_period: int = bound(15, 0)   # 0: never halve
     prune_threshold: float = bound(0.001, 0)
     min_points: int = bound(20, 1)
-    optimizer: str = bound("adam", choices=("adam", "sgd"))
     seed: int = bound(0, 0)
 
     def __post_init__(self):
@@ -107,15 +103,12 @@ def confidence_loss(tape, confidence: DTensor, in_voxel: np.ndarray) -> DTensor:
     return dc.scale(tape, dc.mean_all(tape, dc.add(tape, term_pos, term_neg)), -1.0)
 
 
-def sparsity_loss(tape, voxels: list[Voxel]) -> DTensor:
-    """Sum of |w| over every block/code of the sampled voxels, averaged over
-    the number of sampled voxels."""
+def sparsity_loss(tape, voxel: Voxel) -> DTensor:
+    """Sum of |w| over every block/code of the sampled voxel."""
     total = DTensor(np.array(0.0))
-    for v in voxels:
-        for w in v.codes.scales:
-            total = dc.add(tape, total,
-                           dc.sum_all(tape, dc.abs_(tape, w)))
-    return dc.scale(tape, total, 1.0 / max(len(voxels), 1))
+    for w in voxel.codes.scales:
+        total = dc.add(tape, total, dc.sum_all(tape, dc.abs_(tape, w)))
+    return total
 
 
 def total_loss(tape, l_coord: DTensor, l_conf: DTensor, l_sparse: DTensor,
@@ -128,11 +121,10 @@ def total_loss(tape, l_coord: DTensor, l_conf: DTensor, l_sparse: DTensor,
 
 
 def sample_epoch(scene: SceneRepresentation, dataset: ReferenceDataset,
-                 batch_voxels: int, rng: np.random.Generator,
-                 max_keypoints: int = 0) -> list[list[Sample]]:
-    """One seeded pass over all voxels: a permutation chunked into batches of
-    at most batch_voxels, each voxel paired with one uniformly chosen
-    covering view."""
+                 rng: np.random.Generator,
+                 max_keypoints: int = 0) -> list[Sample]:
+    """One seeded pass over all voxels: a permutation, each voxel paired
+    with one uniformly chosen covering view."""
     voxels = scene.sorted_voxels()
     for v in voxels:
         if not v.covering_views:
@@ -148,8 +140,7 @@ def sample_epoch(scene: SceneRepresentation, dataset: ReferenceDataset,
         view_id = v.covering_views[rng.integers(len(v.covering_views))]
         samples.append(make_sample(v, int(view_id), dataset,
                                    max_keypoints=max_keypoints, rng=rng))
-    return [samples[i:i + batch_voxels]
-            for i in range(0, len(samples), batch_voxels)]
+    return samples
 
 
 @dataclass
@@ -189,26 +180,16 @@ def _retained_codes(scene: SceneRepresentation) -> int:
                for t in range(scene.dims[0]))
 
 
-def _batch_losses(tape, params: DecoderParams, batch: list[Sample],
+def _batch_losses(tape, params: DecoderParams, sample: Sample,
                   config: TrainConfig, stage: int):
-    coord_terms, conf_terms = [], []
-    for sample in batch:
-        feats = encode_feature(tape, params, DTensor(sample.descriptors))
-        local, conf = decode(tape, params, feats, sample.voxel.codes)
-        coord_terms.append(coordinate_loss(tape, local, sample.voxel.origin,
-                                           sample.targets, sample.in_voxel))
-        conf_terms.append(confidence_loss(tape, conf, sample.in_voxel))
-
-    def average(terms):
-        acc = terms[0]
-        for t in terms[1:]:
-            acc = dc.add(tape, acc, t)
-        return dc.scale(tape, acc, 1.0 / len(terms))
-
-    l_coord = average(coord_terms)
-    l_conf = average(conf_terms)
-    l_sparse = sparsity_loss(tape, [s.voxel for s in batch]) \
-        if stage == 1 else DTensor(np.array(0.0))
+    """The loss terms and total of one (voxel, view) sample."""
+    feats = encode_feature(tape, params, DTensor(sample.descriptors))
+    local, conf = decode(tape, params, feats, sample.voxel.codes)
+    l_coord = coordinate_loss(tape, local, sample.voxel.origin,
+                              sample.targets, sample.in_voxel)
+    l_conf = confidence_loss(tape, conf, sample.in_voxel)
+    l_sparse = sparsity_loss(tape, sample.voxel) if stage == 1 \
+        else DTensor(np.array(0.0))
     return l_coord, l_conf, l_sparse, total_loss(tape, l_coord, l_conf,
                                                  l_sparse, config, stage)
 
@@ -216,30 +197,33 @@ def _batch_losses(tape, params: DecoderParams, batch: list[Sample],
 def _run_epochs(scene, dataset, params, config, *, stage, epochs, train_scales,
                 opt_agnostic, opt_codes, rng, log):
     """Appends one record per epoch, numbered on from the log's last."""
+    dataset.view_means  # refuses a non-finite reference descriptor up front
     for epoch in range(len(log.records), len(log.records) + epochs):
         lr_a = halved_lr(config.lr_agnostic, epoch, config.lr_halving_period)
         lr_c = halved_lr(config.lr_codes, epoch, config.lr_halving_period)
         opt_agnostic.lr, opt_codes.lr = lr_a, lr_c
 
         sums = np.zeros(4)
-        batches = sample_epoch(scene, dataset, config.batch_voxels, rng,
+        samples = sample_epoch(scene, dataset, rng,
                                config.keypoints_per_sample)
-        for batch_idx, batch in enumerate(batches):
-            moving = {t.name: t for s in batch for t in s.voxel.codes.codes
-                      + (s.voxel.codes.scales if train_scales else [])}
+        # one Adam step per sample: single voxels give the shared decoder
+        # the most update steps per epoch, which the short desk schedule needs
+        for step, sample in enumerate(samples):
+            moving = {t.name: t for t in sample.voxel.codes.codes
+                      + (sample.voxel.codes.scales if train_scales else [])}
             tape = Tape()
             try:
                 l_coord, l_conf, l_sparse, loss = _batch_losses(
-                    tape, params, batch, config, stage)
+                    tape, params, sample, config, stage)
                 grads = tape.backward(loss, {**opt_agnostic.params, **moving})
             except NumericError as err:
                 raise NumericError(
-                    f"epoch {epoch}, batch {batch_idx}: {err}") from err
+                    f"epoch {epoch}, step {step}: {err}") from err
             opt_agnostic.step({n: grads[n] for n in opt_agnostic.params})
             opt_codes.step({n: grads[n] for n in moving})
             sums += [l_coord.values, l_conf.values, l_sparse.values, loss.values]
 
-        log.records.append(EpochRecord(epoch, stage, *sums / len(batches),
+        log.records.append(EpochRecord(epoch, stage, *sums / len(samples),
                                        lr_a, lr_c, _retained_codes(scene)))
 
 
@@ -254,10 +238,8 @@ def run_training(scene: SceneRepresentation, dataset: ReferenceDataset,
         raise ValueError("the scene has no retained code to train")
     rng = seeded_rng(config.seed, 100)
     log = TrainingLog()
-    opt_agnostic = Optimizer(params.named_parameters(), config.lr_agnostic,
-                             method=config.optimizer)
-    opt_codes = Optimizer(scene.named_code_parameters(), config.lr_codes,
-                          method=config.optimizer)
+    opt_agnostic = Optimizer(params.named_parameters(), config.lr_agnostic)
+    opt_codes = Optimizer(scene.named_code_parameters(), config.lr_codes)
 
     _run_epochs(scene, dataset, params, config, stage=1,
                 epochs=config.epochs_stage1, train_scales=True,
@@ -287,8 +269,7 @@ def adapt_scene(new_scene: SceneRepresentation, new_dataset: ReferenceDataset,
     """
     rng = seeded_rng(config.seed, 200)
     log = TrainingLog()
-    opt_codes = Optimizer(new_scene.named_code_parameters(), config.lr_codes,
-                          method=config.optimizer)
+    opt_codes = Optimizer(new_scene.named_code_parameters(), config.lr_codes)
     _run_epochs(new_scene, new_dataset, params, config, stage=1,
                 epochs=config.epochs_stage1 if epochs is None else epochs,
                 train_scales=train_scales, opt_agnostic=Optimizer({}, 0.0),

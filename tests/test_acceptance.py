@@ -52,7 +52,7 @@ def test_criterion_1_gradient_soundness(capsys):
     params = DecoderParams.init(rng, d_raw=d_raw, d=d, num_blocks=t,
                                 encoder_hidden=4, block_hidden=4,
                                 head_hidden=4)
-    batch = []
+    samples = []
     banks = []
     for vi in range(2):
         bank = CodeBank.init(t, n, d, rng, prefix=f"voxel{vi}")
@@ -65,15 +65,22 @@ def test_criterion_1_gradient_soundness(capsys):
                       np.arange(3), bank)
         in_voxel = np.array([1.0, 0.0, 1.0, 1.0]) if vi == 0 \
             else np.array([0.0, 1.0, 1.0, 0.0])
-        batch.append(Sample(voxel, 0, rng.normal(size=(m, d_raw)),
-                            rng.normal(size=(m, 3)), in_voxel))
+        samples.append(Sample(voxel, 0, rng.normal(size=(m, d_raw)),
+                              rng.normal(size=(m, 3)), in_voxel))
     config = TrainConfig(lambda_l1=1.0)
 
+    def summed_loss(tape):
+        # the sum of both samples' losses reaches every decoder parameter
+        # and both code banks
+        first, second = (_batch_losses(tape, params, s, config, 1)[3]
+                         for s in samples)
+        return dcc.add(tape, first, second)
+
     def loss_value():
-        return float(_batch_losses(None, params, batch, config, 1)[3].values)
+        return float(summed_loss(None).values)
 
     tape = dcc.Tape()
-    loss = _batch_losses(tape, params, batch, config, 1)[3]
+    loss = summed_loss(tape)
     named = dict(params.named_parameters())
     for bank in banks:
         named.update(bank.named_parameters())
@@ -466,11 +473,12 @@ def test_criterion_7_oracle_equivalence(capsys):
         for w in b.scales:
             w.values[:] = rng.normal(size=w.values.shape)
         voxels.append(Voxel(VoxelId(vi, 0, 0), np.zeros(3), np.arange(2), b))
-    got_l1 = float(sparsity_loss(None, voxels).values)
-    want_l1 = sum(abs(float(x)) for v in voxels for w in v.codes.scales
-                  for x in w.values.ravel()) / len(voxels)
-    if abs(got_l1 - want_l1) > 1e-12:
-        failures.append("sparsity loss")
+    for v in voxels:
+        got_l1 = float(sparsity_loss(None, v).values)
+        want_l1 = sum(abs(float(x)) for w in v.codes.scales
+                      for x in w.values.ravel())
+        if abs(got_l1 - want_l1) > 1e-12:
+            failures.append("sparsity loss")
 
     # evaluate vs brute-force recount on mixed synthetic errors
     truth = [look_at(np.array([6.0, i - 2.0, 1.0]), np.zeros(3))
@@ -532,7 +540,6 @@ decoder.head_hidden = 8
 
 train.epochs_stage1 = 2
 train.epochs_stage2 = 1
-train.batch_voxels = 1
 train.keypoints_per_sample = 32
 train.min_points = 5
 
@@ -579,7 +586,7 @@ def test_criterion_8_determinism_and_persistence(capsys, tmp_path):
     params = params_from_bytes(weight_bytes)
     scene = scene_from_bytes(scene_bytes)
     dataset = synthworld.dataset_from_bytes(first["ds.bin"])
-    tc = TrainConfig(epochs_stage1=2, epochs_stage2=1, batch_voxels=1,
+    tc = TrainConfig(epochs_stage1=2, epochs_stage2=1,
                      keypoints_per_sample=32, min_points=5, lambda_l1=0.0)
     adapt_scene(scene, dataset, params, tc, epochs=2, train_scales=False)
     checks.append(("frozen weights byte-identical through adaptation",

@@ -1,5 +1,6 @@
 """End-to-end coverage of every CLI subcommand on a tiny world."""
 
+import csv
 import dataclasses
 import json
 import re
@@ -38,7 +39,6 @@ decoder.head_hidden = 8
 
 train.epochs_stage1 = 2
 train.epochs_stage2 = 1
-train.batch_voxels = 1
 train.keypoints_per_sample = 32
 train.min_points = 5
 
@@ -125,6 +125,29 @@ class TestHappyPaths:
                          "--out-scene", str(d / "adapted.bin")]) == 0
         assert (d / "adapted.bin").stat().st_size > 0
 
+    @pytest.mark.parametrize("command", ["train", "finetune", "adapt"])
+    def test_final_losses_are_the_logs_last_row(self, workdir, tmp_path,
+                                                capsys, command):
+        # a stage-1 total is mostly the L1 scale penalty, which cannot tell
+        # a working fit from a broken one
+        d, cfg = workdir
+        inputs = {"train": [], "adapt": ["--weights", str(d / "weights.bin")],
+                  "finetune": ["--scene", str(d / "scene.bin"),
+                               "--weights", str(d / "weights.bin")]}[command]
+        outputs = ["--out-scene", str(tmp_path / "s.bin"),
+                   "--log", str(tmp_path / "log.csv")]
+        if command != "adapt":
+            outputs += ["--out-weights", str(tmp_path / "w.bin")]
+        assert cli.main([command, "--config", str(cfg),
+                         "--dataset", str(d / "ds.bin")]
+                        + inputs + outputs) == 0
+        with open(tmp_path / "log.csv", newline="") as f:
+            last = list(csv.DictReader(f))[-1]
+        printed = re.search(r"; final L_x (\S+), L_c ([^,\s]+)",
+                            capsys.readouterr().out)
+        assert printed.groups() == (f"{float(last['L_x']):.4f}",
+                                    f"{float(last['L_c']):.4f}")
+
     def test_localize(self, workdir, capsys):
         d, cfg = workdir
         assert cli.main(["localize", "--config", str(cfg),
@@ -192,9 +215,12 @@ class TestConfigParsing:
         assert "unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["decoder.structured_init = false",
-                                      "decoder.encoder_hidden = 64"])
+                                      "decoder.encoder_hidden = 64",
+                                      "train.batch_voxels = 1",
+                                      "train.optimizer = adam"])
     def test_random_init_keys_are_unknown(self, tmp_path, capsys, line):
-        # every map is built by structured init; these keys chose another
+        # every map is built by structured init and trained by one Adam
+        # step per sample; these keys chose otherwise
         cfg = tmp_path / "old.txt"
         cfg.write_text(line + "\n")
         assert cli.main(["gen", "--config", str(cfg),
@@ -252,7 +278,6 @@ class TestConfigParsing:
         (TrainConfig, "train.seed", True),
         (WorldConfig, "world.extent", (1.0, 2.0)),
         (LocalizeOptions, "localize.top_k", "3"),
-        (TrainConfig, "train.optimizer", 3),
     ])
     def test_constructors_refuse_wrong_types(self, cls, key, value):
         with pytest.raises(TypeError, match=f"^{re.escape(key)} must be "):
@@ -526,6 +551,21 @@ class TestErrorExits:
             f"error: point {pid} has a non-finite reference descriptor\n")
         assert not (tmp_path / "s.bin").exists()
 
+    @pytest.mark.parametrize("command", ["finetune", "heatmap"])
+    def test_non_finite_reference_descriptor_stops_finetune_and_heatmap(
+            self, workdir, tmp_path, capsys, command):
+        # finetune's keypoint subsamples can miss the damaged row, so the
+        # refusal must come before any training
+        ds = load_dataset(workdir[0] / "ds.bin")
+        ds.views[0].descriptors[3, 1] = np.nan
+        save_dataset(ds, tmp_path / "bad.bin")
+        assert cli.main(map_command(workdir, tmp_path, command,
+                                    dataset=tmp_path / "bad.bin")) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == (
+            "error: reference view 0 has a non-finite descriptor\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.bin"]
+
     def test_config_json_past_the_recursion_limit_is_2(self, workdir,
                                                        tmp_path, capsys):
         d, cfg = workdir
@@ -618,7 +658,6 @@ class TestErrorExits:
         "scene.side_length = nan",
         "scene.side_length = -1",
         "scene.blocks = 0",
-        "train.optimizer = sgdx",
         # scene.code_dim's lower bound states that structured init keeps
         # the last 3 dims for coordinates
         "scene.code_dim = 2",

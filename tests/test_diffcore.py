@@ -383,12 +383,6 @@ class TestOptimizer:
         np.testing.assert_allclose(p.values, reference_adam(x0, grads, 0.05),
                                    rtol=0, atol=1e-14)
 
-    def test_sgd_step(self):
-        p = DTensor(np.array([1.0, 2.0]), name="p")
-        opt = Optimizer({"p": p}, lr=0.5, method="sgd")
-        opt.step({"p": np.array([2.0, -2.0])})
-        np.testing.assert_allclose(p.values, [0.0, 3.0])
-
     def test_active_subset_keeps_per_param_step_counts(self):
         a = DTensor(np.zeros(1), name="a")
         b = DTensor(np.zeros(1), name="b")
@@ -398,18 +392,13 @@ class TestOptimizer:
         assert a.values[0] != 0.0 and b.values[0] == 0.0
         assert np.all(opt.m["b"] == 0.0) and np.all(opt.v["b"] == 0.0)
 
-    @pytest.mark.parametrize("method", ["adam", "sgd"])
-    def test_parameter_without_gradient_stays_put(self, method):
+    def test_parameter_without_gradient_stays_put(self):
         p = DTensor(np.array([1.0, -2.0]), name="p")
-        opt = Optimizer({"p": p}, lr=0.1, method=method)
+        opt = Optimizer({"p": p}, lr=0.1)
         opt.step({"p": np.zeros(2)})
         np.testing.assert_array_equal(p.values, [1.0, -2.0])
         opt.step({})
         np.testing.assert_array_equal(p.values, [1.0, -2.0])
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            Optimizer({}, lr=0.1, method="rmsprop")
 
 
 def test_halved_lr_schedule():

@@ -30,9 +30,9 @@ def tiny_setup(seed=0):
 
 
 def tiny_config(**over):
-    base = dict(epochs_stage1=3, epochs_stage2=2, batch_voxels=2,
-                keypoints_per_sample=32, lr_halving_period=2,
-                prune_threshold=0.001, min_points=5, seed=0)
+    base = dict(epochs_stage1=3, epochs_stage2=2, keypoints_per_sample=32,
+                lr_halving_period=2, prune_threshold=0.001, min_points=5,
+                seed=0)
     return TrainConfig(**{**base, **over})
 
 
@@ -65,11 +65,10 @@ class TestLossOracles:
 
     def test_sparsity_loss_matches_manual(self):
         _, scene, _ = tiny_setup()
-        voxels = scene.sorted_voxels()[:2]
-        got = sparsity_loss(None, voxels).values
-        ref = sum(np.abs(w.values).sum() for v in voxels
-                  for w in v.codes.scales) / 2
-        np.testing.assert_allclose(got, ref, atol=1e-12)
+        for voxel in scene.sorted_voxels()[:2]:
+            got = sparsity_loss(None, voxel).values
+            ref = sum(np.abs(w.values).sum() for w in voxel.codes.scales)
+            np.testing.assert_allclose(got, ref, atol=1e-12)
 
     def test_total_loss_stage_semantics(self):
         cfg = tiny_config(lambda_coord=2.0, lambda_conf=3.0, lambda_l1=0.5)
@@ -84,8 +83,6 @@ class TestLossOracles:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(lambda_l1=-1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(batch_voxels=0)
 
 
 class TestSampling:
@@ -117,27 +114,25 @@ class TestSampling:
 
     def test_sample_epoch_covers_each_voxel_once(self):
         ds, scene, _ = tiny_setup()
-        batches = sample_epoch(scene, ds, 2, np.random.default_rng(0))
-        seen = [s.voxel.id for batch in batches for s in batch]
-        assert sorted(seen) == sorted(scene.voxels)
-        assert all(len(b) <= 2 for b in batches)
-        for batch in batches:
-            for s in batch:
-                assert s.view_id in s.voxel.covering_views
+        samples = sample_epoch(scene, ds, np.random.default_rng(0))
+        assert len(samples) == len(scene.voxels)
+        assert sorted(s.voxel.id for s in samples) == sorted(scene.voxels)
+        for s in samples:
+            assert s.view_id in s.voxel.covering_views
 
     def test_sample_epoch_deterministic(self):
         ds, scene, _ = tiny_setup()
-        a = sample_epoch(scene, ds, 2, np.random.default_rng(5))
-        b = sample_epoch(scene, ds, 2, np.random.default_rng(5))
-        assert [(s.voxel.id, s.view_id) for x in a for s in x] \
-            == [(s.voxel.id, s.view_id) for x in b for s in x]
+        a = sample_epoch(scene, ds, np.random.default_rng(5))
+        b = sample_epoch(scene, ds, np.random.default_rng(5))
+        assert [(s.voxel.id, s.view_id) for s in a] \
+            == [(s.voxel.id, s.view_id) for s in b]
 
     def test_sample_epoch_refuses_a_covering_view_beyond_the_dataset(self):
         ds, scene, _ = tiny_setup()
         voxel = scene.sorted_voxels()[1]
         voxel.covering_views = voxel.covering_views + [12]
         with pytest.raises(ValueError) as err:
-            sample_epoch(scene, ds, 2, np.random.default_rng(0))
+            sample_epoch(scene, ds, np.random.default_rng(0))
         assert str(err.value) == (f"voxel {voxel.id} is covered by view 12, "
                                   "but the dataset has 12 views")
 
