@@ -131,6 +131,7 @@ def _new_map(dataset, cfg, params=None):
         if params is not None and getattr(params, key) != dims[key]:
             raise ConfigError(f"weights have {key} = {getattr(params, key)}, "
                               f"but {need} is {dims[key]}")
+    dataset.view_means  # refuses a non-finite reference descriptor
     built = scene_mod.build_scene(
         list(dataset.points.values()), sc.side_length,
         (sc.blocks, sc.codes_per_block, sc.code_dim), seeded_rng(tc.seed, 300))

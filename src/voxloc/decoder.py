@@ -118,34 +118,32 @@ def _canonical_order(bank: CodeBank, t: int, idx: np.ndarray) -> np.ndarray:
 
 
 def block_keys(tape, params: DecoderParams, bank: CodeBank, t: int):
-    """(scaled, keys): block t's (K, D) active codes times their scales in
-    canonical order, and their keys scaled·Wk; None when all are pruned."""
+    """(keys, values): block t's (K, D) active codes times their scales, in
+    canonical order, times Wk and Wv; None when all are pruned."""
     idx = bank.active_rows(t)
     if len(idx) == 0:
         return None
     idx = _canonical_order(bank, t, idx)
     scaled = dc.mul(tape, dc.take_rows(tape, bank.codes[t], idx),
                     dc.take_rows(tape, bank.scales[t], idx))
-    return scaled, dc.matmul(tape, scaled, params.blocks[t].wk)
+    blk = params.blocks[t]
+    return dc.matmul(tape, scaled, blk.wk), dc.matmul(tape, scaled, blk.wv)
 
 
-def cross_attention_block(tape, f: DTensor, bank: CodeBank, t: int,
-                          params: DecoderParams, keys=None):
-    """One post-norm residual cross-attention block over block-t codes.
+def cross_attention_block(tape, f: DTensor, kv, t: int,
+                          params: DecoderParams):
+    """One post-norm residual cross-attention block over kv, block t's
+    block_keys.
 
     Returns the new (M, D) features and the block's (M, K) softmax over its
     K active codes in canonical order, a plain array off the tape. A block
-    whose codes are all pruned acts as identity on f (skip): (f, None).
-    keys is block_keys' result for this bank and block, when already built.
+    whose codes are all pruned (kv None) acts as identity on f: (f, None).
     """
-    blk = params.blocks[t]
-    keys = keys or block_keys(tape, params, bank, t)
-    if keys is None:
+    if kv is None:
         return f, None
-    scaled, k = keys
+    blk = params.blocks[t]
     q = dc.matmul(tape, f, blk.wq)
-    v = dc.matmul(tape, scaled, blk.wv)
-    attended, attn = dc.attention(tape, q, k, v,
+    attended, attn = dc.attention(tape, q, *kv,
                                   float(1.0 / np.sqrt(params.d)))
     f1 = dc.layer_norm(tape, dc.add(tape, f, attended),
                        blk.ln1_gain, blk.ln1_bias)
@@ -160,23 +158,27 @@ def _check_bank(params: DecoderParams, bank: CodeBank) -> None:
                                 f"(T, D) ({params.num_blocks}, {params.d})")
 
 
+def bank_keys(tape, params: DecoderParams, bank: CodeBank) -> list:
+    """block_keys of every block of the bank: what decode attends over."""
+    _check_bank(params, bank)
+    return [block_keys(tape, params, bank, t) for t in range(params.num_blocks)]
+
+
 def decode(tape, params: DecoderParams, features: DTensor, bank: CodeBank,
-           keys0=None):
+           blocks=None):
     """Run encoded features (M, D) through all blocks and the output head.
 
     Returns (local, confidence): (M, 3) coordinates in the voxel's frame,
     meters, and (M, 1) sigmoid probabilities of lying in the voxel. The
-    caller adds the voxel's origin for world coordinates. keys0 is
-    block_keys' result for block 0 of this bank, when already built.
+    caller adds the voxel's origin for world coordinates. blocks, when
+    given, is bank_keys' result for bank, which is then not read.
     """
     if features.shape[1] != params.d:
         raise dc.DimensionError(
             f"feature width {features.shape} != decoder width {params.d}")
-    _check_bank(params, bank)
     f = features
-    for t in range(params.num_blocks):
-        f, _ = cross_attention_block(tape, f, bank, t, params,
-                                     keys0 if t == 0 else None)
+    for t, kv in enumerate(blocks or bank_keys(tape, params, bank)):
+        f, _ = cross_attention_block(tape, f, kv, t, params)
     out = params.head.forward(tape, f)
     return (dc.slice_cols(tape, out, 0, 3),
             dc.sigmoid(tape, dc.slice_cols(tape, out, 3, 4)))
@@ -200,8 +202,8 @@ def attention_scores(params: DecoderParams, features: DTensor,
         raise ValueError(f"code {code} in block {block} is pruned or inactive")
     pos = np.flatnonzero(_canonical_order(bank, block, idx) == code)
     f = features
-    for t in range(block + 1):
-        f, attn = cross_attention_block(None, f, bank, t, params)
+    for t, kv in enumerate(bank_keys(None, params, bank)[:block + 1]):
+        f, attn = cross_attention_block(None, f, kv, t, params)
     s = attn[:, pos[0]].copy()
     lo, hi = s.min(), s.max()
     if hi - lo == 0.0:
@@ -209,22 +211,19 @@ def attention_scores(params: DecoderParams, features: DTensor,
     return s, (s - lo) / (hi - lo)
 
 
-def route_scores(params: DecoderParams, q: np.ndarray, bank: CodeBank):
-    """(scores, keys) of one voxel: scores (M,) is each keypoint's largest
-    block-0 logit q·k/√D over the active block-0 codes, for queries q =
-    features·Wq (a max, so code-row order does not matter); keys is
-    block_keys' block-0 result, for decode's keys0. (None, None) when block
-    0 has no active code; a non-finite logit raises NumericError.
+def route_scores(params: DecoderParams, q: np.ndarray, kv0):
+    """Each keypoint's largest block-0 logit q·k/√D, (M,), over the keys of
+    kv0, block 0's block_keys, for queries q = features·Wq (a max, so
+    code-row order does not matter). None when kv0 is None (no active
+    block-0 code); a non-finite logit raises NumericError.
     """
-    _check_bank(params, bank)
-    keys = block_keys(None, params, bank, 0)
-    if keys is None:
-        return None, None
+    if kv0 is None:
+        return None
     with np.errstate(over="ignore", invalid="ignore"):  # checked next
-        logits = q @ keys[1].values.T
+        logits = q @ kv0[0].values.T
         logits *= float(1.0 / np.sqrt(params.d))
     dc._check_finite(logits, "routing logits")
-    return logits.max(axis=1), keys
+    return logits.max(axis=1)
 
 
 def params_to_bytes(params: DecoderParams) -> bytes:

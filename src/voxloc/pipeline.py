@@ -5,8 +5,9 @@ retrieved views activate voxels via the coverage rule; block 0's largest
 logit routes each keypoint to its best few activated voxels, and it is
 decoded in float32 only there; candidates with confidence >= 0.5 become
 row-aligned 2D-3D arrays for PnP+RANSAC, whose pose is refined by
-Cauchy-weighted IRLS over all of them, not only the inliers. Failure is a
-first-class result value, never an exception.
+Cauchy-weighted IRLS over all of them, not only the inliers. The float32
+weights, keys and values are built once per map and reused until its
+float32 content changes. Failure is a result value, never an exception.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from __future__ import annotations
 import copy
 import csv
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .containers import bound, check_bounds
-from .decoder import (DecoderParams, attention_scores, decode, encode_feature,
-                      route_scores)
+from .decoder import (DecoderParams, attention_scores, bank_keys, decode,
+                      encode_feature, route_scores)
 from .diffcore import DTensor, NumericError, matmul
 from .geometry import Pose, pose_error, ransac_pnp
 from .scene import SceneRepresentation, VoxelId, size_bytes
@@ -89,11 +91,31 @@ def activate_voxels(view_ids, scene: SceneRepresentation) -> list[VoxelId]:
     return sorted(out)
 
 
-def _float32_copy(obj):
-    """Deep copy of decoder params or a code bank with float32 tensors."""
-    # deepcopy takes a memo entry in place of the object with that id
-    return copy.deepcopy(obj, {id(t.values): t.values.astype(np.float32)
-                               for t in obj.named_parameters().values()})
+# DecoderParams or CodeBank -> its _float32_state; weak keys keep no map alive
+_STATES = weakref.WeakKeyDictionary()
+
+
+def _is_cast_of(copy32, source) -> bool:
+    """Whether copy32 is bitwise the float32 copy of source as it is now."""
+    old, new = ([getattr(o, "pruned", None)] + [
+        t.values.astype("f4", copy=False).view("u4")
+        for t in o.named_parameters().values()] for o in (copy32, source))
+    return len(old) == len(new) and all(map(np.array_equal, old, new))
+
+
+def _float32_state(source, params32=None):
+    """(copy, params32, keys): the float32 copy of decoder params or a code
+    bank, with a bank copy's bank_keys under params32; built on first use,
+    reused while params32 is the same and _is_cast_of(copy, source)."""
+    state = _STATES.pop(source, None)  # a failed build leaves no entry
+    if not (state and state[1] is params32 and _is_cast_of(state[0], source)):
+        # deepcopy takes a memo entry in place of the object with that id
+        memo = {id(t.values): t.values.astype("f4")
+                for t in source.named_parameters().values()}
+        cast = copy.deepcopy(source, memo)
+        state = cast, params32, params32 and bank_keys(None, params32, cast)
+    _STATES[source] = state
+    return state
 
 
 def route_keypoints(scores: list, r: int, m: int) -> list[np.ndarray]:
@@ -119,9 +141,9 @@ def localize(query: ViewObservations, scene: SceneRepresentation,
     """Decode each keypoint in its routed activated voxels; PnP+RANSAC.
 
     Each keypoint is decoded only in the _ROUTE_TOP_R activated voxels
-    where block 0 gives it its largest logit; block 0's keys are built once
-    per voxel for both. With no more activated voxels than that, every
-    keypoint goes to every voxel: the every-pair result, byte for byte.
+    where block 0 gives it its largest logit, over the keys decode uses.
+    With no more activated voxels than that, every keypoint goes to every
+    voxel: the every-pair result, byte for byte.
     Confident candidates reach RANSAC in voxel-id order, then keypoint
     order; a keypoint may contribute in several voxels, and RANSAC
     arbitrates. With bypass_retrieval (or no dataset) all voxels activate.
@@ -149,26 +171,24 @@ def localize(query: ViewObservations, scene: SceneRepresentation,
     stage = "encode"  # float32 overflow raises its op's NumericError, not a warning
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            params = _float32_copy(params)
+            params = _float32_state(params)[0]
             feats = encode_feature(None, params, DTensor(query.descriptors.astype(np.float32)))
             voxels = [scene.voxels[vid] for vid in voxel_ids]
-            banks = [_float32_copy(v.codes) for v in voxels]
             stages = [f"decode of voxel {tuple(vid)}" for vid in voxel_ids]
             # block 0's query projection, which every decode starts with
             stage = stages[0]
             q = matmul(None, feats, params.blocks[0].wq).values
-            scored = []
-            for stage, bank in zip(stages, banks):  # names the voxel on error
-                scored.append(route_scores(params, q, bank))
-            scores, keys = zip(*scored)
+            kvs, scores = [], []
+            for stage, voxel in zip(stages, voxels):  # errors name the voxel
+                kvs.append(_float32_state(voxel.codes, params)[2])
+                scores.append(route_scores(params, q, kvs[-1][0]))
             routes = route_keypoints(scores, _ROUTE_TOP_R, query.num_keypoints)
             world, pixels = [], []
-            for stage, voxel, bank, rows, keys0 in zip(stages, voxels, banks,
-                                                       routes, keys):
+            for stage, voxel, rows, blocks in zip(stages, voxels, routes, kvs):
                 if len(rows) == 0:
                     continue
                 local, conf = decode(None, params, DTensor(feats.values[rows]),
-                                     bank, keys0=keys0)
+                                     voxel.codes, blocks)
                 keep = conf.values[:, 0] >= opts.confidence_min
                 world.append((local.values + voxel.origin)[keep])
                 pixels.append(query.pixels[rows[keep]])

@@ -5,8 +5,8 @@ ids, the origin (mean of member positions, the local regression frame), the
 learnable code bank with per-code scaling factors, and the reference views
 covering the cell. Codes are float64 in memory, as training needs; the
 persisted format downcasts to little-endian float32, which is the "map
-size" that the byte accounting reports. Queries decode against float32
-copies of the activated banks, exact for a map read from its file.
+size" that the byte accounting reports. Queries decode a float32 copy of
+each bank, rebuilt when its casts change; exact for a map read from file.
 """
 
 from __future__ import annotations

@@ -16,8 +16,9 @@ import pytest
 
 from voxloc import cli, pipeline, synthworld, training
 from voxloc import diffcore as dcc
-from voxloc.decoder import (DecoderParams, cross_attention_block, decode,
-                            encode_feature, params_from_bytes, params_to_bytes)
+from voxloc.decoder import (DecoderParams, block_keys, cross_attention_block,
+                            decode, encode_feature, params_from_bytes,
+                            params_to_bytes)
 from voxloc.geometry import (Intrinsics, Point3D, Pose, look_at, pnp_solve,
                              pose_error, project_many, ransac_pnp,
                              rotation_from_axis_angle, triangulate_dlt)
@@ -304,7 +305,7 @@ def test_float32_query_decode_on_the_desk_map(desk):
     assert scene_to_bytes(desk.scene) == scene_bytes
     assert params_to_bytes(desk.params) == weight_bytes
 
-    params32 = pipeline._float32_copy(desk.params)
+    params32 = pipeline._float32_state(desk.params)[0]
     feats64 = encode_feature(None, desk.params,
                              dcc.DTensor(view.descriptors))
     feats32 = encode_feature(None, params32, dcc.DTensor(
@@ -312,7 +313,7 @@ def test_float32_query_decode_on_the_desk_map(desk):
     for voxel in desk.scene.voxels.values():
         local64, _ = decode(None, desk.params, feats64, voxel.codes)
         local32, _ = decode(None, params32, feats32,
-                            pipeline._float32_copy(voxel.codes))
+                            pipeline._float32_state(voxel.codes)[0])
         assert local32.values.dtype == np.float32
         world64 = local64.values + voxel.origin
         world32 = local32.values + voxel.origin
@@ -435,7 +436,8 @@ def test_criterion_7_oracle_equivalence(capsys):
     bank.codes[0].values[:] = rng.normal(size=(n, d))
     bank.scales[0].values[:] = rng.uniform(0.5, 1.5, size=(n, 1))
     f = rng.normal(size=(5, d))
-    got_block = cross_attention_block(None, dcc.DTensor(f), bank, 0,
+    got_block = cross_attention_block(None, dcc.DTensor(f),
+                                      block_keys(None, params, bank, 0), 0,
                                       params)[0].values
     want_block = np.array(_scalar_attention_oracle(
         f.tolist(), bank.codes[0].values.tolist(),

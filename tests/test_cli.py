@@ -536,20 +536,22 @@ class TestErrorExits:
             rf"error: at byte \d+: {where} view 1 has 32-wide descriptors, "
             rf"the header's descriptor_dim is 64\n", out.err)
 
-    def test_non_finite_reference_descriptor_stops_train(self, workdir,
-                                                         tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["train", "adapt"])
+    def test_non_finite_reference_descriptor_stops_new_maps(
+            self, workdir, tmp_path, capsys, command):
+        # the same message as every other command that reads the dataset
         d, cfg = workdir
         ds = load_dataset(d / "ds.bin")
-        pid = int(ds.views[5].point_ids[3])
         ds.views[5].descriptors[3, 1] = np.nan
         save_dataset(ds, tmp_path / "bad.bin")
-        assert cli.main(["train", "--config", str(cfg),
-                         "--dataset", str(tmp_path / "bad.bin"),
-                         "--out-scene", str(tmp_path / "s.bin"),
-                         "--out-weights", str(tmp_path / "w.bin")]) == 2
+        out = ["--out-scene", str(tmp_path / "s.bin")] + (
+            ["--out-weights", str(tmp_path / "w.bin")] if command == "train"
+            else ["--weights", str(d / "weights.bin")])
+        assert cli.main([command, "--config", str(cfg),
+                         "--dataset", str(tmp_path / "bad.bin")] + out) == 2
         assert capsys.readouterr().err == (
-            f"error: point {pid} has a non-finite reference descriptor\n")
-        assert not (tmp_path / "s.bin").exists()
+            "error: reference view 5 has a non-finite descriptor\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.bin"]
 
     @pytest.mark.parametrize("command", ["finetune", "heatmap"])
     def test_non_finite_reference_descriptor_stops_finetune_and_heatmap(

@@ -5,12 +5,12 @@ import pytest
 
 from voxloc import diffcore as dc
 from voxloc.containers import FormatError
-from voxloc.decoder import (DecoderParams, attention_scores,
-                            cross_attention_block, decode, encode_feature,
-                            params_from_bytes, params_to_bytes, route_scores,
-                            save_params)
+from voxloc.decoder import (DecoderParams, attention_scores, bank_keys,
+                            block_keys, cross_attention_block, decode,
+                            encode_feature, params_from_bytes,
+                            params_to_bytes, route_scores, save_params)
 from voxloc.diffcore import DTensor, DimensionError, NumericError, Tape
-from voxloc.pipeline import _float32_copy
+from voxloc.pipeline import _float32_state
 from voxloc.scene import CodeBank
 
 T, N, D, DRAW = 3, 5, 16, 24
@@ -32,6 +32,11 @@ def make_bank(seed=1, t=T, n=N, d=D, scale_std=0.3):
     return bank
 
 
+def float32_copy(obj):
+    """The float32 copy of params or a bank that localize decodes with."""
+    return _float32_state(obj)[0]
+
+
 def run_decode(params, bank, feats_raw):
     feats = encode_feature(None, params, dc.DTensor(feats_raw))
     return decode(None, params, feats, bank)
@@ -41,7 +46,7 @@ class TestPermutationInvariance:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_decode_bit_identical_under_row_permutation(self, dtype):
         # float32 runs on the copies localize decodes with
-        cast = _float32_copy if dtype == np.float32 else (lambda obj: obj)
+        cast = float32_copy if dtype == np.float32 else (lambda obj: obj)
         params = cast(make_params())
         bank = make_bank()
         raw = np.random.default_rng(2).normal(size=(7, DRAW)).astype(dtype)
@@ -112,49 +117,54 @@ class TestRouting:
         keys = (bank.codes[0].values[rows] * bank.scales[0].values[rows]) \
             @ params.blocks[0].wk.values
         want = (q @ keys.T / np.sqrt(D)).max(axis=1)
-        np.testing.assert_allclose(route_scores(params, q, bank)[0], want,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(
+            route_scores(params, q, block_keys(None, params, bank, 0)), want,
+            rtol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_unchanged_under_row_permutation(self, dtype):
-        cast = _float32_copy if dtype == np.float32 else (lambda obj: obj)
+        cast = float32_copy if dtype == np.float32 else (lambda obj: obj)
         params, bank = cast(make_params()), make_bank()
         bank.pruned[0][2] = True
         q = self.queries(params, np.random.default_rng(21).normal(
             size=(9, DRAW)).astype(dtype))
-        scores, _ = route_scores(params, q, cast(bank))
+        scores = route_scores(params, q, block_keys(None, params, cast(bank),
+                                                    0))
         assert scores.dtype == dtype
         for seed in range(3):
-            again, _ = route_scores(params, q, cast(permuted(bank, seed + 30)))
+            again = route_scores(params, q, block_keys(
+                None, params, cast(permuted(bank, seed + 30)), 0))
             assert np.array_equal(scores, again)
 
     def test_no_active_block0_code_gives_no_score(self):
         params, bank = make_params(), make_bank()
         bank.pruned[0][:] = True
         q = self.queries(params, np.zeros((2, DRAW)))
-        assert route_scores(params, q, bank) == (None, None)
+        kv0 = block_keys(None, params, bank, 0)
+        assert kv0 is None and route_scores(params, q, kv0) is None
 
     def test_non_finite_logit_raises(self):
-        params, bank = _float32_copy(make_params()), _float32_copy(make_bank())
+        params, bank = float32_copy(make_params()), float32_copy(make_bank())
         # finite float32 queries and keys whose logits overflow
         params.blocks[0].wq.values[...] = 1e20
         params.blocks[0].wk.values[...] = 1e20
         q = self.queries(params, np.random.default_rng(22).normal(
             size=(3, DRAW)).astype(np.float32))
         with pytest.raises(NumericError, match="routing logits"):
-            route_scores(params, q, bank)
+            route_scores(params, q, block_keys(None, params, bank, 0))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_decode_reuses_the_routing_keys_bit_for_bit(self, dtype):
-        cast = _float32_copy if dtype == np.float32 else (lambda obj: obj)
+        cast = float32_copy if dtype == np.float32 else (lambda obj: obj)
         params, bank = cast(make_params()), cast(make_bank())
         bank.pruned[0][1] = True
         raw = np.random.default_rng(25).normal(size=(12, DRAW)).astype(dtype)
         feats = encode_feature(None, params, dc.DTensor(raw))
-        _, keys = route_scores(params, feats.values @ params.blocks[0].wq.values,
-                               bank)
+        blocks = bank_keys(None, params, bank)
+        route_scores(params, feats.values @ params.blocks[0].wq.values,
+                     blocks[0])
         want = decode(None, params, feats, bank)
-        got = decode(None, params, feats, bank, keys0=keys)
+        got = decode(None, params, feats, bank, blocks)
         for a, b in zip(got, want):
             assert a.values.tobytes() == b.values.tobytes()
 
@@ -162,7 +172,7 @@ class TestRouting:
     def test_decoding_a_row_subset_matches_the_full_decode(self, dtype):
         # two or more rows: BLAS may multiply a lone row as a vector, which
         # can round differently
-        cast = _float32_copy if dtype == np.float32 else (lambda obj: obj)
+        cast = float32_copy if dtype == np.float32 else (lambda obj: obj)
         params, bank = cast(make_params()), cast(make_bank())
         raw = np.random.default_rng(23).normal(size=(40, DRAW)).astype(dtype)
         feats = encode_feature(None, params, dc.DTensor(raw))
@@ -211,8 +221,9 @@ class TestPrunedCodes:
         bank = make_bank()
         bank.pruned[1][:] = True
         f = encode_feature(None, params, dc.DTensor(raw))
-        out, attn = cross_attention_block(None, f, bank, 1, params)
-        assert out is f and attn is None
+        kv = block_keys(None, params, bank, 1)
+        out, attn = cross_attention_block(None, f, kv, 1, params)
+        assert kv is None and out is f and attn is None
 
     def test_pruned_rows_get_no_gradient(self):
         params = make_params()
@@ -328,8 +339,12 @@ class TestAttentionScores:
         bank.pruned[1][[1, 4]] = True
         raw = np.random.default_rng(14).normal(size=(8, DRAW))
         feats = encode_feature(None, params, dc.DTensor(raw))
-        f, _ = cross_attention_block(None, feats, bank, 0, params)
-        _, attn = cross_attention_block(None, f, bank, 1, params)
+        f, _ = cross_attention_block(None, feats,
+                                     block_keys(None, params, bank, 0), 0,
+                                     params)
+        _, attn = cross_attention_block(None, f,
+                                        block_keys(None, params, bank, 1), 1,
+                                        params)
         # canonical order: active rows sorted by their (code, scale) values
         codes, scales = bank.codes[1].values, bank.scales[1].values
         order = sorted(bank.active_rows(1),

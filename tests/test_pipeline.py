@@ -1,7 +1,9 @@
 """Retrieval, voxel activation, localization mechanics, and evaluation."""
 
 import csv
+import gc
 import re
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,7 +11,8 @@ import pytest
 
 from voxloc import decoder, pipeline
 from voxloc import diffcore as dc
-from voxloc.decoder import DecoderParams, decode, encode_feature, route_scores
+from voxloc.decoder import (DecoderParams, block_keys, decode, encode_feature,
+                            params_from_bytes, params_to_bytes, route_scores)
 from voxloc.diffcore import DTensor, NumericError
 from voxloc.geometry import MIN_DEPTH, Intrinsics, Pose, RansacResult, \
     look_at, pose_error, project_many, rotation_from_axis_angle
@@ -17,7 +20,8 @@ from voxloc.pipeline import (DEFAULT_THRESHOLDS, EvalReport,
                              LocalizationResult, LocalizeOptions,
                              activate_voxels, evaluate, export_heatmap,
                              localize, retrieve_views, route_keypoints)
-from voxloc.scene import assign_coverage, build_scene, drop_uncovered
+from voxloc.scene import (assign_coverage, build_scene, drop_uncovered,
+                          scene_from_bytes, scene_to_bytes)
 from voxloc.geometry import Point3D
 from voxloc.synthworld import (ReferenceDataset, ViewObservations,
                                WorldConfig, generate_dataset)
@@ -136,7 +140,7 @@ class TestLocalize:
         """decode() stand-in returning ground-truth coordinates for member
         keypoints of the voxel and low confidence elsewhere."""
 
-        def fake_decode(tape, params, feats, bank, keys0=None):
+        def fake_decode(tape, params, feats, bank, blocks=None):
             ids = fake_decode.current_ids
             members = fake_decode.current_members
             origin = fake_decode.current_origin
@@ -176,12 +180,13 @@ class TestLocalize:
             order = sorted(scene.voxels)
             calls = iter(order)
 
-            def wrapping(tape, params, feats, bank, keys0=None):
+            def wrapping(tape, params, feats, bank, blocks=None):
                 vid = next(calls)
                 fake.current_ids = [int(i) for i in query.point_ids]
                 fake.current_members = members_by_voxel[vid]
                 fake.current_origin = scene.voxels[vid].origin
-                return real_localize_decode(tape, params, feats, bank, keys0)
+                return real_localize_decode(tape, params, feats, bank,
+                                            blocks)
 
             monkeypatch.setattr(pipeline, "decode", wrapping)
             return localize(query, scene,
@@ -214,7 +219,7 @@ class TestLocalize:
         truth = look_at([5.0, 1.0, 2.0], [0.0, 0.0, 0.0])
         query = query_for(pts, truth, rng)
 
-        def fake_decode(tape, params, feats, bank, keys0=None):
+        def fake_decode(tape, params, feats, bank, blocks=None):
             m = query.num_keypoints
             return DTensor(np.zeros((m, 3))), DTensor(np.full((m, 1), 0.01))
 
@@ -240,11 +245,11 @@ class TestLocalize:
                           rng)
         params = small_params(rng)
         # the float32 copies localize decodes with
-        params32 = pipeline._float32_copy(params)
+        params32 = pipeline._float32_state(params)[0]
         feats = encode_feature(None, params32, dc.DTensor(
             query.descriptors.astype(np.float32)))
         results = [decode(None, params32, feats,
-                          pipeline._float32_copy(scene.voxels[vid].codes))
+                          pipeline._float32_state(scene.voxels[vid].codes)[0])
                    for vid in sorted(scene.voxels)]
         confs = [conf.values[:, 0] for _, conf in results]
         conf_min = float(np.median(np.concatenate(confs)))
@@ -286,7 +291,7 @@ class TestLocalize:
             epochs_stage1=1, epochs_stage2=0, keypoints_per_sample=16,
             prune_threshold=0.0, min_points=5))
         for source in [params] + [v.codes for v in scene.voxels.values()]:
-            copied = pipeline._float32_copy(source).named_parameters()
+            copied = pipeline._float32_state(source)[0].named_parameters()
             for name, t in source.named_parameters().items():
                 assert copied[name].values.dtype == np.float32
                 assert copied[name].values.tobytes() == \
@@ -315,16 +320,17 @@ class TestRouting:
 
     @staticmethod
     def spy_on_decode(monkeypatch, params, query):
-        """Each decode call's (keypoint rows, bank, keys0), in call order."""
-        feats = encode_feature(None, pipeline._float32_copy(params),
+        """Each decode call's (keypoint rows, bank, blocks), in call
+        order."""
+        feats = encode_feature(None, pipeline._float32_state(params)[0],
                                DTensor(query.descriptors.astype(np.float32)))
         row_of = {row.tobytes(): i for i, row in enumerate(feats.values)}
         calls, real = [], pipeline.decode
 
-        def spy(tape, params, feats, bank, keys0=None):
+        def spy(tape, params, feats, bank, blocks=None):
             rows = sorted({row_of[row.tobytes()] for row in feats.values})
-            calls.append((rows, bank, keys0))
-            return real(tape, params, feats, bank, keys0=keys0)
+            calls.append((rows, bank, blocks))
+            return real(tape, params, feats, bank, blocks)
 
         monkeypatch.setattr(pipeline, "decode", spy)
         return calls
@@ -363,22 +369,6 @@ class TestRouting:
             assert res.num_candidate_points == m * v
             assert res.num_confident_points <= res.num_decoded_pairs
 
-    def test_block0_keys_are_built_once_per_voxel(self, monkeypatch):
-        scene, query, params = self.world()
-        built, real = [], decoder.block_keys
-
-        def spy(tape, params, bank, t):
-            built.append(t)
-            return real(tape, params, bank, t)
-
-        monkeypatch.setattr(decoder, "block_keys", spy)
-        calls = self.spy_on_decode(monkeypatch, params, query)
-        localize(query, scene, params, None,
-                 LocalizeOptions(bypass_retrieval=True))
-        assert 0 < len(calls) <= len(scene.voxels)
-        assert built.count(0) == len(scene.voxels)
-        assert built.count(1) == len(calls)
-
     @staticmethod
     def ransac_input(monkeypatch, *args):
         captured = {}
@@ -396,14 +386,15 @@ class TestRouting:
                                                             monkeypatch):
         # equal up to rounding: BLAS may multiply a lone row otherwise
         scene, query, params = self.world()
-        params32 = pipeline._float32_copy(params)
+        params32 = pipeline._float32_state(params)[0]
         feats = encode_feature(None, params32, DTensor(
             query.descriptors.astype(np.float32)))
         q = feats.values @ params32.blocks[0].wq.values
-        banks = [pipeline._float32_copy(scene.voxels[vid].codes)
+        banks = [pipeline._float32_state(scene.voxels[vid].codes)[0]
                  for vid in sorted(scene.voxels)]
-        routes = route_keypoints([route_scores(params32, q, bank)[0]
-                                  for bank in banks], 2, query.num_keypoints)
+        routes = route_keypoints(
+            [route_scores(params32, q, block_keys(None, params32, bank, 0))
+             for bank in banks], 2, query.num_keypoints)
         world = np.concatenate([
             decode(None, params32, feats, bank)[0].values[rows]
             + scene.voxels[vid].origin
@@ -417,15 +408,14 @@ class TestRouting:
     def test_r_at_or_above_the_voxel_count_decodes_every_pair(self,
                                                               monkeypatch):
         # routing still runs, and each decode gets the block-0 keys that
-        # routing built for its voxel
+        # routing read for its voxel
         scene, query, params = self.world()
         v = len(scene.voxels)
         runs, routed, real = [], [], pipeline.route_scores
 
-        def spy(params, q, bank):
-            scores, keys = real(params, q, bank)
-            routed.append(keys)
-            return scores, keys
+        def spy(params, q, kv0):
+            routed.append(kv0)
+            return real(params, q, kv0)
 
         monkeypatch.setattr(pipeline, "route_scores", spy)
         for r in (v, v + 5):
@@ -438,8 +428,8 @@ class TestRouting:
             assert all(len(rows) == query.num_keypoints
                        for rows, _, _ in calls)
             assert len(routed) == v and None not in routed
-            assert all(keys0 is keys
-                       for (_, _, keys0), keys in zip(calls, routed))
+            assert all(blocks[0] is kv0
+                       for (_, _, blocks), kv0 in zip(calls, routed))
             runs.append(res)
         assert runs[0].num_confident_points == v * query.num_keypoints
         assert runs[0].success == runs[1].success
@@ -492,6 +482,125 @@ class TestRouting:
         with pytest.raises(NumericError, match=stage):
             localize(query, scene, params, None,
                      LocalizeOptions(bypass_retrieval=True))
+
+
+def outcome(res):
+    """A localization's counts and pose bytes."""
+    pose = res.pose and res.pose.rotation.tobytes() + \
+        res.pose.translation.tobytes()
+    return (res.success, res.num_activated_voxels, res.num_candidate_points,
+            res.num_decoded_pairs, res.num_confident_points, res.num_inliers,
+            pose)
+
+
+class TestDecodeState:
+    """localize casts and keys each map once and reuses that state while
+    the map's float32 content is unchanged."""
+
+    # every decoded pair reaches RANSAC, and every candidate is an inlier,
+    # so the pose's bytes depend on every decoded coordinate
+    OPTS = LocalizeOptions(bypass_retrieval=True, confidence_min=0.0,
+                           inlier_tol=1e6)
+
+    @staticmethod
+    def trained_world():
+        """A small dataset with a scene and weights read from their bytes,
+        so that a file round trip reproduces them exactly."""
+        ds = generate_dataset(WorldConfig(num_points=150, num_ref_views=12,
+                                          num_query_views=2, seed=3))
+        scene = build_scene(list(ds.points.values()), 4.0, (2, 8, 8),
+                            np.random.default_rng(0))
+        assign_coverage(scene, ds, min_points=5)
+        drop_uncovered(scene)
+        params = DecoderParams.init(np.random.default_rng(1), d_raw=64, d=8,
+                                    num_blocks=2, encoder_hidden=8,
+                                    block_hidden=8, head_hidden=8)
+        return (ds, scene_from_bytes(scene_to_bytes(scene)),
+                params_from_bytes(params_to_bytes(params)))
+
+    def test_a_second_query_builds_no_keys(self, monkeypatch):
+        scene, query, params = TestRouting.world()
+        built, real = [], decoder.block_keys
+
+        def spy(tape, params, bank, t):
+            built.append(t)
+            return real(tape, params, bank, t)
+
+        monkeypatch.setattr(decoder, "block_keys", spy)
+        first = localize(query, scene, params, None, self.OPTS)
+        assert len(built) == len(scene.voxels) * scene.dims[0]
+        built.clear()
+        second = localize(query, scene, params, None, self.OPTS)
+        assert built == []
+        assert outcome(second) == outcome(first)
+
+    def test_in_place_changes_rebuild_the_state(self):
+        ds, scene, params = self.trained_world()
+        query = ds.query_views[0]
+
+        def check():
+            got = outcome(localize(query, scene, params, None, self.OPTS))
+            fresh = outcome(localize(
+                query, scene_from_bytes(scene_to_bytes(scene)),
+                params_from_bytes(params_to_bytes(params)), None, self.OPTS))
+            assert got == fresh
+            return got
+
+        def prune_half():
+            bank = scene.voxels[sorted(scene.voxels)[0]].codes
+            bank.pruned[:, :bank.dims[1] // 2] = True
+
+        def train():
+            run_training(scene, ds, params, TrainConfig(
+                epochs_stage1=1, epochs_stage2=0, keypoints_per_sample=16,
+                prune_threshold=0.0, min_points=5))
+
+        def scale_wv():
+            params.blocks[1].wv.values[0] *= 1.5
+
+        before = check()
+        assert before[0]
+        for change in (prune_half, train, scale_wv):
+            change()
+            after = check()
+            assert after != before, change.__name__  # the change shows
+            before = after
+
+    def test_permuting_code_rows_in_place_changes_nothing(self):
+        ds, scene, params = self.trained_world()
+        query = ds.query_views[0]
+        before = outcome(localize(query, scene, params, None, self.OPTS))
+        bank = scene.voxels[sorted(scene.voxels)[0]].codes
+        rng = np.random.default_rng(5)
+        for t in range(bank.dims[0]):
+            perm = rng.permutation(bank.dims[1])
+            for tens in (bank.codes[t], bank.scales[t]):
+                tens.values[...] = tens.values[perm]
+            bank.pruned[t] = bank.pruned[t][perm]
+        after = outcome(localize(query, scene, params, None, self.OPTS))
+        assert after == before
+
+    def test_a_failed_build_is_not_kept(self):
+        # block 1's keys overflow float32 in every voxel; routing reads
+        # block 0 only, so the first voxel's build raises
+        scene, query, params = TestRouting.world()
+        params.blocks[1].wk.values[...] = 1e20
+        for v in scene.voxels.values():
+            v.codes.codes[1].values[...] = 1e20
+        first = sorted(scene.voxels)[0]
+        stage = re.escape(f"(decode of voxel {tuple(first)})")
+        for _ in range(2):
+            with pytest.raises(NumericError, match=stage):
+                localize(query, scene, params, None, self.OPTS)
+
+    def test_no_map_is_kept_alive(self):
+        scene, query, params = TestRouting.world()
+        localize(query, scene, params, None, self.OPTS)
+        bank = weakref.ref(scene.voxels[sorted(scene.voxels)[0]].codes)
+        weights = weakref.ref(params)
+        del scene, params
+        gc.collect()
+        assert bank() is None and weights() is None
 
 
 def result(dt=0.0, dr=0.0, success=True):
