@@ -12,9 +12,9 @@ import numpy as np
 
 MIN_DEPTH = 1e-6  # meters; points with z <= this are behind the camera
 MIN_TRIANGULATION_ANGLE_DEG = 0.5
-# RANSAC trials solved and scored together: a chunk's scoring temporaries
-# are a few MB at ~2000 correspondences
-_CHUNK = 128
+# preemptive RANSAC scoring (Nistér, ICCV 2003): every trial is scored on a
+# block of _BLOCK candidates, and only the _KEEP best on every candidate
+_BLOCK, _KEEP = 200, 16
 
 
 class DegenerateGeometryError(ValueError):
@@ -330,13 +330,14 @@ def ransac_pnp(world: np.ndarray, pixels: np.ndarray, k: Intrinsics,
 
     The caller sets the budget of `max_iters` trials (`localize` takes
     `LocalizeOptions.ransac_iters`). Each trial draws one 6-point sample
-    from the seeded generator, so a budget of b trials runs exactly the
-    first b trials of any larger one. Trials
-    are solved by a bare DLT, with no Gauss-Newton, and scored against
-    every correspondence in stacks of _CHUNK; the most inliers wins, ties
-    keep the earlier trial, degenerate samples are skipped. Only the
-    winner is refined: Gauss-Newton on every minimal sample would cost
-    most of RANSAC's time without making the final pose more accurate.
+    from the seeded generator, so a budget of b trials draws exactly the
+    first b samples of any larger one. One stack of bare DLTs solves them,
+    skipping degenerate samples. Scoring is preemptive: each trial on one
+    sorted block of min(n, _BLOCK) rows from a generator seeded (seed, 1),
+    then the _KEEP best on every row; the most inliers wins, ties keep the
+    earlier trial. With n <= _BLOCK that is byte-identical to full scoring.
+    Only the winner is refined: Gauss-Newton on every minimal sample would
+    cost most of RANSAC's time without making the final pose more accurate.
 
     The best sample's pose is refit on its `inlier_tol` inliers and then
     refined by Cauchy-weighted IRLS over all correspondences, with
@@ -351,19 +352,18 @@ def ransac_pnp(world: np.ndarray, pixels: np.ndarray, k: Intrinsics,
     if n < 6:
         return RansacResult(False, None)
     rng = np.random.default_rng(seed)
-
-    best_mask = None
-    best_count = 0
-    for start in range(0, max_iters, _CHUNK):
-        picks = np.array([rng.choice(n, size=6, replace=False)
-                          for _ in range(min(_CHUNK, max_iters - start))])
-        rot, trans, _ = _pnp_dlt(world[picks], pixels[picks], k)
-        masks = _inlier_masks(rot, trans, k, world, pixels, inlier_tol)
-        counts = masks.sum(axis=1)
-        if len(counts) and counts.max() > best_count:
-            best = np.argmax(counts)  # ties keep the earlier trial
-            best_count, best_mask = counts[best], masks[best]
-    if best_mask is None or best_count < 6:
+    picks = np.array([rng.choice(n, size=6, replace=False)
+                      for _ in range(max_iters)], int).reshape(-1, 6)
+    rot, trans, _ = _pnp_dlt(world[picks], pixels[picks], k)
+    block = np.sort(np.random.default_rng((seed, 1)).choice(
+        n, size=min(n, _BLOCK), replace=False))
+    counts = _inlier_masks(rot, trans, k, world[block], pixels[block],
+                           inlier_tol).sum(axis=1)
+    kept = np.sort(np.argsort(-counts, kind="stable")[:_KEEP])
+    masks = _inlier_masks(rot[kept], trans[kept], k, world, pixels,
+                          inlier_tol)
+    best_mask = max(masks, key=np.count_nonzero, default=np.zeros(n, bool))
+    if best_mask.sum() < 6:
         return RansacResult(False, None)
 
     try:

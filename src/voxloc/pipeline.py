@@ -38,7 +38,7 @@ class LocalizeOptions:
     bypass_retrieval: bool = False  # small scenes may activate all voxels
     confidence_min: float = bound(0.5, 0, 1)  # c >= this is kept
     inlier_tol: float = bound(3.0, 0, strict=True)
-    ransac_iters: int = bound(256, 1)  # two RANSAC chunks
+    ransac_iters: int = bound(256, 1)  # RANSAC trials, preemptively scored
     seed: int = bound(0, 0)
 
     def __post_init__(self):

@@ -6,7 +6,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from voxloc.geometry import (_CHUNK, MIN_DEPTH, DegenerateGeometryError,
+from voxloc import geometry
+from voxloc.geometry import (MIN_DEPTH, DegenerateGeometryError,
                              Intrinsics, Point3D,
                              Pose, _gauss_newton, _pnp_dlt, _pnp_jacobian,
                              _reprojection_residuals, look_at,
@@ -188,6 +189,68 @@ def synthetic_corrs(pose, points, outliers=0, rng=None):
     return np.asarray(points, float), np.array(pixels)
 
 
+def desk_like_corrs(rng, pose, n, exact=0.3):
+    """(world (n, 3), pixels (n, 2)) shaped like a query's confident
+    candidates: a share `exact` of the rows exact up to 1 px of noise,
+    then near misses with 15 cm of world error up to 80% of the rows, then
+    uniform garbage pixels. The desk map's candidates are about 30% exact
+    at 3 px."""
+    world = rng.uniform(-2.0, 2.0, size=(n, 3))
+    pixels = project_many(pose, K, world)[0]
+    good, near = int(exact * n), int(0.8 * n)
+    pixels[:good] += rng.normal(0.0, 1.0, size=(good, 2))
+    world[good:near] += rng.normal(0.0, 0.15, size=(near - good, 3))
+    pixels[near:] = rng.uniform([0, 0], [K.width, K.height],
+                                size=(n - near, 2))
+    return world, pixels
+
+
+def per_trial_ransac(world, pixels, tol, max_iters, seed, block=None):
+    """Reference RANSAC, one bare DLT per drawn sample, degenerate samples
+    skipped. With `block` rows given, only the 16 trials with the most
+    inliers on those rows stay (the earlier trial first on ties). Of the
+    rest, the first maximum inlier count over every row wins; then the
+    same refit and IRLS as `ransac_pnp`. Returns (pose, inlier mask), or
+    None when no trial reaches 6 inliers."""
+    def mask_for(pose, rows=slice(None)):
+        pix, z = project_many(pose, K, world[rows])
+        err = np.linalg.norm(pix - pixels[rows], axis=1)
+        return (z > MIN_DEPTH) & (err <= tol)
+
+    rng = np.random.default_rng(seed)
+    trials = []
+    for _ in range(max_iters):
+        pick = rng.choice(len(world), size=6, replace=False)
+        rot, trans, ok = _pnp_dlt(world[pick][None], pixels[pick][None], K)
+        if ok[0]:
+            trials.append(Pose(rot[0], trans[0]))
+    if block is not None:
+        counts = [mask_for(pose, block).sum() for pose in trials]
+        kept = sorted(range(len(trials)), key=lambda i: -counts[i])[:16]
+        trials = [trials[i] for i in sorted(kept)]
+    best_mask, best_count = None, 0
+    for pose in trials:
+        mask = mask_for(pose)
+        if mask.sum() > best_count:
+            best_mask, best_count = mask, mask.sum()
+    if best_count < 6:
+        return None
+    pose = pnp_solve(world[best_mask], pixels[best_mask], K)
+    pose = Pose(*_gauss_newton(pose.rotation, pose.translation, K,
+                               world, pixels, 20, cauchy_scale=tol))
+    return pose, mask_for(pose)
+
+
+def same_result(res, ref):
+    """Whether a RansacResult is the reference's, pose bytes and mask."""
+    if ref is None:
+        return not res.success
+    return (res.success
+            and res.pose.rotation.tobytes() == ref[0].rotation.tobytes()
+            and res.pose.translation.tobytes() == ref[0].translation.tobytes()
+            and np.array_equal(res.inlier_mask, ref[1]))
+
+
 class TestPnP:
     def test_noiseless_recovery(self):
         rng = np.random.default_rng(5)
@@ -326,40 +389,14 @@ class TestRansac:
             errors.append(pose_error(res.pose, pose)[0])
         assert np.median(errors) < 0.06
 
-    @pytest.mark.parametrize("max_iters",
-                             [1, 6, _CHUNK - 1, _CHUNK, _CHUNK + 1, 300])
+    @pytest.mark.parametrize("max_iters", [1, 6, 127, 128, 129, 300])
     def test_stacked_trials_pick_the_per_sample_winner(self, max_iters):
-        # reference: one bare DLT per drawn sample, degenerate samples
-        # skipped, the first maximum inlier count wins; then the same refit
-        # and IRLS
-        def reference(world, pixels, seed):
-            def mask_for(pose):
-                pix, z = project_many(pose, K, world)
-                err = np.linalg.norm(pix - pixels, axis=1)
-                return (z > 1e-6) & (err <= 1.0)
-
-            rng = np.random.default_rng(seed)
-            best_mask, best_count = None, 0
-            for _ in range(max_iters):
-                pick = rng.choice(len(world), size=6, replace=False)
-                rot, trans, ok = _pnp_dlt(world[pick][None],
-                                          pixels[pick][None], K)
-                if not ok[0]:
-                    continue
-                mask = mask_for(Pose(rot[0], trans[0]))
-                if mask.sum() > best_count:
-                    best_mask, best_count = mask, mask.sum()
-            if best_count < 6:
-                return None
-            pose = pnp_solve(world[best_mask], pixels[best_mask], K)
-            pose = Pose(*_gauss_newton(pose.rotation, pose.translation, K,
-                                       world, pixels, 20, cauchy_scale=1.0))
-            return pose, mask_for(pose)
-
+        # with n <= 200 rows the preemptive block is every row, so the
+        # result is byte-identical to scoring every trial on every row
         pose = look_at([4.0, 1.0, 2.0], [0.0, 0.0, 0.0])
         # bare DLT counts tie with different masks only on the smaller set;
-        # in seeds 16, 18 and 58 a later chunk ties the best count of an
-        # earlier one with another mask, so the earlier chunk must keep it
+        # in seeds 16, 18 and 58 a trial past the 128th ties the best count
+        # of an earlier one with another mask, so the earlier must keep it
         cases = [(seed, 40, 8) for seed in range(5)]
         cases += [(seed, 20, 4) for seed in (0, 1, 2, 3, 4, 16, 18, 58)]
         for seed, size, outliers in cases:
@@ -371,13 +408,58 @@ class TestRansac:
                                             size=(size - outliers, 2))
             res = ransac_pnp(world, pixels, K, inlier_tol=1.0,
                              max_iters=max_iters, seed=seed)
-            ref = reference(world, pixels, seed)
-            assert res.success == (ref is not None)
-            if ref is not None:
-                assert res.pose.rotation.tobytes() == ref[0].rotation.tobytes()
-                assert (res.pose.translation.tobytes()
-                        == ref[0].translation.tobytes())
-                np.testing.assert_array_equal(res.inlier_mask, ref[1])
+            assert same_result(res, per_trial_ransac(world, pixels, 1.0,
+                                                     max_iters, seed))
+
+    def test_preemptive_winner_beyond_the_block(self):
+        # n = 600: every trial is counted on the sorted block of 200 rows
+        # that a generator seeded (seed, 1) draws, and only the 16 best are
+        # scored on every row. With 30% exact rows, in seeds 13 and 29 two
+        # of the 16 tie on every row, and the earlier trial must win. With
+        # 5%, seed 13's most inliers over every row come from a trial
+        # outside the block's 16 best: there full scoring would differ
+        pose = look_at([8.0, 1.0, 1.0], [0.0, 0.0, 0.0])
+        for seed, exact in [(0, 0.3), (1, 0.3), (13, 0.3), (29, 0.3),
+                            (13, 0.05)]:
+            world, pixels = desk_like_corrs(np.random.default_rng(seed),
+                                            pose, 600, exact)
+            block = np.sort(np.random.default_rng((seed, 1)).choice(
+                600, size=200, replace=False))
+            res = ransac_pnp(world, pixels, K, 3.0, max_iters=256, seed=seed)
+            assert res.success
+            assert same_result(res, per_trial_ransac(world, pixels, 3.0, 256,
+                                                     seed, block))
+            assert same_result(res, per_trial_ransac(
+                world, pixels, 3.0, 256, seed)) == (exact == 0.3)
+
+    def test_scores_every_trial_on_the_block_and_the_best_on_every_row(
+            self, monkeypatch):
+        pairs = []
+
+        def counting(rot, trans, k, world, pixels, tol):
+            masks = inlier_masks(rot, trans, k, world, pixels, tol)
+            pairs.append(masks.size)
+            return masks
+
+        inlier_masks = geometry._inlier_masks
+        monkeypatch.setattr(geometry, "_inlier_masks", counting)
+        pose = look_at([8.0, 1.0, 1.0], [0.0, 0.0, 0.0])
+        world, pixels = desk_like_corrs(np.random.default_rng(0), pose, 2000)
+        res = ransac_pnp(world, pixels, K, max_iters=256, seed=0)
+        assert res.success
+        # full scoring would take 256 * 2000 pairs
+        assert sum(pairs) <= 256 * 200 + 16 * 2000 + 2000
+
+    def test_desk_scale_candidates_place_every_centre(self):
+        for seed in range(20):
+            rng = np.random.default_rng(30_000 + seed)
+            pose = look_at([8.0 * np.cos(seed * 0.37),
+                            8.0 * np.sin(seed * 0.37), rng.uniform(-1, 1)],
+                           rng.normal(0.0, 0.2, size=3))
+            world, pixels = desk_like_corrs(rng, pose, 2000)
+            res = ransac_pnp(world, pixels, K, max_iters=256, seed=seed)
+            assert res.success
+            assert pose_error(res.pose, pose)[0] < 0.05
 
     def test_hostile_samples_never_raise(self):
         pose = look_at([4.0, 1.0, 2.0], [0.0, 0.0, 0.0])
@@ -398,26 +480,26 @@ class TestRansac:
         for seed in range(5):
             corrs = hostile(np.random.default_rng(seed), clean=60)
             assert len(corrs[0]) == 88  # 60 / 88 = 68% clean
-            res = ransac_pnp(*corrs, K, max_iters=_CHUNK, seed=seed)
+            res = ransac_pnp(*corrs, K, max_iters=128, seed=seed)
             assert res.success
             dt, dr = pose_error(res.pose, pose)
             assert dt < 0.05 and dr < 1.0
             res = ransac_pnp(*hostile(np.random.default_rng(seed), clean=0),
-                             K, max_iters=_CHUNK, seed=seed)
+                             K, max_iters=128, seed=seed)
             assert not res.success and res.pose is None
 
     def test_misaligned_arrays_rejected(self):
         pose = look_at([4.0, 1.0, 2.0], [0.0, 0.0, 0.0])
         points = np.random.default_rng(15).uniform(-1.5, 1.5, size=(10, 3))
         world, pixels = synthetic_corrs(pose, points)
-        for solve in (pnp_solve, partial(ransac_pnp, max_iters=_CHUNK)):
+        for solve in (pnp_solve, partial(ransac_pnp, max_iters=128)):
             for w, p in ((world, pixels[:-1]), (world[:3], pixels[:2])):
                 with pytest.raises(ValueError, match="pixels"):
                     solve(w, p, K)
 
     def test_too_few_correspondences_fails_cleanly(self):
         res = ransac_pnp(np.zeros((0, 3)), np.zeros((0, 2)), K,
-                         max_iters=_CHUNK)
+                         max_iters=128)
         assert not res.success and res.pose is None and res.num_inliers == 0
 
     def test_pure_noise_fails_cleanly(self):

@@ -394,7 +394,7 @@ class TestRouting:
                  for vid in sorted(scene.voxels)]
         routes = route_keypoints(
             [route_scores(params32, q, block_keys(None, params32, bank, 0))
-             for bank in banks], 2, query.num_keypoints)
+             for bank in banks], pipeline._ROUTE_TOP_R, query.num_keypoints)
         world = np.concatenate([
             decode(None, params32, feats, bank)[0].values[rows]
             + scene.voxels[vid].origin
