@@ -1,6 +1,6 @@
 """Scene-agnostic cross-attention decoder over per-voxel code banks.
 
-A trainable MLP encoder embeds raw keypoint descriptors, T stacked
+A trainable linear encoder embeds raw keypoint descriptors, T stacked
 cross-attention blocks attend over the voxel's scaled codes, and a small
 head emits a local 3D coordinate plus an in-voxel confidence logit.
 Single-head attention, post-norm residual blocks, logits scaled by 1/sqrt(D).
@@ -44,14 +44,12 @@ class DecoderParams:
     """All scene-agnostic weights: encoder, attention blocks, output head."""
 
     def __init__(self, encoder: MLP, blocks: list[BlockParams], head: MLP,
-                 d_raw: int, d: int,
-                 encoder_hidden: int, block_hidden: int, head_hidden: int):
+                 d_raw: int, d: int, block_hidden: int, head_hidden: int):
         self.encoder = encoder
         self.blocks = blocks
         self.head = head
         self.d_raw = d_raw
         self.d = d
-        self.encoder_hidden = encoder_hidden
         self.block_hidden = block_hidden
         self.head_hidden = head_hidden
 
@@ -61,13 +59,11 @@ class DecoderParams:
 
     @classmethod
     def init(cls, rng: np.random.Generator, d_raw: int = 64, d: int = 32,
-             num_blocks: int = 6, encoder_hidden: int = 64,
-             block_hidden: int = 32, head_hidden: int = 32) -> "DecoderParams":
-        # encoder_hidden == 0 selects a single linear layer, which preserves
-        # descriptor similarity structure exactly (a hidden ReLU layer does not)
-        enc_widths = [d_raw, d] if encoder_hidden == 0 \
-            else [d_raw, encoder_hidden, d]
-        encoder = MLP.init(enc_widths, rng, prefix="encoder")
+             num_blocks: int = 6, block_hidden: int = 32,
+             head_hidden: int = 32) -> "DecoderParams":
+        # a single linear layer preserves descriptor similarity structure
+        # exactly (a hidden ReLU layer does not)
+        encoder = MLP.init([d_raw, d], rng, prefix="encoder")
         blocks = []
         bound = np.sqrt(6.0 / (d + d))
         for t in range(num_blocks):
@@ -85,8 +81,7 @@ class DecoderParams:
                 ln2_bias=DTensor(np.zeros((1, d)), name=f"block.{t}.ln2.bias"),
             ))
         head = MLP.init([d, head_hidden, 4], rng, prefix="head")
-        return cls(encoder, blocks, head, d_raw, d,
-                   encoder_hidden, block_hidden, head_hidden)
+        return cls(encoder, blocks, head, d_raw, d, block_hidden, head_hidden)
 
     def named_parameters(self) -> dict[str, DTensor]:
         out = {}
@@ -230,8 +225,9 @@ def params_to_bytes(params: DecoderParams) -> bytes:
     if params.num_blocks == 0:  # params_from_bytes refuses it
         raise ValueError("num_blocks is 0: weights would not load")
     w = Writer(WEIGHTS_MAGIC, WEIGHTS_FORMAT_VERSION)
-    for v in (params.d_raw, params.d, params.num_blocks,
-              params.encoder_hidden, params.block_hidden, params.head_hidden):
+    # the fourth u32 is reserved and always 0
+    for v in (params.d_raw, params.d, params.num_blocks, 0,
+              params.block_hidden, params.head_hidden):
         w.u32(v)
     named = params.named_parameters()
     w.u32(len(named))
@@ -246,22 +242,23 @@ def params_to_bytes(params: DecoderParams) -> bytes:
     return w.getvalue()
 
 
-def _param_count(d_raw: int, d: int, num_blocks: int, encoder_hidden: int,
-                 block_hidden: int, head_hidden: int) -> int:
+def _param_count(d_raw: int, d: int, num_blocks: int, block_hidden: int,
+                 head_hidden: int) -> int:
     """Number of values in DecoderParams.init(...) of these dims."""
     def mlp(*widths):
         return sum((fi + 1) * fo for fi, fo in zip(widths[:-1], widths[1:]))
-    encoder = mlp(d_raw, d) if encoder_hidden == 0 \
-        else mlp(d_raw, encoder_hidden, d)
     block = 3 * d * d + mlp(d, block_hidden, d) + 4 * d
-    return encoder + num_blocks * block + mlp(d, head_hidden, 4)
+    return mlp(d_raw, d) + num_blocks * block + mlp(d, head_hidden, 4)
 
 
 def params_from_bytes(data: bytes | BinaryIO) -> DecoderParams:
     r = Reader(data, WEIGHTS_MAGIC, WEIGHTS_FORMAT_VERSION, "weights")
     dims = [r.u32(what) for what in ("d_raw", "d", "num_blocks",
-                                     "encoder hidden", "block hidden",
+                                     "reserved", "block hidden",
                                      "head hidden")]
+    if (reserved := dims.pop(3)) != 0:
+        raise FormatError(20, f"reserved header field is {reserved}, not 0; "
+                              f"a hidden encoder layer does not load")
     if dims[1] == 0:
         raise FormatError(r.offset, "feature width d is 0")
     if dims[2] == 0:

@@ -64,7 +64,7 @@ def aligned_decoder_init(rng: np.random.Generator, d_raw: int = 64,
     if not 0 < COORD_DIMS < d:
         raise ValueError(f"feature width {d} leaves no descriptor subspace")
     params = DecoderParams.init(rng, d_raw=d_raw, d=d, num_blocks=num_blocks,
-                                encoder_hidden=0, block_hidden=block_hidden,
+                                block_hidden=block_hidden,
                                 head_hidden=head_hidden)
     dp = d - COORD_DIMS
     basis, _ = np.linalg.qr(rng.normal(size=(d_raw, dp)))
@@ -110,12 +110,9 @@ def inject_codes(scene: SceneRepresentation, dataset: ReferenceDataset,
     remainder), so each appears in every block when N covers them all. A row
     is the point's mean observed descriptor pushed through the encoder's
     descriptor columns, concatenated with its scaled local coordinates.
-    Scales are left at their build-time value of one. The encoder must be
-    one linear layer, whose first weight is the descriptor projection.
+    Scales are left at their build-time value of one. The encoder's one
+    weight holds the descriptor projection.
     """
-    if len(params.encoder.weights) != 1:
-        raise ValueError(f"weights have a hidden encoder layer (encoder_hidden"
-                         f" = {params.encoder_hidden}); injection needs none")
     cfg = config or InitConfig()
     mean_desc = mean_observed_descriptors(dataset)
     num_blocks, codes_per_block, d = scene.dims

@@ -258,20 +258,18 @@ def run_training(scene: SceneRepresentation, dataset: ReferenceDataset,
 
 
 def adapt_scene(new_scene: SceneRepresentation, new_dataset: ReferenceDataset,
-                params: DecoderParams, config: TrainConfig,
-                epochs: int | None = None,
-                train_scales: bool = True) -> TrainingLog:
-    """Optimize only the new scene's codes. No optimizer owns the decoder
-    weights, so the backward pass never reaches them and they stay put.
+                params: DecoderParams, config: TrainConfig) -> TrainingLog:
+    """Optimize only the new scene's codes and their scales. No optimizer
+    owns the decoder weights, so backward never reaches them: they stay put.
 
-    Runs `epochs` (default epochs_stage1) stage-1-style epochs; pass
-    lambda_l1=0 in the config for plain adaptation without sparsity pressure.
+    Runs epochs_stage1 stage-1-style epochs; pass lambda_l1=0 in the config
+    for plain adaptation without sparsity pressure.
     """
     rng = seeded_rng(config.seed, 200)
     log = TrainingLog()
     opt_codes = Optimizer(new_scene.named_code_parameters(), config.lr_codes)
     _run_epochs(new_scene, new_dataset, params, config, stage=1,
-                epochs=config.epochs_stage1 if epochs is None else epochs,
-                train_scales=train_scales, opt_agnostic=Optimizer({}, 0.0),
+                epochs=config.epochs_stage1, train_scales=True,
+                opt_agnostic=Optimizer({}, 0.0),
                 opt_codes=opt_codes, rng=rng, log=log)
     return log

@@ -51,8 +51,7 @@ def test_criterion_1_gradient_soundness(capsys):
     rng = np.random.default_rng(7)
     d, n, t, d_raw, m = 8, 3, 2, 6, 4
     params = DecoderParams.init(rng, d_raw=d_raw, d=d, num_blocks=t,
-                                encoder_hidden=4, block_hidden=4,
-                                head_hidden=4)
+                                block_hidden=4, head_hidden=4)
     samples = []
     banks = []
     for vi in range(2):
@@ -249,8 +248,8 @@ def test_criterion_5_scene_adaptation(capsys, desk):
     scene, _ = cli._new_map(dataset, cfg, desk.params)
 
     frozen = params_to_bytes(desk.params)
-    adapt_scene(scene, dataset, desk.params, cfg["train"],
-                epochs=60, train_scales=False)
+    adapt_scene(scene, dataset, desk.params,
+                dataclasses.replace(cfg["train"], epochs_stage1=60))
     frozen_ok = params_to_bytes(desk.params) == frozen
 
     rep = evaluate_scene(scene, desk.params, dataset, LocalizeOptions())
@@ -430,8 +429,7 @@ def test_criterion_7_oracle_equivalence(capsys):
     # attention block vs scalar-loop oracle (D=8, N=3), tol 1e-10
     d, n = 8, 3
     params = DecoderParams.init(rng, d_raw=6, d=d, num_blocks=1,
-                                encoder_hidden=4, block_hidden=4,
-                                head_hidden=4)
+                                block_hidden=4, head_hidden=4)
     bank = CodeBank.init(1, n, d, rng, prefix="oracle")
     bank.codes[0].values[:] = rng.normal(size=(n, d))
     bank.scales[0].values[:] = rng.uniform(0.5, 1.5, size=(n, 1))
@@ -590,7 +588,7 @@ def test_criterion_8_determinism_and_persistence(capsys, tmp_path):
     dataset = synthworld.dataset_from_bytes(first["ds.bin"])
     tc = TrainConfig(epochs_stage1=2, epochs_stage2=1,
                      keypoints_per_sample=32, min_points=5, lambda_l1=0.0)
-    adapt_scene(scene, dataset, params, tc, epochs=2, train_scales=False)
+    adapt_scene(scene, dataset, params, tc)
     checks.append(("frozen weights byte-identical through adaptation",
                    params_to_bytes(params) == weight_bytes))
 

@@ -168,15 +168,6 @@ class TestHappyPaths:
         assert "median translation error" in out
         assert (d / "report.csv").exists()
 
-    def test_eval_with_a_hidden_encoder_layer(self, workdir, tmp_path,
-                                              capsys):
-        # such weights still load and decode; only code injection needs a
-        # one-layer encoder
-        save_hidden_encoder_weights(workdir, tmp_path / "weights.bin", 8)
-        assert cli.main(map_command(workdir, tmp_path, "eval",
-                                    weights=tmp_path / "weights.bin")) == 0
-        assert "median translation error" in capsys.readouterr().out
-
     def test_heatmap(self, workdir, capsys):
         d, cfg = workdir
         scene = load_scene(d / "scene.bin")
@@ -867,25 +858,6 @@ class TestErrorExits:
         assert err == f"error: weights have {named}\n"
         assert not (tmp_path / "s.bin").exists()
 
-    @pytest.mark.parametrize("encoder_hidden", [8, 64])
-    def test_adapt_with_a_hidden_encoder_layer_is_2(self, workdir, tmp_path,
-                                                    capsys, encoder_hidden):
-        # codes were injected through the hidden layer's first columns (a
-        # final loss near 96), or NumPy refused to broadcast (48, 8) into
-        # (48, 13), naming neither the key nor the file
-        d, cfg = workdir
-        save_hidden_encoder_weights(workdir, tmp_path / "weights.bin",
-                                    encoder_hidden)
-        assert cli.main(["adapt", "--config", str(cfg),
-                         "--dataset", str(d / "ds.bin"),
-                         "--weights", str(tmp_path / "weights.bin"),
-                         "--out-scene", str(tmp_path / "s.bin")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: weights have a hidden encoder layer "
-                              f"(encoder_hidden = {encoder_hidden})")
-        assert len(err.strip().splitlines()) == 1
-        assert not (tmp_path / "s.bin").exists()
-
     @pytest.mark.parametrize("command", ["eval", "localize", "heatmap"])
     def test_weights_for_other_descriptors_are_2(self, workdir, tmp_path,
                                                  capsys, command):
@@ -922,8 +894,7 @@ class TestErrorExits:
         if weight_blocks != params.num_blocks:
             params = DecoderParams.init(
                 np.random.default_rng(0), d_raw=params.d_raw, d=params.d,
-                num_blocks=weight_blocks, encoder_hidden=params.encoder_hidden,
-                block_hidden=8, head_hidden=8)
+                num_blocks=weight_blocks, block_hidden=8, head_hidden=8)
         save_params(params, tmp_path / "weights.bin")
         for block in [0, 1] if command == "heatmap" else [0]:
             argv = map_command(workdir, tmp_path, command, block=block,
@@ -953,6 +924,35 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert "num_blocks is 0" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["eval", "localize", "heatmap",
+                                         "finetune", "adapt"])
+    def test_weights_with_a_nonzero_reserved_field_are_2(self, workdir,
+                                                         tmp_path, capsys,
+                                                         command):
+        # bytes 20-23 (after magic, version, d_raw, d and num_blocks) are
+        # the reserved field, which must be 0
+        d, cfg = workdir
+        blob = bytearray((d / "weights.bin").read_bytes())
+        assert blob[20:24] == bytes(4)
+        blob[20:24] = (64).to_bytes(4, "little")
+        (tmp_path / "weights.bin").write_bytes(blob)
+        if command == "adapt":
+            argv = ["adapt", "--config", str(cfg),
+                    "--dataset", str(d / "ds.bin"),
+                    "--weights", str(tmp_path / "weights.bin"),
+                    "--out-scene", str(tmp_path / "s.bin")]
+        else:
+            argv = map_command(workdir, tmp_path, command,
+                               weights=tmp_path / "weights.bin")
+            if command == "eval":
+                argv += ["--out", str(tmp_path / "report.csv")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: at byte 20: reserved header field "
+                              "is 64, not 0")
+        assert len(err.strip().splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["weights.bin"]
+
     @pytest.mark.parametrize("command", ["inspect", "eval", "localize"])
     def test_scene_without_blocks_is_2(self, workdir, tmp_path, capsys,
                                        command):
@@ -975,16 +975,6 @@ class TestErrorExits:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "T is 0" in err and len(err.strip().splitlines()) == 1
-
-
-def save_hidden_encoder_weights(workdir, path, encoder_hidden):
-    """Random weights sized for the workdir's map, with a hidden encoder
-    layer of the given width, saved to path."""
-    params = load_params(workdir[0] / "weights.bin")
-    save_params(DecoderParams.init(
-        np.random.default_rng(0), d_raw=params.d_raw, d=params.d,
-        num_blocks=params.num_blocks, encoder_hidden=encoder_hidden,
-        block_hidden=8, head_hidden=8), path)
 
 
 def map_command(workdir, tmp_path, command, block=0, **files):

@@ -16,11 +16,10 @@ from voxloc.scene import CodeBank
 T, N, D, DRAW = 3, 5, 16, 24
 
 
-def make_params(seed=0, num_blocks=T, d=D, d_raw=DRAW, encoder_hidden=8):
+def make_params(seed=0, num_blocks=T, d=D, d_raw=DRAW):
     return DecoderParams.init(np.random.default_rng(seed), d_raw=d_raw, d=d,
-                              num_blocks=num_blocks,
-                              encoder_hidden=encoder_hidden,
-                              block_hidden=8, head_hidden=8)
+                              num_blocks=num_blocks, block_hidden=8,
+                              head_hidden=8)
 
 
 def make_bank(seed=1, t=T, n=N, d=D, scale_std=0.3):
@@ -286,8 +285,8 @@ class TestDecodeShape:
 
 
 class TestLinearEncoder:
-    def test_hidden_zero_is_single_affine(self):
-        params = make_params(encoder_hidden=0)
+    def test_is_single_affine(self):
+        params = make_params()
         assert len(params.encoder.weights) == 1
         raw = np.random.default_rng(11).normal(size=(5, DRAW))
         out = encode_feature(None, params, dc.DTensor(raw))
@@ -296,10 +295,10 @@ class TestLinearEncoder:
         np.testing.assert_array_equal(out.values, ref)
 
     def test_roundtrips_through_bytes(self):
-        params = make_params(encoder_hidden=0)
-        loaded = params_from_bytes(params_to_bytes(params))
-        assert loaded.encoder_hidden == 0
-        assert len(loaded.encoder.weights) == 1
+        # the header's fourth u32 (bytes 20-23) is reserved and written as 0
+        blob = params_to_bytes(make_params())
+        assert blob[20:24] == bytes(4)
+        assert len(params_from_bytes(blob).encoder.weights) == 1
 
 
 def test_weights_without_blocks_are_not_saved(tmp_path):
@@ -424,11 +423,13 @@ class TestWeightsPersistence:
         with pytest.raises(FormatError):
             params_from_bytes(blob[:-3])
 
-    @pytest.mark.parametrize("at, value", [(8, 2 ** 31), (12, 0), (16, 0)])
+    @pytest.mark.parametrize("at, value", [(8, 2 ** 31), (12, 0), (16, 0),
+                                           (20, 8)])
     def test_bad_header_dims_rejected_before_init(self, monkeypatch, at,
                                                   value):
         # d_raw = 2**31 would allocate ~256 GiB; d = 0 divides by zero;
-        # num_blocks = 0 leaves localize no block 0 to route with
+        # num_blocks = 0 leaves localize no block 0 to route with; the
+        # reserved field must be 0
         blob = bytearray(params_to_bytes(make_params()))
         blob[at:at + 4] = value.to_bytes(4, "little")
 

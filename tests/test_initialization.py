@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from voxloc.decoder import DecoderParams
 from voxloc.initialization import (COORD_DIMS, InitConfig,
                                    aligned_decoder_init, inject_codes,
                                    mean_observed_descriptors)
@@ -169,18 +168,3 @@ class TestInjectCodes:
             ds.points[int(m)] = type(ds.points[int(m)])(int(m), None, False)
         with pytest.raises(ValueError):
             inject_codes(scene, ds, params, np.random.default_rng(2))
-
-    @pytest.mark.parametrize("encoder_hidden", [8, 64])
-    def test_hidden_encoder_layer_rejected(self, encoder_hidden):
-        # its first weight maps descriptors to the hidden layer, not to
-        # the code's descriptor columns
-        ds, scene = setup_scene()
-        params = DecoderParams.init(np.random.default_rng(1), d_raw=64, d=16,
-                                    num_blocks=2, encoder_hidden=encoder_hidden)
-        before = [c.values.copy() for v in scene.sorted_voxels()
-                  for c in v.codes.codes]
-        with pytest.raises(ValueError, match=r"^weights have a hidden encoder "
-                           rf"layer \(encoder_hidden = {encoder_hidden}\)"):
-            inject_codes(scene, ds, params, np.random.default_rng(2))
-        after = [c.values for v in scene.sorted_voxels() for c in v.codes.codes]
-        assert all(map(np.array_equal, before, after))

@@ -132,7 +132,7 @@ def query_for(pts, pose, rng, d_raw=16):
 def small_params(rng):
     """Decoder sized for make_world_scene banks and query_for descriptors."""
     return DecoderParams.init(rng, d_raw=16, d=8, num_blocks=2,
-                              encoder_hidden=8, block_hidden=8, head_hidden=8)
+                              block_hidden=8, head_hidden=8)
 
 
 class TestLocalize:
@@ -285,8 +285,8 @@ class TestLocalize:
         assign_coverage(scene, ds, min_points=5)
         drop_uncovered(scene)
         params = DecoderParams.init(np.random.default_rng(1), d_raw=64, d=8,
-                                    num_blocks=2, encoder_hidden=8,
-                                    block_hidden=8, head_hidden=8)
+                                    num_blocks=2, block_hidden=8,
+                                    head_hidden=8)
         run_training(scene, ds, params, TrainConfig(
             epochs_stage1=1, epochs_stage2=0, keypoints_per_sample=16,
             prune_threshold=0.0, min_points=5))
@@ -455,17 +455,25 @@ class TestRouting:
 
     def test_a_voxel_no_keypoint_picks_gets_no_decode(self, monkeypatch):
         scene, query, params = self.world()
-        # one voxel's block-0 codes are pushed far from every query: each
-        # keypoint scores it lowest, so with r = 1 it is never decoded
-        far = sorted(scene.voxels)[0]
-        bank = scene.voxels[far].codes
-        wq = params.blocks[0].wq.values
+        # the first voxel's block-0 keys are the second's minus a multiple
+        # of v, and an encoder bias along u gives every query q = f·Wq a
+        # q·v >= |v|^2 > 0: each keypoint scores the first voxel below the
+        # second, so with r = 1 it is never decoded
+        far, near = (scene.voxels[vid].codes
+                     for vid in sorted(scene.voxels)[:2])
+        wq, wk = params.blocks[0].wq.values, params.blocks[0].wk.values
+        u = np.ones(params.d)
+        v = u @ wq
+        feats = encode_feature(None, params, DTensor(query.descriptors))
+        params.encoder.biases[0].values += \
+            (1.0 + np.abs(feats.values @ wq @ v).max() / (v @ v)) * u
+        key_shift = np.linalg.solve(wk.T, 10.0 * v / (v @ v))
+        far.codes[0].values[...] = near.codes[0].values \
+            - key_shift / near.scales[0].values
+        far.scales[0].values[...] = near.scales[0].values
+        far.pruned[0][...] = near.pruned[0]
         monkeypatch.setattr(pipeline, "_ROUTE_TOP_R", 1)
         calls = self.spy_on_decode(monkeypatch, params, query)
-        feats = encode_feature(None, params, DTensor(query.descriptors))
-        bank.codes[0].values[...] = -100.0 * np.linalg.lstsq(
-            params.blocks[0].wk.values.T,
-            (feats.values @ wq).mean(axis=0), rcond=None)[0]
         res = localize(query, scene, params, None,
                        LocalizeOptions(bypass_retrieval=True))
         assert len(calls) < len(scene.voxels)
@@ -513,8 +521,8 @@ class TestDecodeState:
         assign_coverage(scene, ds, min_points=5)
         drop_uncovered(scene)
         params = DecoderParams.init(np.random.default_rng(1), d_raw=64, d=8,
-                                    num_blocks=2, encoder_hidden=8,
-                                    block_hidden=8, head_hidden=8)
+                                    num_blocks=2, block_hidden=8,
+                                    head_hidden=8)
         return (ds, scene_from_bytes(scene_to_bytes(scene)),
                 params_from_bytes(params_to_bytes(params)))
 
@@ -663,8 +671,7 @@ class TestHeatmap:
         pts = [Point3D(i, rng.uniform(0, 1, size=3), True) for i in range(20)]
         scene = build_scene(pts, 4.0, (2, 4, 16), rng)
         params = DecoderParams.init(rng, d_raw=24, d=16, num_blocks=2,
-                                    encoder_hidden=8, block_hidden=8,
-                                    head_hidden=8)
+                                    block_hidden=8, head_hidden=8)
         return scene, params
 
     def test_csv(self, tmp_path):

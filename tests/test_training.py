@@ -24,8 +24,8 @@ def tiny_setup(seed=0):
     assign_coverage(scene, ds, min_points=5)
     drop_uncovered(scene)
     params = DecoderParams.init(np.random.default_rng(seed + 1), d_raw=64,
-                                d=16, num_blocks=2, encoder_hidden=8,
-                                block_hidden=8, head_hidden=8)
+                                d=16, num_blocks=2, block_hidden=8,
+                                head_hidden=8)
     return ds, scene, params
 
 
@@ -244,7 +244,8 @@ class TestAdaptation:
     def test_decoder_weights_byte_frozen(self):
         ds, scene, params = tiny_setup()
         before = params_to_bytes(params)
-        adapt_scene(scene, ds, params, tiny_config(lambda_l1=0.0), epochs=2)
+        adapt_scene(scene, ds, params, tiny_config(lambda_l1=0.0,
+                                                   epochs_stage1=2))
         assert params_to_bytes(params) == before
 
     def test_backward_never_reaches_the_decoder(self, monkeypatch):
@@ -260,32 +261,25 @@ class TestAdaptation:
             record(tape, out, [(inp, spy if id(inp) in weights else vjp)
                                for inp, vjp in pulls])
         monkeypatch.setattr(dc.Tape, "record", record_spied)
-        adapt_scene(scene, ds, params, tiny_config(lambda_l1=0.0), epochs=2)
+        adapt_scene(scene, ds, params, tiny_config(lambda_l1=0.0,
+                                                   epochs_stage1=2))
 
     def test_codes_move(self):
+        # and so do their scales: adaptation trains both
         ds, scene, params = tiny_setup()
-        snapshot = [c.values.copy() for v in scene.sorted_voxels()
-                    for c in v.codes.codes]
-        adapt_scene(scene, ds, params, tiny_config(lambda_l1=0.0), epochs=2)
-        moved = [c.values for v in scene.sorted_voxels()
-                 for c in v.codes.codes]
-        assert any(not np.array_equal(a, b)
-                   for a, b in zip(snapshot, moved))
-
-    def test_scales_optionally_frozen(self):
-        ds, scene, params = tiny_setup()
-        snapshot = [w.values.copy() for v in scene.sorted_voxels()
-                    for w in v.codes.scales]
-        adapt_scene(scene, ds, params, tiny_config(lambda_l1=0.0), epochs=2,
-                    train_scales=False)
-        for a, v in zip(snapshot, [w.values for v in scene.sorted_voxels()
-                                   for w in v.codes.scales]):
-            np.testing.assert_array_equal(a, v)
+        banks = [v.codes for v in scene.sorted_voxels()]
+        codes = [c for b in banks for c in b.codes]
+        scales = [w for b in banks for w in b.scales]
+        snapshots = [[t.values.copy() for t in ts] for ts in (codes, scales)]
+        adapt_scene(scene, ds, params, tiny_config(lambda_l1=0.0,
+                                                   epochs_stage1=2))
+        for tensors, snapshot in zip((codes, scales), snapshots):
+            assert any(not np.array_equal(a, t.values)
+                       for a, t in zip(snapshot, tensors))
 
     def test_dim_mismatch_rejected(self):
         ds, scene, _ = tiny_setup()
         bad = DecoderParams.init(np.random.default_rng(0), d_raw=64, d=24,
-                                 num_blocks=2, encoder_hidden=8,
-                                 block_hidden=8, head_hidden=8)
+                                 num_blocks=2, block_hidden=8, head_hidden=8)
         with pytest.raises(Exception):
             adapt_scene(scene, ds, bad, tiny_config())
