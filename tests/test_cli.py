@@ -953,6 +953,26 @@ class TestErrorExits:
         assert len(err.strip().splitlines()) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["weights.bin"]
 
+    @pytest.mark.parametrize("encoder_hidden", [8, 64])
+    def test_adapt_with_a_hidden_encoder_layer_is_2(self, workdir, tmp_path,
+                                                    capsys, encoder_hidden):
+        # weights saved with a hidden encoder layer carry its width in the
+        # now reserved field; adapt refuses them from the header alone,
+        # before it reads a tensor or writes a scene
+        d, cfg = workdir
+        blob = bytearray((d / "weights.bin").read_bytes())
+        blob[20:24] = encoder_hidden.to_bytes(4, "little")
+        (tmp_path / "weights.bin").write_bytes(blob)
+        assert cli.main(["adapt", "--config", str(cfg),
+                         "--dataset", str(d / "ds.bin"),
+                         "--weights", str(tmp_path / "weights.bin"),
+                         "--out-scene", str(tmp_path / "s.bin")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: at byte 20: reserved header field "
+                              f"is {encoder_hidden}, not 0")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "s.bin").exists()
+
     @pytest.mark.parametrize("command", ["inspect", "eval", "localize"])
     def test_scene_without_blocks_is_2(self, workdir, tmp_path, capsys,
                                        command):
