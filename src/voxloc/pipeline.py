@@ -2,7 +2,7 @@
 
 Retrieval ranks reference views by mean-descriptor cosine similarity; the
 retrieved views activate voxels via the coverage rule; block 0's largest
-logit routes each keypoint to its best few activated voxels, and it is
+logit routes each keypoint to its one best activated voxel, and it is
 decoded in float32 only there; candidates with confidence >= 0.5 become
 row-aligned 2D-3D arrays for PnP+RANSAC, whose pose is refined by
 Cauchy-weighted IRLS over all of them, not only the inliers. The float32
@@ -29,7 +29,6 @@ from .scene import SceneRepresentation, VoxelId, size_bytes
 from .synthworld import ReferenceDataset, ViewObservations
 
 DEFAULT_THRESHOLDS = ((0.25, 2.0), (0.5, 5.0), (5.0, 10.0))
-_ROUTE_TOP_R = 2  # each keypoint is decoded in its r best-scoring voxels
 
 
 @dataclass
@@ -118,21 +117,17 @@ def _float32_state(source, params32=None):
     return state
 
 
-def route_keypoints(scores: list, r: int, m: int) -> list[np.ndarray]:
+def route_keypoints(scores: list, m: int) -> list[np.ndarray]:
     """Rows of the m keypoints each voxel decodes, given each voxel's (m,)
-    gate scores: a keypoint goes to its r best-scoring voxels, ties to the
-    earlier (lower-id) voxel. A voxel without scores (None) gets every
-    keypoint and takes none of the r places.
+    gate scores: a keypoint goes to the voxel that scores it highest, ties
+    to the earlier (lower-id) voxel, as np.argmax picks the first maximum.
+    A voxel without scores (None) gets every keypoint.
     """
     scored = [i for i, s in enumerate(scores) if s is not None]
-    routed = np.ones((m, len(scores)), dtype=bool)
-    if r < len(scored):
-        best = np.argsort(-np.stack([scores[i] for i in scored], axis=1),
-                          axis=1, kind="stable")[:, :r]
-        keep = np.zeros((m, len(scored)), dtype=bool)
-        np.put_along_axis(keep, best, True, axis=1)
-        routed[:, scored] = keep
-    return [np.flatnonzero(col) for col in routed.T]
+    if scored:
+        best = np.take(scored, np.argmax([scores[i] for i in scored], axis=0))
+    return [np.arange(m) if s is None else np.flatnonzero(best == i)
+            for i, s in enumerate(scores)]
 
 
 def localize(query: ViewObservations, scene: SceneRepresentation,
@@ -140,14 +135,13 @@ def localize(query: ViewObservations, scene: SceneRepresentation,
              opts: LocalizeOptions | None = None) -> LocalizationResult:
     """Decode each keypoint in its routed activated voxels; PnP+RANSAC.
 
-    Each keypoint is decoded only in the _ROUTE_TOP_R activated voxels
-    where block 0 gives it its largest logit, over the keys decode uses.
-    With no more activated voxels than that, every keypoint goes to every
-    voxel: the every-pair result, byte for byte.
-    Confident candidates reach RANSAC in voxel-id order, then keypoint
-    order; a keypoint may contribute in several voxels, and RANSAC
-    arbitrates. With bypass_retrieval (or no dataset) all voxels activate.
-    A non-finite query descriptor raises ValueError before any work.
+    Each keypoint is decoded only in the one activated voxel where block 0
+    gives it its largest logit, over the keys decode uses; a voxel with no
+    active block-0 code decodes every keypoint as well, and only through
+    such voxels does a keypoint contribute more than once. Confident
+    candidates reach RANSAC in voxel-id order, then keypoint order. With
+    bypass_retrieval (or no dataset) all voxels activate. A non-finite
+    query descriptor raises ValueError before any work.
     """
     opts = opts or LocalizeOptions()
     start = time.perf_counter()
@@ -182,7 +176,7 @@ def localize(query: ViewObservations, scene: SceneRepresentation,
             for stage, voxel in zip(stages, voxels):  # errors name the voxel
                 kvs.append(_float32_state(voxel.codes, params)[2])
                 scores.append(route_scores(params, q, kvs[-1][0]))
-            routes = route_keypoints(scores, _ROUTE_TOP_R, query.num_keypoints)
+            routes = route_keypoints(scores, query.num_keypoints)
             world, pixels = [], []
             for stage, voxel, rows, blocks in zip(stages, voxels, routes, kvs):
                 if len(rows) == 0:

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from voxloc import cli, pipeline, synthworld, training
+from voxloc import cli, pipeline, synthworld
 from voxloc import diffcore as dcc
 from voxloc.decoder import (DecoderParams, block_keys, cross_attention_block,
                             decode, encode_feature, params_from_bytes,

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voxloc import decoder, pipeline
 from voxloc import diffcore as dc
@@ -16,8 +17,7 @@ from voxloc.decoder import (DecoderParams, block_keys, decode, encode_feature,
 from voxloc.diffcore import DTensor, NumericError
 from voxloc.geometry import MIN_DEPTH, Intrinsics, Pose, RansacResult, \
     look_at, pose_error, project_many, rotation_from_axis_angle
-from voxloc.pipeline import (DEFAULT_THRESHOLDS, EvalReport,
-                             LocalizationResult, LocalizeOptions,
+from voxloc.pipeline import (LocalizationResult, LocalizeOptions,
                              activate_voxels, evaluate, export_heatmap,
                              localize, retrieve_views, route_keypoints)
 from voxloc.scene import (assign_coverage, build_scene, drop_uncovered,
@@ -135,6 +135,12 @@ def small_params(rng):
                               block_hidden=8, head_hidden=8)
 
 
+def route_every_pair(monkeypatch):
+    """Decode every keypoint in every activated voxel."""
+    monkeypatch.setattr(pipeline, "route_keypoints",
+                        lambda scores, m: [np.arange(m)] * len(scores))
+
+
 class TestLocalize:
     def patch_perfect_decoder(self, monkeypatch, positions, conf=0.9):
         """decode() stand-in returning ground-truth coordinates for member
@@ -171,7 +177,7 @@ class TestLocalize:
                             for vid, v in scene.voxels.items()}
         fake = self.patch_perfect_decoder(monkeypatch, positions)
         # the fake models every (keypoint, voxel) pair decoded
-        monkeypatch.setattr(pipeline, "_ROUTE_TOP_R", len(scene.voxels))
+        route_every_pair(monkeypatch)
 
         real_localize_decode = pipeline.decode
 
@@ -229,7 +235,7 @@ class TestLocalize:
                             lambda tape, params, raw:
                             DTensor(raw.values[:, :params.d]))
         # the fake models every (keypoint, voxel) pair decoded
-        monkeypatch.setattr(pipeline, "_ROUTE_TOP_R", len(scene.voxels))
+        route_every_pair(monkeypatch)
         res = localize(query, scene, small_params(np.random.default_rng(0)),
                        None, LocalizeOptions(bypass_retrieval=True))
         assert not res.success
@@ -268,7 +274,7 @@ class TestLocalize:
 
         monkeypatch.setattr(pipeline, "ransac_pnp", stub)
         # the expected arrays are the every-pair loop's
-        monkeypatch.setattr(pipeline, "_ROUTE_TOP_R", len(scene.voxels))
+        route_every_pair(monkeypatch)
         res = localize(query, scene, params, None,
                        LocalizeOptions(bypass_retrieval=True,
                                        confidence_min=conf_min))
@@ -340,34 +346,55 @@ class TestRouting:
         # keypoint 2 in the last two
         scores = [np.array([1.0, 2.0, 0.5]), np.array([1.0, 2.0, 3.0]),
                   np.array([1.0, 1.0, 3.0])]
-        routes = route_keypoints(scores, 2, 3)
-        assert [r.tolist() for r in routes] == [[0, 1], [0, 1, 2], [2]]
-        routes = route_keypoints(scores, 1, 3)
+        routes = route_keypoints(scores, 3)
         assert [r.tolist() for r in routes] == [[0, 1], [2], []]
 
     def test_a_voxel_without_scores_takes_every_keypoint(self):
         scores = [None, np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        routes = route_keypoints(scores, 1, 2)
+        routes = route_keypoints(scores, 2)
         assert [r.tolist() for r in routes] == [[0, 1], [0], [1]]
-        routes = route_keypoints(scores, 2, 2)
-        assert [r.tolist() for r in routes] == [[0, 1]] * 3
-        assert [r.tolist() for r in route_keypoints([None], 1, 2)] == [[0, 1]]
+        assert [r.tolist() for r in route_keypoints([None], 2)] == [[0, 1]]
 
-    def test_each_keypoint_is_decoded_in_min_r_voxels(self, monkeypatch):
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_routing_is_an_argmax_with_ties_to_the_lower_voxel(self, data):
+        m = data.draw(st.integers(0, 10), label="keypoints")
+        v = data.draw(st.integers(1, 6), label="voxels")
+        # a handful of values forces ties, 0.0 against -0.0 among them
+        value = st.sampled_from([-1.0, -0.0, 0.0, 2.0]) \
+            | st.floats(-3.0, 3.0, width=32)
+        gate = st.lists(value, min_size=m, max_size=m).map(
+            lambda xs: np.array(xs, dtype=np.float32))
+        scores = [data.draw(st.none() | gate, label=f"voxel {i}")
+                  for i in range(v)]
+        routes = route_keypoints(scores, m)
+        assert len(routes) == v
+        scored = [i for i, s in enumerate(scores) if s is not None]
+        for i in set(range(v)) - set(scored):
+            assert routes[i].tolist() == list(range(m))
+        if not scored:
+            return
+        owner = np.concatenate([[i] * len(routes[i]) for i in scored])
+        rows = np.concatenate([routes[i] for i in scored])
+        assert sorted(rows.tolist()) == list(range(m))
+        for k, i in zip(rows, owner):
+            top = max(scores[j][k] for j in scored)
+            assert i == min(j for j in scored if scores[j][k] == top)
+
+    def test_each_keypoint_is_decoded_in_exactly_one_voxel(self,
+                                                           monkeypatch):
         scene, query, params = self.world()
         v, m = len(scene.voxels), query.num_keypoints
         assert v > 3
-        for r in (1, 2, 3, v, v + 2):
-            monkeypatch.setattr(pipeline, "_ROUTE_TOP_R", r)
-            calls = self.spy_on_decode(monkeypatch, params, query)
-            res = localize(query, scene, params, None,
-                           LocalizeOptions(bypass_retrieval=True))
-            per_keypoint = np.bincount(
-                np.concatenate([rows for rows, _, _ in calls]), minlength=m)
-            assert (per_keypoint == min(r, v)).all()
-            assert res.num_decoded_pairs == m * min(r, v)
-            assert res.num_candidate_points == m * v
-            assert res.num_confident_points <= res.num_decoded_pairs
+        calls = self.spy_on_decode(monkeypatch, params, query)
+        res = localize(query, scene, params, None,
+                       LocalizeOptions(bypass_retrieval=True))
+        per_keypoint = np.bincount(
+            np.concatenate([rows for rows, _, _ in calls]), minlength=m)
+        assert (per_keypoint == 1).all()
+        assert res.num_decoded_pairs == m
+        assert res.num_candidate_points == m * v
+        assert res.num_confident_points <= res.num_decoded_pairs
 
     @staticmethod
     def ransac_input(monkeypatch, *args):
@@ -394,7 +421,7 @@ class TestRouting:
                  for vid in sorted(scene.voxels)]
         routes = route_keypoints(
             [route_scores(params32, q, block_keys(None, params32, bank, 0))
-             for bank in banks], pipeline._ROUTE_TOP_R, query.num_keypoints)
+             for bank in banks], query.num_keypoints)
         world = np.concatenate([
             decode(None, params32, feats, bank)[0].values[rows]
             + scene.voxels[vid].origin
@@ -405,39 +432,31 @@ class TestRouting:
         assert got_pixels.tobytes() == pixels.tobytes()
         np.testing.assert_allclose(got_world, world, rtol=1e-5, atol=1e-6)
 
-    def test_r_at_or_above_the_voxel_count_decodes_every_pair(self,
-                                                              monkeypatch):
-        # routing still runs, and each decode gets the block-0 keys that
-        # routing read for its voxel
+    def test_one_activated_voxel_decodes_every_keypoint(self,
+                                                        monkeypatch):
+        # routing still runs, each decode gets the block-0 keys that
+        # routing read for its voxel, and the result is the every-pair one
         scene, query, params = self.world()
-        v = len(scene.voxels)
-        runs, routed, real = [], [], pipeline.route_scores
+        first = sorted(scene.voxels)[0]
+        scene.voxels = {first: scene.voxels[first]}
+        m = query.num_keypoints
+        routed, real = [], pipeline.route_scores
 
         def spy(params, q, kv0):
             routed.append(kv0)
             return real(params, q, kv0)
 
         monkeypatch.setattr(pipeline, "route_scores", spy)
-        for r in (v, v + 5):
-            monkeypatch.setattr(pipeline, "_ROUTE_TOP_R", r)
-            calls = self.spy_on_decode(monkeypatch, params, query)
-            routed.clear()
-            res = localize(query, scene, params, None, LocalizeOptions(
-                bypass_retrieval=True, confidence_min=0.0))
-            assert len(calls) == v
-            assert all(len(rows) == query.num_keypoints
-                       for rows, _, _ in calls)
-            assert len(routed) == v and None not in routed
-            assert all(blocks[0] is kv0
-                       for (_, _, blocks), kv0 in zip(calls, routed))
-            runs.append(res)
-        assert runs[0].num_confident_points == v * query.num_keypoints
-        assert runs[0].success == runs[1].success
-        if runs[0].success:
-            for a, b in ((runs[0].pose.rotation, runs[1].pose.rotation),
-                         (runs[0].pose.translation,
-                          runs[1].pose.translation)):
-                assert a.tobytes() == b.tobytes()
+        calls = self.spy_on_decode(monkeypatch, params, query)
+        opts = LocalizeOptions(bypass_retrieval=True, confidence_min=0.0)
+        res = localize(query, scene, params, None, opts)
+        assert [rows for rows, _, _ in calls] == [list(range(m))]
+        assert len(routed) == 1 and routed[0] is not None
+        assert calls[0][2][0] is routed[0]
+        assert res.num_decoded_pairs == res.num_confident_points == m
+        route_every_pair(monkeypatch)
+        assert outcome(localize(query, scene, params, None, opts)) \
+            == outcome(res)
 
     def test_a_voxel_without_block0_codes_gets_every_keypoint(self,
                                                               monkeypatch):
@@ -451,14 +470,14 @@ class TestRouting:
                        LocalizeOptions(bypass_retrieval=True))
         pruned = [rows for rows, bank, _ in calls if bank.pruned[0].all()]
         assert pruned == [list(range(m))]
-        assert res.num_decoded_pairs == m * (pipeline._ROUTE_TOP_R + 1)
+        assert res.num_decoded_pairs == 2 * m
 
     def test_a_voxel_no_keypoint_picks_gets_no_decode(self, monkeypatch):
         scene, query, params = self.world()
         # the first voxel's block-0 keys are the second's minus a multiple
         # of v, and an encoder bias along u gives every query q = f·Wq a
         # q·v >= |v|^2 > 0: each keypoint scores the first voxel below the
-        # second, so with r = 1 it is never decoded
+        # second, so it is never decoded
         far, near = (scene.voxels[vid].codes
                      for vid in sorted(scene.voxels)[:2])
         wq, wk = params.blocks[0].wq.values, params.blocks[0].wk.values
@@ -472,7 +491,6 @@ class TestRouting:
             - key_shift / near.scales[0].values
         far.scales[0].values[...] = near.scales[0].values
         far.pruned[0][...] = near.pruned[0]
-        monkeypatch.setattr(pipeline, "_ROUTE_TOP_R", 1)
         calls = self.spy_on_decode(monkeypatch, params, query)
         res = localize(query, scene, params, None,
                        LocalizeOptions(bypass_retrieval=True))
