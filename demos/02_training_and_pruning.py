@@ -50,8 +50,8 @@ print(report.summary())
 # prune the weakest half of the codes by |scaling factor|, then fine-tune
 # gently so the surviving codes adjust without destabilizing the decoder
 scales = np.concatenate(
-    [np.abs(v.codes.scales[t].values[~v.codes.pruned[t], 0])
-     for v in scene.voxels.values() for t in range(scene.dims[0])])
+    [np.abs(w.values[w.values != 0.0])
+     for v in scene.voxels.values() for w in v.codes.scales])
 threshold = float(np.median(scales)) * (1 + 1e-9)
 prune_report = scene_mod.prune(scene, threshold)
 print(f"\npruned at |w| < {threshold:.4f}: kept "

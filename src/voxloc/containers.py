@@ -113,9 +113,6 @@ class Writer:
     def u32_array(self, a) -> None:
         self._buf += np.asarray(a, dtype="<u4").tobytes()
 
-    def u8_array(self, a) -> None:
-        self._buf += np.asarray(a, dtype="u1").tobytes()
-
     def bytes_(self, b: bytes) -> None:
         self._buf += b
 
@@ -205,9 +202,6 @@ class Reader:
 
     def u32_array(self, count: int, what: str = "u32 array") -> np.ndarray:
         return self._array(count, "<u4", what).astype(np.int64)
-
-    def u8_array(self, count: int, what: str = "u8 array") -> np.ndarray:
-        return self._array(count, "u1", what)
 
     def expect_end(self) -> None:
         if self.offset != self._size:

@@ -194,7 +194,7 @@ def attention_scores(params: DecoderParams, features: DTensor,
             raise ValueError(f"{name} {i} out of range [0, {n})")
     idx = bank.active_rows(block)
     if code not in idx:
-        raise ValueError(f"code {code} in block {block} is pruned or inactive")
+        raise ValueError(f"code {code} in block {block} is pruned")
     pos = np.flatnonzero(_canonical_order(bank, block, idx) == code)
     f = features
     for t, kv in enumerate(bank_keys(None, params, bank)[:block + 1]):

@@ -96,9 +96,8 @@ _STATES = weakref.WeakKeyDictionary()
 
 def _is_cast_of(copy32, source) -> bool:
     """Whether copy32 is bitwise the float32 copy of source as it is now."""
-    old, new = ([getattr(o, "pruned", None)] + [
-        t.values.astype("f4", copy=False).view("u4")
-        for t in o.named_parameters().values()] for o in (copy32, source))
+    old, new = ([t.values.astype("f4", copy=False).view("u4") for t in
+                 o.named_parameters().values()] for o in (copy32, source))
     return len(old) == len(new) and all(map(np.array_equal, old, new))
 
 

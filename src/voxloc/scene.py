@@ -3,10 +3,12 @@
 A scene is a map from lattice cell to voxel record: the cell's member point
 ids, the origin (mean of member positions, the local regression frame), the
 learnable code bank with per-code scaling factors, and the reference views
-covering the cell. Codes are float64 in memory, as training needs; the
-persisted format downcasts to little-endian float32, which is the "map
-size" that the byte accounting reports. Queries decode a float32 copy of
-each bank, rebuilt when its casts change; exact for a map read from file.
+covering the cell. A code is pruned exactly when its scale is 0, so the
+file stores every scale and only the codes with a nonzero scale. Codes are
+float64 in memory, as training needs; the persisted format downcasts to
+little-endian float32, which is the "map size" that the byte accounting
+reports. Queries decode a float32 copy of each bank, rebuilt when its
+casts change; exact for a map read from file.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .containers import FormatError, Reader, Writer
 from .diffcore import DTensor
 
 SCENE_MAGIC = b"NMAP"
-SCENE_FORMAT_VERSION = 1
+SCENE_FORMAT_VERSION = 2
 
 # fixed per-voxel record header: id (3 x i32) + origin (3 x f32) + two u32 counts
 VOXEL_HEADER_BYTES = 32
@@ -41,15 +43,14 @@ class VoxelId(NamedTuple):
 class CodeBank:
     """T blocks x N codes x D learnable reals, plus per-code scaling factors.
 
-    Pruned codes have scale exactly 0.0, are excluded from attention, and
-    never receive gradient (their rows are never gathered into the graph).
+    A code is pruned exactly when its scale is 0.0 (or -0.0): it is excluded
+    from attention, not stored, and never receives gradient (its row is
+    never gathered into the graph, and d|w|/dw is 0 at w = 0).
     """
 
-    def __init__(self, codes: list[DTensor], scales: list[DTensor],
-                 pruned: np.ndarray):
+    def __init__(self, codes: list[DTensor], scales: list[DTensor]):
         self.codes = codes      # T tensors of shape (N, D)
         self.scales = scales    # T tensors of shape (N, 1)
-        self.pruned = pruned    # bool (T, N)
 
     @classmethod
     def init(cls, t: int, n: int, d: int, rng: np.random.Generator,
@@ -62,19 +63,18 @@ class CodeBank:
                  for i in range(t)]
         scales = [DTensor(np.ones((n, 1)), name=f"{prefix}.scales.{i}")
                   for i in range(t)]
-        return cls(codes, scales, np.zeros((t, n), dtype=bool))
+        return cls(codes, scales)
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return len(self.codes), self.codes[0].shape[0], self.codes[0].shape[1]
 
     def active_rows(self, t: int) -> np.ndarray:
-        """Indices of codes that participate in attention for block t."""
-        w = self.scales[t].values[:, 0]
-        return np.flatnonzero(~self.pruned[t] & (w != 0.0))
+        """Indices of block t's unpruned codes, which attention reads."""
+        return np.flatnonzero(self.scales[t].values[:, 0] != 0.0)
 
     def retained_count(self, t: int) -> int:
-        return int((~self.pruned[t]).sum())
+        return len(self.active_rows(t))
 
     def named_parameters(self) -> dict[str, DTensor]:
         out = {}
@@ -187,7 +187,6 @@ class PruneRow:
 
 @dataclass
 class PruneReport:
-    threshold: float
     rows: list[PruneRow]
     bytes_before: int
     bytes_after: int
@@ -210,8 +209,8 @@ class PruneReport:
 
 
 def prune(scene: SceneRepresentation, threshold: float) -> PruneReport:
-    """Zero out scaling factors with |w| < threshold and mask those codes;
-    the report sizes the map at 4 bytes per stored value.
+    """Zero out scaling factors with |w| < threshold, which prunes their
+    codes; the report sizes the map at 4 bytes per stored value.
 
     Pruned codes are excluded from all future attention and gradients.
     Destructive; save the scene first if the unpruned state matters.
@@ -225,12 +224,10 @@ def prune(scene: SceneRepresentation, threshold: float) -> PruneReport:
         t_blocks, n, _ = bank.dims
         for t in range(t_blocks):
             w = bank.scales[t].values[:, 0]
-            new_pruned = bank.pruned[t] | (np.abs(w) < threshold)
-            bank.scales[t].values[new_pruned, 0] = 0.0
-            bank.pruned[t] = new_pruned
-            rows.append(PruneRow(v.id, t, int((~new_pruned).sum()), n))
+            w[np.abs(w) < threshold] = 0.0
+            rows.append(PruneRow(v.id, t, bank.retained_count(t), n))
     after = size_bytes(scene, 4)
-    return PruneReport(threshold, rows, before, after)
+    return PruneReport(rows, before, after)
 
 
 def size_bytes(scene: SceneRepresentation, scalar_width: int) -> int:
@@ -266,10 +263,10 @@ def scene_to_bytes(scene: SceneRepresentation) -> bytes:
         w.u32_array(sorted(v.covering_views))
         bank = v.codes
         for bt in range(t):
-            w.f32_array(bank.scales[bt].values[:, 0])
-            w.u8_array(bank.pruned[bt].astype("u1"))
-            keep = np.flatnonzero(~bank.pruned[bt])
-            w.f32_array(bank.codes[bt].values[keep])
+            scales = bank.scales[bt].values[:, 0]
+            w.f32_array(scales)
+            # the reader keeps the rows whose float32 scale is nonzero
+            w.f32_array(bank.codes[bt].values[scales.astype("f4") != 0.0])
     return w.getvalue()
 
 
@@ -285,8 +282,8 @@ def scene_from_bytes(data: bytes | BinaryIO) -> SceneRepresentation:
         raise FormatError(r.offset - 4, f"code width D = {d} exceeds the "
                                         f"format maximum {MAX_CODE_DIM}")
     count = r.u32("voxel count")
-    # each voxel holds at least its header and a scale and mask byte per code
-    if count * (VOXEL_HEADER_BYTES + 5 * t * n) > r.remaining:
+    # each voxel holds at least its header and a scale per code
+    if count * (VOXEL_HEADER_BYTES + 4 * t * n) > r.remaining:
         raise FormatError(r.offset, f"{count} voxels of {t}x{n} codes do not "
                                     f"fit in the {r.remaining} bytes left")
     voxels = {}
@@ -299,20 +296,17 @@ def scene_from_bytes(data: bytes | BinaryIO) -> SceneRepresentation:
         views = [int(x) for x in r.u32_array(n_views, "covering views")]
         prefix = f"voxel({vid.ix},{vid.iy},{vid.iz})"
         codes, scales = [], []
-        pruned = np.zeros((t, n), dtype=bool)
         for bt in range(t):
             wvals = r.f32_array(n, f"scales block {bt}")
-            mask = r.u8_array(n, f"pruned mask block {bt}").astype(bool)
-            keep = np.flatnonzero(~mask)
+            keep = np.flatnonzero(wvals != 0.0)
             kept = r.f32_array(len(keep) * d, f"codes block {bt}")
             vals = np.zeros((n, d))
             vals[keep] = kept.reshape(len(keep), d)
-            pruned[bt] = mask
             codes.append(DTensor(vals, name=f"{prefix}.codes.{bt}"))
             scales.append(DTensor(wvals[:, None],
                                   name=f"{prefix}.scales.{bt}"))
         voxels[vid] = Voxel(vid, origin, members,
-                            CodeBank(codes, scales, pruned), views)
+                            CodeBank(codes, scales), views)
     r.expect_end()
     return SceneRepresentation(side, (t, n, d), voxels)
 

@@ -194,10 +194,13 @@ def _batch_losses(tape, params: DecoderParams, sample: Sample,
                                                  l_sparse, config, stage)
 
 
-def _run_epochs(scene, dataset, params, config, *, stage, epochs, train_scales,
-                opt_agnostic, opt_codes, rng, log):
-    """Appends one record per epoch, numbered on from the log's last."""
+def _run_epochs(scene, dataset, params, config, *, stage, opt_agnostic,
+                opt_codes, rng, log):
+    """Appends one record per epoch, numbered on from the log's last: stage
+    1 runs epochs_stage1 epochs and trains the scales, stage 2 runs
+    epochs_stage2 epochs with the scales frozen."""
     dataset.view_means  # refuses a non-finite reference descriptor up front
+    epochs = config.epochs_stage1 if stage == 1 else config.epochs_stage2
     for epoch in range(len(log.records), len(log.records) + epochs):
         lr_a = halved_lr(config.lr_agnostic, epoch, config.lr_halving_period)
         lr_c = halved_lr(config.lr_codes, epoch, config.lr_halving_period)
@@ -210,7 +213,7 @@ def _run_epochs(scene, dataset, params, config, *, stage, epochs, train_scales,
         # the most update steps per epoch, which the short desk schedule needs
         for step, sample in enumerate(samples):
             moving = {t.name: t for t in sample.voxel.codes.codes
-                      + (sample.voxel.codes.scales if train_scales else [])}
+                      + (sample.voxel.codes.scales if stage == 1 else [])}
             tape = Tape()
             try:
                 l_coord, l_conf, l_sparse, loss = _batch_losses(
@@ -242,7 +245,6 @@ def run_training(scene: SceneRepresentation, dataset: ReferenceDataset,
     opt_codes = Optimizer(scene.named_code_parameters(), config.lr_codes)
 
     _run_epochs(scene, dataset, params, config, stage=1,
-                epochs=config.epochs_stage1, train_scales=True,
                 opt_agnostic=opt_agnostic, opt_codes=opt_codes,
                 rng=rng, log=log)
 
@@ -251,7 +253,6 @@ def run_training(scene: SceneRepresentation, dataset: ReferenceDataset,
         raise ValueError("pruning removed every code; threshold "
                          f"{config.prune_threshold} is degenerate for this scene")
     _run_epochs(scene, dataset, params, config, stage=2,
-                epochs=config.epochs_stage2, train_scales=False,
                 opt_agnostic=opt_agnostic, opt_codes=opt_codes,
                 rng=rng, log=log)
     return log
@@ -269,7 +270,6 @@ def adapt_scene(new_scene: SceneRepresentation, new_dataset: ReferenceDataset,
     log = TrainingLog()
     opt_codes = Optimizer(new_scene.named_code_parameters(), config.lr_codes)
     _run_epochs(new_scene, new_dataset, params, config, stage=1,
-                epochs=config.epochs_stage1, train_scales=True,
                 opt_agnostic=Optimizer({}, 0.0),
                 opt_codes=opt_codes, rng=rng, log=log)
     return log

@@ -214,8 +214,8 @@ def test_criterion_4_pruning_economy(capsys, desk):
     bytes_before = size_bytes(scene, 4)
 
     scales = np.concatenate(
-        [np.abs(v.codes.scales[t].values[~v.codes.pruned[t], 0])
-         for v in scene.voxels.values() for t in range(scene.dims[0])])
+        [np.abs(w.values[w.values != 0.0])
+         for v in scene.voxels.values() for w in v.codes.scales])
     threshold = float(np.median(scales)) * (1.0 + 1e-9)
     report = prune(scene, threshold)
     retained_frac = report.total_retained / report.total_codes

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scene_files import PRUNED, raw_scene
 from voxloc import cli
-from voxloc.containers import FormatError, Writer
+from voxloc.containers import FormatError
 from voxloc.decoder import (DecoderParams, load_params, params_from_bytes,
                             save_params)
-from voxloc.scene import (SCENE_FORMAT_VERSION, SCENE_MAGIC, load_scene,
-                          save_scene, scene_from_bytes, scene_to_bytes)
+from voxloc.scene import (load_scene, save_scene, scene_from_bytes,
+                          scene_to_bytes)
 from voxloc.pipeline import LocalizeOptions
 from voxloc.synthworld import (WorldConfig, dataset_from_bytes, load_dataset,
                                save_dataset)
@@ -116,6 +117,24 @@ class TestHappyPaths:
                          "--out-scene", str(d / "ft_scene.bin"),
                          "--out-weights", str(d / "ft_weights.bin")]) == 0
         assert (d / "ft_weights.bin").stat().st_size > 0
+
+    def test_finetune_keeps_zero_scales_zero(self, workdir, tmp_path):
+        d, cfg = workdir
+        scene = load_scene(d / "scene.bin")
+        for v in scene.voxels.values():
+            for w in v.codes.scales:
+                w.values[::2] = 0.0
+        save_scene(scene, tmp_path / "zeroed.bin")
+        assert cli.main(["finetune", "--config", str(cfg),
+                         "--dataset", str(d / "ds.bin"),
+                         "--scene", str(tmp_path / "zeroed.bin"),
+                         "--weights", str(d / "weights.bin"),
+                         "--out-scene", str(tmp_path / "ft.bin"),
+                         "--out-weights", str(tmp_path / "ft_w.bin")]) == 0
+        tuned = load_scene(tmp_path / "ft.bin")
+        for vid, v in scene.voxels.items():
+            for w, w_ft in zip(v.codes.scales, tuned.voxels[vid].codes.scales):
+                assert w_ft.values[::2].tobytes() == w.values[::2].tobytes()
 
     def test_adapt(self, workdir):
         d, cfg = workdir
@@ -416,7 +435,7 @@ class TestErrorExits:
         scene = load_scene(d / "scene.bin")
         v = scene.sorted_voxels()[0]
         bank = v.codes
-        row = np.flatnonzero(~bank.pruned[0])[0]
+        row = bank.active_rows(0)[0]
         target = {"origin": v.origin, "scale": bank.scales[0].values[row],
                   "code": bank.codes[0].values[row]}[field]
         # the writer refuses NaN, so a sentinel's bytes are swapped for it
@@ -431,21 +450,10 @@ class TestErrorExits:
 
     def test_fully_pruned_scene_with_huge_d_is_2(self, workdir, tmp_path,
                                                   capsys):
-        # 65 bytes: T = N = 1 and D = 2**31, its one code pruned, so no
+        # 64 bytes: T = N = 1 and D = 2**31, its one code pruned, so no
         # code bytes stand behind D
-        w = Writer(SCENE_MAGIC, SCENE_FORMAT_VERSION)
-        w.f32(4.0)
-        for count in (1, 1, 2 ** 31, 1):  # T, N, D, voxel count
-            w.u32(count)
-        for c in (0, 0, 0):
-            w.i32(c)
-        w.f32_array(np.zeros(3))
-        w.u32(0)  # members
-        w.u32(0)  # covering views
-        w.f32_array([0.0])  # scale
-        w.u8_array([1])  # pruned
-        (tmp_path / "huge.bin").write_bytes(w.getvalue())
-        assert (tmp_path / "huge.bin").stat().st_size == 65
+        (tmp_path / "huge.bin").write_bytes(raw_scene(1, 1, 2 ** 31, [PRUNED]))
+        assert (tmp_path / "huge.bin").stat().st_size == 64
         d, cfg = workdir
         assert cli.main(["eval", "--config", str(cfg),
                          "--dataset", str(d / "ds.bin"),
@@ -887,7 +895,6 @@ class TestErrorExits:
             bank = v.codes
             bank.codes, bank.scales = (bank.codes[:scene_blocks],
                                        bank.scales[:scene_blocks])
-            bank.pruned = bank.pruned[:scene_blocks]
         scene.dims = (scene_blocks,) + scene.dims[1:]
         save_scene(scene, tmp_path / "scene.bin")
         params = load_params(d / "weights.bin")
@@ -978,23 +985,27 @@ class TestErrorExits:
                                        command):
         # 60 bytes: T = 0 and one voxel, whose bank has no block to size
         # CodeBank.dims by: an IndexError traceback before
-        w = Writer(SCENE_MAGIC, SCENE_FORMAT_VERSION)
-        w.f32(4.0)
-        for count in (0, 1, 16, 1):  # T, N, D, voxel count
-            w.u32(count)
-        for c in (0, 0, 0):
-            w.i32(c)
-        w.f32_array(np.zeros(3))
-        w.u32(0)  # members
-        w.u32(0)  # covering views
         path = tmp_path / "scene.bin"
-        path.write_bytes(w.getvalue())
+        path.write_bytes(raw_scene(0, 1, 16, [([], [])]))
         assert path.stat().st_size == 60
         argv = (["inspect", "--scene", str(path)] if command == "inspect"
                 else map_command(workdir, tmp_path, command, scene=path))
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "T is 0" in err and len(err.strip().splitlines()) == 1
+
+    def test_version_1_scene_is_2(self, workdir, tmp_path, capsys):
+        # version 1 stored a pruned mask byte per code; no reader is kept
+        d, _ = workdir
+        blob = bytearray((d / "scene.bin").read_bytes())
+        blob[4:8] = (1).to_bytes(4, "little")
+        with pytest.raises(FormatError, match="at byte 4: unsupported scene "
+                                              "format version 1"):
+            scene_from_bytes(bytes(blob))
+        (tmp_path / "v1.bin").write_bytes(blob)
+        assert cli.main(["inspect", "--scene", str(tmp_path / "v1.bin")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: at byte 4: unsupported scene format version 1\n"
 
 
 def map_command(workdir, tmp_path, command, block=0, **files):

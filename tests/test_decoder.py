@@ -58,7 +58,6 @@ class TestPermutationInvariance:
                 perm = rng.permutation(N)
                 shuffled.codes[bt].values[...] = bank.codes[bt].values[perm]
                 shuffled.scales[bt].values[...] = bank.scales[bt].values[perm]
-                shuffled.pruned[bt] = bank.pruned[bt][perm]
             out_local, out_conf = run_decode(params, cast(shuffled), raw)
             assert np.array_equal(local.values, out_local.values)
             assert np.array_equal(conf.values, out_conf.values)
@@ -94,7 +93,6 @@ def permuted(bank, seed):
         perm = rng.permutation(N)
         out.codes[bt].values[...] = bank.codes[bt].values[perm]
         out.scales[bt].values[...] = bank.scales[bt].values[perm]
-        out.pruned[bt] = bank.pruned[bt][perm]
     return out
 
 
@@ -109,7 +107,7 @@ class TestRouting:
 
     def test_is_the_largest_active_block0_logit(self):
         params, bank = make_params(), make_bank()
-        bank.pruned[0][[1, 3]] = True
+        bank.scales[0].values[[1, 3]] = 0.0
         q = self.queries(params, np.random.default_rng(20).normal(
             size=(6, DRAW)))
         rows = bank.active_rows(0)
@@ -124,7 +122,7 @@ class TestRouting:
     def test_unchanged_under_row_permutation(self, dtype):
         cast = float32_copy if dtype == np.float32 else (lambda obj: obj)
         params, bank = cast(make_params()), make_bank()
-        bank.pruned[0][2] = True
+        bank.scales[0].values[2] = 0.0
         q = self.queries(params, np.random.default_rng(21).normal(
             size=(9, DRAW)).astype(dtype))
         scores = route_scores(params, q, block_keys(None, params, cast(bank),
@@ -137,7 +135,7 @@ class TestRouting:
 
     def test_no_active_block0_code_gives_no_score(self):
         params, bank = make_params(), make_bank()
-        bank.pruned[0][:] = True
+        bank.scales[0].values[:] = 0.0
         q = self.queries(params, np.zeros((2, DRAW)))
         kv0 = block_keys(None, params, bank, 0)
         assert kv0 is None and route_scores(params, q, kv0) is None
@@ -156,7 +154,7 @@ class TestRouting:
     def test_decode_reuses_the_routing_keys_bit_for_bit(self, dtype):
         cast = float32_copy if dtype == np.float32 else (lambda obj: obj)
         params, bank = cast(make_params()), cast(make_bank())
-        bank.pruned[0][1] = True
+        bank.scales[0].values[1] = 0.0
         raw = np.random.default_rng(25).normal(size=(12, DRAW)).astype(dtype)
         feats = encode_feature(None, params, dc.DTensor(raw))
         blocks = bank_keys(None, params, bank)
@@ -207,9 +205,10 @@ class TestPrunedCodes:
         params = make_params()
         raw = np.random.default_rng(6).normal(size=(6, DRAW))
         a = make_bank()
-        a.pruned[0][3] = True
+        a.scales[0].values[3, 0] = 0.0
         b = make_bank()
         b.scales[0].values[3, 0] = 0.0
+        b.codes[0].values[3] = 1e3  # a pruned code's values are never read
         local_a, _ = run_decode(params, a, raw)
         local_b, _ = run_decode(params, b, raw)
         assert np.array_equal(local_a.values, local_b.values)
@@ -218,7 +217,7 @@ class TestPrunedCodes:
         params = make_params()
         raw = np.random.default_rng(7).normal(size=(6, DRAW))
         bank = make_bank()
-        bank.pruned[1][:] = True
+        bank.scales[1].values[:] = 0.0
         f = encode_feature(None, params, dc.DTensor(raw))
         kv = block_keys(None, params, bank, 1)
         out, attn = cross_attention_block(None, f, kv, 1, params)
@@ -228,7 +227,7 @@ class TestPrunedCodes:
         params = make_params()
         raw = np.random.default_rng(8).normal(size=(4, DRAW))
         bank = make_bank()
-        bank.pruned[0][1] = True
+        bank.scales[0].values[1] = 0.0
         tape = Tape()
         feats = encode_feature(tape, params, dc.DTensor(raw))
         local, _ = decode(tape, params, feats, bank)
@@ -334,8 +333,8 @@ class TestAttentionScores:
     def test_equals_the_blocks_attention_column_with_pruned_rows(self):
         params = make_params()
         bank = make_bank()
-        bank.pruned[0][[0, 3]] = True
-        bank.pruned[1][[1, 4]] = True
+        bank.scales[0].values[[0, 3]] = 0.0
+        bank.scales[1].values[[1, 4]] = 0.0
         raw = np.random.default_rng(14).normal(size=(8, DRAW))
         feats = encode_feature(None, params, dc.DTensor(raw))
         f, _ = cross_attention_block(None, feats,
@@ -364,10 +363,10 @@ class TestAttentionScores:
     def test_pruned_code_rejected(self):
         params = make_params()
         bank = make_bank()
-        bank.pruned[0][2] = True
+        bank.scales[0].values[2] = 0.0
         feats = encode_feature(None, params, dc.DTensor(
             np.zeros((2, DRAW))))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="code 2 in block 0 is pruned"):
             attention_scores(params, feats, bank, block=0, code=2)
 
     def test_identical_rows_give_flat_normalization(self):

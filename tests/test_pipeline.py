@@ -464,11 +464,12 @@ class TestRouting:
         v, m = len(scene.voxels), query.num_keypoints
         assert v > 3
         target = scene.voxels[sorted(scene.voxels)[1]].codes
-        target.pruned[0][:] = True
+        target.scales[0].values[:] = 0.0
         calls = self.spy_on_decode(monkeypatch, params, query)
         res = localize(query, scene, params, None,
                        LocalizeOptions(bypass_retrieval=True))
-        pruned = [rows for rows, bank, _ in calls if bank.pruned[0].all()]
+        pruned = [rows for rows, bank, _ in calls
+                  if not bank.scales[0].values.any()]
         assert pruned == [list(range(m))]
         assert res.num_decoded_pairs == 2 * m
 
@@ -490,7 +491,6 @@ class TestRouting:
         far.codes[0].values[...] = near.codes[0].values \
             - key_shift / near.scales[0].values
         far.scales[0].values[...] = near.scales[0].values
-        far.pruned[0][...] = near.pruned[0]
         calls = self.spy_on_decode(monkeypatch, params, query)
         res = localize(query, scene, params, None,
                        LocalizeOptions(bypass_retrieval=True))
@@ -574,7 +574,8 @@ class TestDecodeState:
 
         def prune_half():
             bank = scene.voxels[sorted(scene.voxels)[0]].codes
-            bank.pruned[:, :bank.dims[1] // 2] = True
+            for w in bank.scales:
+                w.values[:bank.dims[1] // 2] = 0.0
 
         def train():
             run_training(scene, ds, params, TrainConfig(
@@ -602,7 +603,6 @@ class TestDecodeState:
             perm = rng.permutation(bank.dims[1])
             for tens in (bank.codes[t], bank.scales[t]):
                 tens.values[...] = tens.values[perm]
-            bank.pruned[t] = bank.pruned[t][perm]
         after = outcome(localize(query, scene, params, None, self.OPTS))
         assert after == before
 

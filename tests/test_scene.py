@@ -6,15 +6,15 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from voxloc.containers import FormatError, Writer
+from scene_files import KEPT, PRUNED, raw_scene
+from voxloc.containers import FormatError
 from voxloc.geometry import Point3D
 from voxloc.synthworld import WorldConfig, generate_dataset
-from voxloc.scene import (MAX_CODE_DIM, SCENE_FORMAT_VERSION, SCENE_MAGIC,
-                          CodeBank, SceneRepresentation, VoxelId,
-                          assign_coverage, build_scene, drop_uncovered,
-                          load_scene, prune, save_scene, scene_from_bytes,
-                          scene_to_bytes, size_bytes, valid_members,
-                          voxelize)
+from voxloc.scene import (MAX_CODE_DIM, CodeBank, SceneRepresentation,
+                          VoxelId, assign_coverage, build_scene,
+                          drop_uncovered, load_scene, prune, save_scene,
+                          scene_from_bytes, scene_to_bytes, size_bytes,
+                          valid_members, voxelize)
 
 # file header: magic + version + side length + (T, N, D) + voxel count
 FILE_HEADER_BYTES = 28
@@ -24,12 +24,12 @@ def file_overhead_bytes(scene: SceneRepresentation) -> int:
     """Bytes in the scene file beyond size_bytes(scene, 4).
 
     File header plus, per voxel, the member/view id lists and the per-block
-    scale (f32) and pruned-mask (u8) tables.
+    scale (f32) tables.
     """
     t, n, _ = scene.dims
     total = FILE_HEADER_BYTES
     for v in scene.voxels.values():
-        total += 4 * len(v.members) + 4 * len(v.covering_views) + t * 5 * n
+        total += 4 * len(v.members) + 4 * len(v.covering_views) + t * 4 * n
     return total
 
 
@@ -49,15 +49,15 @@ def scenes_equal(a: SceneRepresentation, b: SceneRepresentation) -> bool:
         vb = b.voxels[vid]
         if (not np.array_equal(f32(va.origin), f32(vb.origin))
                 or not np.array_equal(va.members, vb.members)
-                or sorted(va.covering_views) != sorted(vb.covering_views)
-                or not np.array_equal(va.codes.pruned, vb.codes.pruned)):
+                or sorted(va.covering_views) != sorted(vb.covering_views)):
             return False
-        for bt, (ca, cb) in enumerate(zip(va.codes.codes, vb.codes.codes)):
-            keep = np.flatnonzero(~va.codes.pruned[bt])
-            if not np.array_equal(f32(ca.values[keep]), f32(cb.values[keep])):
-                return False
-        for sa, sb in zip(va.codes.scales, vb.codes.scales):
-            if not np.array_equal(f32(sa.values), f32(sb.values)):
+        for ca, cb, sa, sb in zip(va.codes.codes, vb.codes.codes,
+                                  va.codes.scales, vb.codes.scales):
+            # only codes whose float32 scale is nonzero are stored
+            keep = f32(sa.values[:, 0]) != 0.0
+            if (not np.array_equal(f32(sa.values), f32(sb.values))
+                    or not np.array_equal(f32(ca.values[keep]),
+                                          f32(cb.values[keep]))):
                 return False
     return True
 
@@ -69,31 +69,6 @@ def make_points(rng, n=40, lo=-3.0, hi=3.0):
 def small_scene(seed=0, dims=(2, 4, 6), side=2.0, n=40):
     rng = np.random.default_rng(seed)
     return build_scene(make_points(rng, n), side, dims, rng)
-
-
-# one block of one code: (scales, pruned mask, stored code values)
-KEPT = ([1.0], [0], [0.5])  # kept, but only its first value stored
-PRUNED = ([0.0], [1], [])
-
-
-def raw_scene(t, n, d, blocks):
-    """Scene file bytes claiming T x N x D codes per voxel. Voxel i sits at
-    (i, 0, 0) with no members or views and holds blocks[i], whatever the
-    claimed dims."""
-    w = Writer(SCENE_MAGIC, SCENE_FORMAT_VERSION)
-    w.f32(2.0)
-    for count in (t, n, d, len(blocks)):  # T, N, D, voxel count
-        w.u32(count)
-    for ix, (scales, mask, codes) in enumerate(blocks):
-        for c in (ix, 0, 0):
-            w.i32(c)
-        w.f32_array(np.zeros(3))
-        w.u32(0)  # members
-        w.u32(0)  # covering views
-        w.f32_array(scales)
-        w.u8_array(mask)
-        w.f32_array(codes)
-    return w.getvalue()
 
 
 def spy_on_allocations(monkeypatch):
@@ -259,7 +234,7 @@ class TestPrune:
         v = scene.sorted_voxels()[0]
         v.codes.scales[0].values[:, 0] = [0.5, 0.01, -0.02, -0.6]
         report = prune(scene, 0.05)
-        np.testing.assert_array_equal(v.codes.pruned[0],
+        np.testing.assert_array_equal(v.codes.scales[0].values[:, 0] == 0.0,
                                       [False, True, True, False])
         np.testing.assert_array_equal(v.codes.scales[0].values[:, 0],
                                       [0.5, 0.0, 0.0, -0.6])
@@ -273,7 +248,7 @@ class TestPrune:
         prune(scene, 0.05)
         # a later pass with a lower threshold must not resurrect anything
         prune(scene, 0.001)
-        assert v.codes.pruned[0][1]
+        assert v.codes.scales[0].values[1, 0] == 0.0
 
     def test_report_counts(self):
         scene = small_scene(dims=(2, 4, 6))
@@ -286,10 +261,22 @@ class TestPrune:
         with pytest.raises(ValueError):
             prune(small_scene(), -0.1)
 
-    def test_zero_scale_row_inactive_even_unpruned(self):
-        bank = CodeBank.init(1, 3, 4, np.random.default_rng(0), "x")
-        bank.scales[0].values[1, 0] = 0.0
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_a_zero_scale_is_pruned(self, zero):
+        # without prune(): the code is neither retained nor stored nor decoded
+        scene = small_scene(dims=(1, 3, 4))
+        before = size_bytes(scene, 4)
+        bank = scene.sorted_voxels()[0].codes
+        bank.scales[0].values[1, 0] = zero
         np.testing.assert_array_equal(bank.active_rows(0), [0, 2])
+        assert bank.retained_count(0) == 2
+        assert size_bytes(scene, 4) == before - 4 * 4
+        blob = scene_to_bytes(scene)
+        assert len(blob) == size_bytes(scene, 4) + file_overhead_bytes(scene)
+        loaded = scene_from_bytes(blob)
+        assert scene_to_bytes(loaded) == blob
+        w = loaded.sorted_voxels()[0].codes.scales[0].values[1, 0]
+        assert w == 0.0 and np.signbit(w) == np.signbit(zero)
 
 
 class TestByteAccounting:
@@ -360,8 +347,18 @@ class TestPersistence:
         loaded = scene_from_bytes(scene_to_bytes(scene))
         assert scenes_equal(scene, loaded)
         for vid, v in scene.voxels.items():
-            np.testing.assert_array_equal(v.codes.pruned,
-                                          loaded.voxels[vid].codes.pruned)
+            for t in range(scene.dims[0]):
+                np.testing.assert_array_equal(
+                    v.codes.active_rows(t),
+                    loaded.voxels[vid].codes.active_rows(t))
+
+    def test_a_scale_float32_flushes_to_zero_is_pruned_on_save(self):
+        # the writer stores the codes the reader will keep
+        scene = small_scene()
+        scene.sorted_voxels()[0].codes.scales[0].values[1, 0] = 1e-60
+        loaded = scene_from_bytes(scene_to_bytes(scene))
+        assert scenes_equal(scene, loaded)
+        assert 1 not in loaded.sorted_voxels()[0].codes.active_rows(0)
 
     def test_mutation_breaks_equality(self):
         scene = small_scene()
@@ -390,9 +387,9 @@ class TestPersistence:
     @pytest.mark.parametrize("t, d", [(1, 2 ** 31), (2 ** 31, 1)])
     def test_huge_header_counts_rejected_before_allocating(self, monkeypatch,
                                                            t, d):
-        # one voxel of one kept code: 69 bytes claiming T x 1 x D codes
+        # one voxel of one kept code: 68 bytes claiming T x 1 x D codes
         blob = raw_scene(t, 1, d, [KEPT])
-        assert len(blob) == 69
+        assert len(blob) == 68
         spy_on_allocations(monkeypatch)
         with pytest.raises(FormatError):
             scene_from_bytes(blob)
@@ -401,7 +398,7 @@ class TestPersistence:
     def test_fully_pruned_block_cannot_claim_a_huge_d(self, monkeypatch, d):
         # a pruned code stores no code bytes, so only the format bounds D
         blob = raw_scene(1, 1, d, [PRUNED])
-        assert len(blob) == 65
+        assert len(blob) == 64
         spy_on_allocations(monkeypatch)
         with pytest.raises(FormatError, match="format maximum"):
             scene_from_bytes(blob)
@@ -416,7 +413,7 @@ class TestPersistence:
 
     def test_zero_blocks_rejected(self):
         # a voxel without blocks has no block 0 for CodeBank.dims to read
-        blob = raw_scene(0, 1, 1, [([], [], [])])
+        blob = raw_scene(0, 1, 1, [([], [])])
         assert len(blob) == 60
         with pytest.raises(FormatError, match="T is 0"):
             scene_from_bytes(blob)

@@ -240,6 +240,26 @@ class TestRunTraining:
         assert len(lines) == 6
 
 
+class TestZeroScalesStayZero:
+    """A code is pruned exactly when its scale is 0.0, and training never
+    revives one: its row is never gathered, the L1 gradient sign(0) is 0,
+    and Adam moves a parameter whose moments are 0 by exactly 0."""
+
+    @pytest.mark.parametrize("train", [run_training, adapt_scene])
+    def test_a_zeroed_scale_stays_zero(self, train):
+        ds, scene, params = tiny_setup()
+        scales = [w for v in scene.sorted_voxels() for w in v.codes.scales]
+        for w in scales:
+            w.values[::3] = 0.0
+        before = [w.values.copy() for w in scales]
+        # both stages; the L1 term runs in stage 1 and prunes nothing more
+        train(scene, ds, params, tiny_config(prune_threshold=0.0))
+        for w, b in zip(scales, before):
+            assert w.values[::3].tobytes() == b[::3].tobytes()
+        assert any(not np.array_equal(w.values, b)
+                   for w, b in zip(scales, before))
+
+
 class TestAdaptation:
     def test_decoder_weights_byte_frozen(self):
         ds, scene, params = tiny_setup()
