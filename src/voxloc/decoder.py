@@ -4,6 +4,7 @@ A trainable linear encoder embeds raw keypoint descriptors, T stacked
 cross-attention blocks attend over the voxel's scaled codes, and a small
 head emits a local 3D coordinate plus an in-voxel confidence logit.
 Single-head attention, post-norm residual blocks, logits scaled by 1/sqrt(D).
+decode reads a map only through bank_keys, each block's live keys and values.
 """
 
 from __future__ import annotations
@@ -159,20 +160,20 @@ def bank_keys(tape, params: DecoderParams, bank: CodeBank) -> list:
     return [block_keys(tape, params, bank, t) for t in range(params.num_blocks)]
 
 
-def decode(tape, params: DecoderParams, features: DTensor, bank: CodeBank,
-           blocks=None):
-    """Run encoded features (M, D) through all blocks and the output head.
+def decode(tape, params: DecoderParams, features: DTensor, blocks: list):
+    """Run encoded features (M, D) through all blocks and the output head,
+    attending over blocks, bank_keys' result for the voxel's code bank.
 
     Returns (local, confidence): (M, 3) coordinates in the voxel's frame,
     meters, and (M, 1) sigmoid probabilities of lying in the voxel. The
-    caller adds the voxel's origin for world coordinates. blocks, when
-    given, is bank_keys' result for bank, which is then not read.
+    caller adds the voxel's origin for world coordinates.
     """
-    if features.shape[1] != params.d:
+    if features.shape[1] != params.d or len(blocks) != params.num_blocks:
         raise dc.DimensionError(
-            f"feature width {features.shape} != decoder width {params.d}")
+            f"features {features.shape} and {len(blocks)} key blocks != "
+            f"decoder width {params.d} and {params.num_blocks} blocks")
     f = features
-    for t, kv in enumerate(blocks or bank_keys(tape, params, bank)):
+    for t, kv in enumerate(blocks):
         f, _ = cross_attention_block(tape, f, kv, t, params)
     out = params.head.forward(tape, f)
     return (dc.slice_cols(tape, out, 0, 3),

@@ -181,7 +181,7 @@ def localize(query: ViewObservations, scene: SceneRepresentation,
                 if len(rows) == 0:
                     continue
                 local, conf = decode(None, params, DTensor(feats.values[rows]),
-                                     voxel.codes, blocks)
+                                     blocks)
                 keep = conf.values[:, 0] >= opts.confidence_min
                 world.append((local.values + voxel.origin)[keep])
                 pixels.append(query.pixels[rows[keep]])

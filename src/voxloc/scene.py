@@ -3,8 +3,8 @@
 A scene is a map from lattice cell to voxel record: the cell's member point
 ids, the origin (mean of member positions, the local regression frame), the
 learnable code bank with per-code scaling factors, and the reference views
-covering the cell. A code is pruned exactly when its scale is 0, so the
-file stores every scale and only the codes with a nonzero scale. Codes are
+covering the cell. A code is live exactly when its float32 scale is
+nonzero, so the file stores every scale and only the live codes. Codes are
 float64 in memory, as training needs; the persisted format downcasts to
 little-endian float32, which is the "map size" that the byte accounting
 reports. Queries decode a float32 copy of each bank, rebuilt when its
@@ -43,9 +43,10 @@ class VoxelId(NamedTuple):
 class CodeBank:
     """T blocks x N codes x D learnable reals, plus per-code scaling factors.
 
-    A code is pruned exactly when its scale is 0.0 (or -0.0): it is excluded
-    from attention, not stored, and never receives gradient (its row is
-    never gathered into the graph, and d|w|/dw is 0 at w = 0).
+    A code is pruned exactly when its float32 scale is 0 (or -0): it is
+    excluded from attention, not stored, and gets no gradient (its row is
+    never gathered, and d|w|/dw is 0 at w = 0); stage 2's Adam may still
+    move the code on stale moments, but nothing reads or stores it.
     """
 
     def __init__(self, codes: list[DTensor], scales: list[DTensor]):
@@ -70,8 +71,9 @@ class CodeBank:
         return len(self.codes), self.codes[0].shape[0], self.codes[0].shape[1]
 
     def active_rows(self, t: int) -> np.ndarray:
-        """Indices of block t's unpruned codes, which attention reads."""
-        return np.flatnonzero(self.scales[t].values[:, 0] != 0.0)
+        """Block t's live rows, which attention reads and a file stores."""
+        with np.errstate(over="ignore"):  # out of float32 range stays live
+            return np.flatnonzero(self.scales[t].values[:, 0].astype("f4"))
 
     def retained_count(self, t: int) -> int:
         return len(self.active_rows(t))
@@ -106,6 +108,11 @@ class SceneRepresentation:
 
     def sorted_voxels(self) -> list[Voxel]:
         return [self.voxels[k] for k in sorted(self.voxels)]
+
+    def retained_codes(self) -> int:
+        """Live codes over every voxel and block."""
+        return sum(v.codes.retained_count(t) for v in self.voxels.values()
+                   for t in range(self.dims[0]))
 
     def named_code_parameters(self) -> dict[str, DTensor]:
         out = {}
@@ -235,13 +242,8 @@ def size_bytes(scene: SceneRepresentation, scalar_width: int) -> int:
 
     Decoder weights are scene-agnostic and counted separately.
     """
-    _, _, d = scene.dims
-    total = 0
-    for v in scene.voxels.values():
-        total += VOXEL_HEADER_BYTES
-        for t in range(scene.dims[0]):
-            total += v.codes.retained_count(t) * d * scalar_width
-    return total
+    return (len(scene.voxels) * VOXEL_HEADER_BYTES
+            + scene.retained_codes() * scene.dims[2] * scalar_width)
 
 
 def scene_to_bytes(scene: SceneRepresentation) -> bytes:
@@ -261,12 +263,9 @@ def scene_to_bytes(scene: SceneRepresentation) -> bytes:
         w.u32(len(v.covering_views))
         w.u32_array(v.members)
         w.u32_array(sorted(v.covering_views))
-        bank = v.codes
         for bt in range(t):
-            scales = bank.scales[bt].values[:, 0]
-            w.f32_array(scales)
-            # the reader keeps the rows whose float32 scale is nonzero
-            w.f32_array(bank.codes[bt].values[scales.astype("f4") != 0.0])
+            w.f32_array(v.codes.scales[bt].values[:, 0])
+            w.f32_array(v.codes.codes[bt].values[v.codes.active_rows(bt)])
     return w.getvalue()
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .containers import bound, check_bounds
-from .decoder import DecoderParams, decode, encode_feature
+from .decoder import DecoderParams, bank_keys, decode, encode_feature
 from .diffcore import DTensor, NumericError, Optimizer, Tape, halved_lr
 from .scene import SceneRepresentation, Voxel, prune, valid_members
 from .synthworld import ReferenceDataset, seeded_rng
@@ -159,7 +159,6 @@ class EpochRecord:
 @dataclass
 class TrainingLog:
     records: list[EpochRecord] = field(default_factory=list)
-    prune_report: object = None
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
@@ -174,17 +173,12 @@ class TrainingLog:
                             r.retained_codes])
 
 
-def _retained_codes(scene: SceneRepresentation) -> int:
-    return sum(v.codes.retained_count(t)
-               for v in scene.voxels.values()
-               for t in range(scene.dims[0]))
-
-
 def _batch_losses(tape, params: DecoderParams, sample: Sample,
                   config: TrainConfig, stage: int):
     """The loss terms and total of one (voxel, view) sample."""
     feats = encode_feature(tape, params, DTensor(sample.descriptors))
-    local, conf = decode(tape, params, feats, sample.voxel.codes)
+    local, conf = decode(tape, params, feats,
+                         bank_keys(tape, params, sample.voxel.codes))
     l_coord = coordinate_loss(tape, local, sample.voxel.origin,
                               sample.targets, sample.in_voxel)
     l_conf = confidence_loss(tape, conf, sample.in_voxel)
@@ -227,7 +221,7 @@ def _run_epochs(scene, dataset, params, config, *, stage, opt_agnostic,
             sums += [l_coord.values, l_conf.values, l_sparse.values, loss.values]
 
         log.records.append(EpochRecord(epoch, stage, *sums / len(samples),
-                                       lr_a, lr_c, _retained_codes(scene)))
+                                       lr_a, lr_c, scene.retained_codes()))
 
 
 def run_training(scene: SceneRepresentation, dataset: ReferenceDataset,
@@ -237,7 +231,7 @@ def run_training(scene: SceneRepresentation, dataset: ReferenceDataset,
     The learning-rate halving schedule runs on the global epoch counter
     across both stages.
     """
-    if _retained_codes(scene) == 0:
+    if scene.retained_codes() == 0:
         raise ValueError("the scene has no retained code to train")
     rng = seeded_rng(config.seed, 100)
     log = TrainingLog()
@@ -248,8 +242,7 @@ def run_training(scene: SceneRepresentation, dataset: ReferenceDataset,
                 opt_agnostic=opt_agnostic, opt_codes=opt_codes,
                 rng=rng, log=log)
 
-    log.prune_report = prune(scene, config.prune_threshold)
-    if log.prune_report.total_retained == 0:
+    if prune(scene, config.prune_threshold).total_retained == 0:
         raise ValueError("pruning removed every code; threshold "
                          f"{config.prune_threshold} is degenerate for this scene")
     _run_epochs(scene, dataset, params, config, stage=2,

@@ -16,9 +16,9 @@ import pytest
 
 from voxloc import cli, pipeline, synthworld
 from voxloc import diffcore as dcc
-from voxloc.decoder import (DecoderParams, block_keys, cross_attention_block,
-                            decode, encode_feature, params_from_bytes,
-                            params_to_bytes)
+from voxloc.decoder import (DecoderParams, bank_keys, block_keys,
+                            cross_attention_block, decode, encode_feature,
+                            params_from_bytes, params_to_bytes)
 from voxloc.geometry import (Intrinsics, Point3D, Pose, look_at, pnp_solve,
                              pose_error, project_many, ransac_pnp,
                              rotation_from_axis_angle, triangulate_dlt)
@@ -268,7 +268,8 @@ def test_criterion_6_confidence_classification(capsys, desk):
                                dcc.DTensor(view.descriptors))
         for vid in sorted(desk.scene.voxels):
             voxel = desk.scene.voxels[vid]
-            _, conf = decode(None, desk.params, feats, voxel.codes)
+            _, conf = decode(None, desk.params, feats,
+                             bank_keys(None, desk.params, voxel.codes))
             positive = conf.values[:, 0] >= 0.5
             member = np.isin(view.point_ids, voxel.members)
             tp += int(np.sum(positive & member))
@@ -310,9 +311,10 @@ def test_float32_query_decode_on_the_desk_map(desk):
     feats32 = encode_feature(None, params32, dcc.DTensor(
         view.descriptors.astype(np.float32)))
     for voxel in desk.scene.voxels.values():
-        local64, _ = decode(None, desk.params, feats64, voxel.codes)
-        local32, _ = decode(None, params32, feats32,
-                            pipeline._float32_state(voxel.codes)[0])
+        local64, _ = decode(None, desk.params, feats64,
+                            bank_keys(None, desk.params, voxel.codes))
+        local32, _ = decode(None, params32, feats32, bank_keys(
+            None, params32, pipeline._float32_state(voxel.codes)[0]))
         assert local32.values.dtype == np.float32
         world64 = local64.values + voxel.origin
         world32 = local32.values + voxel.origin

@@ -11,7 +11,8 @@ from voxloc.decoder import (DecoderParams, attention_scores, bank_keys,
                             params_to_bytes, route_scores, save_params)
 from voxloc.diffcore import DTensor, DimensionError, NumericError, Tape
 from voxloc.pipeline import _float32_state
-from voxloc.scene import CodeBank
+from voxloc.scene import (CodeBank, SceneRepresentation, Voxel, VoxelId,
+                          scene_to_bytes, size_bytes)
 
 T, N, D, DRAW = 3, 5, 16, 24
 
@@ -38,7 +39,7 @@ def float32_copy(obj):
 
 def run_decode(params, bank, feats_raw):
     feats = encode_feature(None, params, dc.DTensor(feats_raw))
-    return decode(None, params, feats, bank)
+    return decode(None, params, feats, bank_keys(None, params, bank))
 
 
 class TestPermutationInvariance:
@@ -70,7 +71,8 @@ class TestPermutationInvariance:
         def grads(bank):
             tape = Tape()
             feats = encode_feature(tape, params, dc.DTensor(raw))
-            local, _ = decode(tape, params, feats, bank)
+            local, _ = decode(tape, params, feats,
+                              bank_keys(tape, params, bank))
             loss = dc.sum_all(tape, local)
             return tape.backward(loss, bank.named_parameters())
 
@@ -160,8 +162,8 @@ class TestRouting:
         blocks = bank_keys(None, params, bank)
         route_scores(params, feats.values @ params.blocks[0].wq.values,
                      blocks[0])
-        want = decode(None, params, feats, bank)
-        got = decode(None, params, feats, bank, blocks)
+        want = decode(None, params, feats, bank_keys(None, params, bank))
+        got = decode(None, params, feats, blocks)
         for a, b in zip(got, want):
             assert a.values.tobytes() == b.values.tobytes()
 
@@ -173,12 +175,13 @@ class TestRouting:
         params, bank = cast(make_params()), cast(make_bank())
         raw = np.random.default_rng(23).normal(size=(40, DRAW)).astype(dtype)
         feats = encode_feature(None, params, dc.DTensor(raw))
-        local, conf = decode(None, params, feats, bank)
+        blocks = bank_keys(None, params, bank)
+        local, conf = decode(None, params, feats, blocks)
         rng = np.random.default_rng(24)
         for size in (2, 3, 7, 39):
             rows = np.sort(rng.choice(40, size=size, replace=False))
             sub_local, sub_conf = decode(None, params,
-                                         DTensor(feats.values[rows]), bank)
+                                         DTensor(feats.values[rows]), blocks)
             assert np.array_equal(sub_local.values, local.values[rows])
             assert np.array_equal(sub_conf.values, conf.values[rows])
 
@@ -208,10 +211,17 @@ class TestPrunedCodes:
         a.scales[0].values[3, 0] = 0.0
         b = make_bank()
         b.scales[0].values[3, 0] = 0.0
+        vid = VoxelId(0, 0, 0)
+        scene = SceneRepresentation(
+            4.0, b.dims, {vid: Voxel(vid, np.zeros(3), np.arange(1), b)})
+        saved, size = scene_to_bytes(scene), size_bytes(scene, 4)
         b.codes[0].values[3] = 1e3  # a pruned code's values are never read
         local_a, _ = run_decode(params, a, raw)
         local_b, _ = run_decode(params, b, raw)
         assert np.array_equal(local_a.values, local_b.values)
+        # nor stored, nor counted in the map size
+        assert scene_to_bytes(scene) == saved
+        assert size_bytes(scene, 4) == size
 
     def test_fully_pruned_block_is_identity_skip(self):
         params = make_params()
@@ -230,7 +240,7 @@ class TestPrunedCodes:
         bank.scales[0].values[1] = 0.0
         tape = Tape()
         feats = encode_feature(tape, params, dc.DTensor(raw))
-        local, _ = decode(tape, params, feats, bank)
+        local, _ = decode(tape, params, feats, bank_keys(tape, params, bank))
         grads = tape.backward(dc.sum_all(tape, local),
                               bank.named_parameters())
         code, scale = grads[bank.codes[0].name], grads[bank.scales[0].name]
@@ -254,10 +264,14 @@ class TestDecodeShape:
             encode_feature(None, params, dc.DTensor(np.zeros((2, DRAW + 1))))
         feats = dc.DTensor(np.zeros((2, D + 1)))
         with pytest.raises(DimensionError):
-            decode(None, params, feats, make_bank())
+            decode(None, params, feats, bank_keys(None, params, make_bank()))
         feats = dc.DTensor(np.zeros((2, D)))
         with pytest.raises(DimensionError):
-            decode(None, params, feats, make_bank(d=D + 2))
+            decode(None, params, feats,
+                   bank_keys(None, params, make_bank(d=D + 2)))
+        with pytest.raises(DimensionError, match="2 key blocks"):
+            decode(None, params, feats,
+                   bank_keys(None, params, make_bank())[:2])
 
     def test_untaped_decode_allocates_no_gradient_buffers(self, monkeypatch):
         params, bank = make_params(), make_bank()

@@ -8,8 +8,8 @@ import pytest
 
 from voxloc import geometry
 from voxloc.geometry import (MIN_DEPTH, DegenerateGeometryError,
-                             Intrinsics, Point3D,
-                             Pose, _gauss_newton, _pnp_dlt, _pnp_jacobian,
+                             Intrinsics, Pose, _gauss_newton, _pnp_dlt,
+                             _pnp_jacobian,
                              _reprojection_residuals, look_at,
                              nearest_rotation, pnp_solve, pose_error,
                              project_many, ransac_pnp,

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from voxloc import decoder, pipeline
 from voxloc import diffcore as dc
-from voxloc.decoder import (DecoderParams, block_keys, decode, encode_feature,
-                            params_from_bytes, params_to_bytes, route_scores)
+from voxloc.decoder import (DecoderParams, bank_keys, block_keys, decode,
+                            encode_feature, params_from_bytes,
+                            params_to_bytes, route_scores)
 from voxloc.diffcore import DTensor, NumericError
 from voxloc.geometry import MIN_DEPTH, Intrinsics, Pose, RansacResult, \
     look_at, pose_error, project_many, rotation_from_axis_angle
@@ -146,7 +147,7 @@ class TestLocalize:
         """decode() stand-in returning ground-truth coordinates for member
         keypoints of the voxel and low confidence elsewhere."""
 
-        def fake_decode(tape, params, feats, bank, blocks=None):
+        def fake_decode(tape, params, feats, blocks):
             ids = fake_decode.current_ids
             members = fake_decode.current_members
             origin = fake_decode.current_origin
@@ -186,13 +187,12 @@ class TestLocalize:
             order = sorted(scene.voxels)
             calls = iter(order)
 
-            def wrapping(tape, params, feats, bank, blocks=None):
+            def wrapping(tape, params, feats, blocks):
                 vid = next(calls)
                 fake.current_ids = [int(i) for i in query.point_ids]
                 fake.current_members = members_by_voxel[vid]
                 fake.current_origin = scene.voxels[vid].origin
-                return real_localize_decode(tape, params, feats, bank,
-                                            blocks)
+                return real_localize_decode(tape, params, feats, blocks)
 
             monkeypatch.setattr(pipeline, "decode", wrapping)
             return localize(query, scene,
@@ -225,7 +225,7 @@ class TestLocalize:
         truth = look_at([5.0, 1.0, 2.0], [0.0, 0.0, 0.0])
         query = query_for(pts, truth, rng)
 
-        def fake_decode(tape, params, feats, bank, blocks=None):
+        def fake_decode(tape, params, feats, blocks):
             m = query.num_keypoints
             return DTensor(np.zeros((m, 3))), DTensor(np.full((m, 1), 0.01))
 
@@ -254,9 +254,11 @@ class TestLocalize:
         params32 = pipeline._float32_state(params)[0]
         feats = encode_feature(None, params32, dc.DTensor(
             query.descriptors.astype(np.float32)))
-        results = [decode(None, params32, feats,
-                          pipeline._float32_state(scene.voxels[vid].codes)[0])
-                   for vid in sorted(scene.voxels)]
+        results = []
+        for vid in sorted(scene.voxels):
+            bank32 = pipeline._float32_state(scene.voxels[vid].codes)[0]
+            results.append(decode(None, params32, feats,
+                                  bank_keys(None, params32, bank32)))
         confs = [conf.values[:, 0] for _, conf in results]
         conf_min = float(np.median(np.concatenate(confs)))
         world = np.concatenate([
@@ -326,17 +328,16 @@ class TestRouting:
 
     @staticmethod
     def spy_on_decode(monkeypatch, params, query):
-        """Each decode call's (keypoint rows, bank, blocks), in call
-        order."""
+        """Each decode call's (keypoint rows, blocks), in call order."""
         feats = encode_feature(None, pipeline._float32_state(params)[0],
                                DTensor(query.descriptors.astype(np.float32)))
         row_of = {row.tobytes(): i for i, row in enumerate(feats.values)}
         calls, real = [], pipeline.decode
 
-        def spy(tape, params, feats, bank, blocks=None):
+        def spy(tape, params, feats, blocks):
             rows = sorted({row_of[row.tobytes()] for row in feats.values})
-            calls.append((rows, bank, blocks))
-            return real(tape, params, feats, bank, blocks)
+            calls.append((rows, blocks))
+            return real(tape, params, feats, blocks)
 
         monkeypatch.setattr(pipeline, "decode", spy)
         return calls
@@ -390,7 +391,7 @@ class TestRouting:
         res = localize(query, scene, params, None,
                        LocalizeOptions(bypass_retrieval=True))
         per_keypoint = np.bincount(
-            np.concatenate([rows for rows, _, _ in calls]), minlength=m)
+            np.concatenate([rows for rows, _ in calls]), minlength=m)
         assert (per_keypoint == 1).all()
         assert res.num_decoded_pairs == m
         assert res.num_candidate_points == m * v
@@ -423,7 +424,8 @@ class TestRouting:
             [route_scores(params32, q, block_keys(None, params32, bank, 0))
              for bank in banks], query.num_keypoints)
         world = np.concatenate([
-            decode(None, params32, feats, bank)[0].values[rows]
+            decode(None, params32, feats,
+                   bank_keys(None, params32, bank))[0].values[rows]
             + scene.voxels[vid].origin
             for vid, bank, rows in zip(sorted(scene.voxels), banks, routes)])
         pixels = np.concatenate([query.pixels[rows] for rows in routes])
@@ -450,9 +452,9 @@ class TestRouting:
         calls = self.spy_on_decode(monkeypatch, params, query)
         opts = LocalizeOptions(bypass_retrieval=True, confidence_min=0.0)
         res = localize(query, scene, params, None, opts)
-        assert [rows for rows, _, _ in calls] == [list(range(m))]
+        assert [rows for rows, _ in calls] == [list(range(m))]
         assert len(routed) == 1 and routed[0] is not None
-        assert calls[0][2][0] is routed[0]
+        assert calls[0][1][0] is routed[0]
         assert res.num_decoded_pairs == res.num_confident_points == m
         route_every_pair(monkeypatch)
         assert outcome(localize(query, scene, params, None, opts)) \
@@ -468,8 +470,7 @@ class TestRouting:
         calls = self.spy_on_decode(monkeypatch, params, query)
         res = localize(query, scene, params, None,
                        LocalizeOptions(bypass_retrieval=True))
-        pruned = [rows for rows, bank, _ in calls
-                  if not bank.scales[0].values.any()]
+        pruned = [rows for rows, blocks in calls if blocks[0] is None]
         assert pruned == [list(range(m))]
         assert res.num_decoded_pairs == 2 * m
 

@@ -8,6 +8,8 @@ import pytest
 
 from scene_files import KEPT, PRUNED, raw_scene
 from voxloc.containers import FormatError
+from voxloc.decoder import DecoderParams, bank_keys, decode, encode_feature
+from voxloc.diffcore import DTensor
 from voxloc.geometry import Point3D
 from voxloc.synthworld import WorldConfig, generate_dataset
 from voxloc.scene import (MAX_CODE_DIM, CodeBank, SceneRepresentation,
@@ -353,12 +355,38 @@ class TestPersistence:
                     loaded.voxels[vid].codes.active_rows(t))
 
     def test_a_scale_float32_flushes_to_zero_is_pruned_on_save(self):
-        # the writer stores the codes the reader will keep
-        scene = small_scene()
+        # memory and file agree: the row is pruned before any save, in
+        # attention, in the map size and in the codes the writer stores
+        scene, zeroed = small_scene(), small_scene()
         scene.sorted_voxels()[0].codes.scales[0].values[1, 0] = 1e-60
+        zeroed.sorted_voxels()[0].codes.scales[0].values[1, 0] = 0.0
+        assert 1 not in scene.sorted_voxels()[0].codes.active_rows(0)
+        assert size_bytes(scene, 4) == size_bytes(zeroed, 4)
+        params = DecoderParams.init(np.random.default_rng(1), d_raw=8, d=6,
+                                    num_blocks=2, block_hidden=8,
+                                    head_hidden=8)
+        feats = encode_feature(None, params, DTensor(
+            np.random.default_rng(2).normal(size=(5, 8))))
+        got, want = (decode(None, params, feats, bank_keys(
+            None, params, s.sorted_voxels()[0].codes)) for s in (scene, zeroed))
+        for a, b in zip(got, want):
+            assert a.values.tobytes() == b.values.tobytes()
         loaded = scene_from_bytes(scene_to_bytes(scene))
         assert scenes_equal(scene, loaded)
         assert 1 not in loaded.sorted_voxels()[0].codes.active_rows(0)
+
+    def test_a_scale_beyond_float32_stays_live_and_save_refuses(self,
+                                                                tmp_path):
+        scene = small_scene()
+        bank = scene.sorted_voxels()[0].codes
+        bank.scales[0].values[1, 0] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 1 in bank.active_rows(0)
+            assert size_bytes(scene, 4) == size_bytes(small_scene(), 4)
+            with pytest.raises(ValueError, match="finite float32"):
+                save_scene(scene, tmp_path / "s.bin")
+        assert not (tmp_path / "s.bin").exists()
 
     def test_mutation_breaks_equality(self):
         scene = small_scene()

@@ -9,8 +9,8 @@ import pytest
 from voxloc.containers import FormatError
 from voxloc.geometry import (MIN_DEPTH, MIN_TRIANGULATION_ANGLE_DEG, Point3D,
                              project_many)
-from voxloc.synthworld import (ReferenceDataset, WorldConfig,
-                               build_dataset, dataset_from_bytes,
+from voxloc.synthworld import (WorldConfig, build_dataset,
+                               dataset_from_bytes,
                                dataset_to_bytes, generate_dataset,
                                generate_world, load_dataset, observe,
                                save_dataset, write_manifest)
