@@ -4,7 +4,9 @@ A trainable linear encoder embeds raw keypoint descriptors, T stacked
 cross-attention blocks attend over the voxel's scaled codes, and a small
 head emits a local 3D coordinate plus an in-voxel confidence logit.
 Single-head attention, post-norm residual blocks, logits scaled by 1/sqrt(D).
-decode reads a map only through bank_keys, each block's live keys and values.
+decode reads a map only through bank_keys, each block's live keys and values,
+and decodes the rows of several voxels in one pass: only attention reads
+which voxel a row belongs to.
 """
 
 from __future__ import annotations
@@ -126,20 +128,22 @@ def block_keys(tape, params: DecoderParams, bank: CodeBank, t: int):
     return dc.matmul(tape, scaled, blk.wk), dc.matmul(tape, scaled, blk.wv)
 
 
-def cross_attention_block(tape, f: DTensor, kv, t: int,
+def cross_attention_block(tape, f: DTensor, runs: list, t: int,
                           params: DecoderParams):
-    """One post-norm residual cross-attention block over kv, block t's
-    block_keys.
+    """One post-norm residual cross-attention block: for each (n, kv) of
+    runs, in order, the next n rows of f attend over kv, block t's
+    block_keys of their voxel; every other op runs once over all rows.
 
-    Returns the new (M, D) features and the block's (M, K) softmax over its
-    K active codes in canonical order, a plain array off the tape. A block
-    whose codes are all pruned (kv None) acts as identity on f: (f, None).
+    Returns the new (M, D) features and each run's (n, K) softmax over its
+    K active codes in canonical order, plain arrays off the tape. A block
+    whose codes are all pruned in every run (kv None) acts as identity on
+    f: (f, None).
     """
-    if kv is None:
+    if all(kv is None for _, kv in runs):
         return f, None
     blk = params.blocks[t]
     q = dc.matmul(tape, f, blk.wq)
-    attended, attn = dc.attention(tape, q, *kv,
+    attended, attn = dc.attention(tape, q, [(n, *kv) for n, kv in runs],
                                   float(1.0 / np.sqrt(params.d)))
     f1 = dc.layer_norm(tape, dc.add(tape, f, attended),
                        blk.ln1_gain, blk.ln1_bias)
@@ -160,21 +164,30 @@ def bank_keys(tape, params: DecoderParams, bank: CodeBank) -> list:
     return [block_keys(tape, params, bank, t) for t in range(params.num_blocks)]
 
 
-def decode(tape, params: DecoderParams, features: DTensor, blocks: list):
-    """Run encoded features (M, D) through all blocks and the output head,
-    attending over blocks, bank_keys' result for the voxel's code bank.
+def decode(tape, params: DecoderParams, features: DTensor, voxels: list):
+    """Run encoded features (M, D) through all blocks and the output head in
+    one pass: for each (n, blocks) of voxels, in order, the next n rows
+    attend over blocks, bank_keys' result for that voxel's code bank.
 
-    Returns (local, confidence): (M, 3) coordinates in the voxel's frame,
-    meters, and (M, 1) sigmoid probabilities of lying in the voxel. The
-    caller adds the voxel's origin for world coordinates.
+    Every voxel must have the same fully pruned (None) blocks, which all
+    rows skip. Returns (local, confidence): (M, 3) coordinates in each
+    row's voxel frame, meters, and (M, 1) sigmoid probabilities of lying in
+    that voxel. The caller adds the voxel's origin for world coordinates.
     """
-    if features.shape[1] != params.d or len(blocks) != params.num_blocks:
+    if (features.shape[1] != params.d
+            or sum(n for n, _ in voxels) != features.shape[0]
+            or any(len(b) != params.num_blocks for _, b in voxels)):
         raise dc.DimensionError(
-            f"features {features.shape} and {len(blocks)} key blocks != "
-            f"decoder width {params.d} and {params.num_blocks} blocks")
+            f"features {features.shape} and key blocks "
+            f"{[(n, len(b)) for n, b in voxels]} != decoder width "
+            f"{params.d} and {params.num_blocks} blocks")
+    if len({tuple(kv is None for kv in b) for _, b in voxels}) > 1:
+        raise dc.DimensionError("voxels of one decode differ in which "
+                                "blocks are fully pruned")
     f = features
-    for t, kv in enumerate(blocks):
-        f, _ = cross_attention_block(tape, f, kv, t, params)
+    for t in range(params.num_blocks):
+        f, _ = cross_attention_block(tape, f, [(n, b[t]) for n, b in voxels],
+                                     t, params)
     out = params.head.forward(tape, f)
     return (dc.slice_cols(tape, out, 0, 3),
             dc.sigmoid(tape, dc.slice_cols(tape, out, 3, 4)))
@@ -197,10 +210,10 @@ def attention_scores(params: DecoderParams, features: DTensor,
     if code not in idx:
         raise ValueError(f"code {code} in block {block} is pruned")
     pos = np.flatnonzero(_canonical_order(bank, block, idx) == code)
-    f = features
+    f, m = features, features.shape[0]
     for t, kv in enumerate(bank_keys(None, params, bank)[:block + 1]):
-        f, attn = cross_attention_block(None, f, kv, t, params)
-    s = attn[:, pos[0]].copy()
+        f, attn = cross_attention_block(None, f, [(m, kv)], t, params)
+    s = attn[0][:, pos[0]].copy()
     lo, hi = s.min(), s.max()
     if hi - lo == 0.0:
         return s, np.zeros_like(s)
@@ -212,14 +225,16 @@ def route_scores(params: DecoderParams, q: np.ndarray, kv0):
     kv0, block 0's block_keys, for queries q = features·Wq (a max, so
     code-row order does not matter). None when kv0 is None (no active
     block-0 code); a non-finite logit raises NumericError.
+
+    The logits are formed keys-major, (K, M), and scaled by 1/√D after the
+    max: rounding is monotone, so that is the max of the scaled logits.
     """
     if kv0 is None:
         return None
     with np.errstate(over="ignore", invalid="ignore"):  # checked next
-        logits = q @ kv0[0].values.T
-        logits *= float(1.0 / np.sqrt(params.d))
+        logits = kv0[0].values @ q.T
     dc._check_finite(logits, "routing logits")
-    return logits.max(axis=1)
+    return logits.max(axis=0) * float(1.0 / np.sqrt(params.d))
 
 
 def params_to_bytes(params: DecoderParams) -> bytes:

@@ -185,49 +185,61 @@ def abs_(tape, a: DTensor) -> DTensor:
     return _rec(tape, out, [(a, lambda g, av=a.values: g * np.sign(av))])
 
 
-def attention(tape, q: DTensor, k: DTensor, v: DTensor, c: float):
-    """Single-head attention softmax(c * q k^T) v as one primitive.
+def attention(tape, q: DTensor, runs: list, c: float):
+    """Single-head attention softmax(c * q k^T) v as one primitive, over
+    consecutive row runs: for each (n, k, v) of runs, in order, the next n
+    rows of q attend over that run's k and v.
 
-    q is (m, e), k is (n, e) and v is (n, d) with n >= 1. Returns the (m, d)
-    output and the (m, n) row-softmax weights as a plain array off the tape.
-    The softmax subtracts each row's max; its reduction order follows the
-    caller's (canonical) row order of k, so outputs are deterministic. The
-    logits, softmax and their adjoint each live in one (m, n) buffer updated
-    in place, in the same operation order as the out-of-place formulas.
+    q is (m, e) with m the runs' total n; each k is (l, e) and each v (l, d)
+    with l >= 1. Returns the (m, d) output and each run's (n, l) row-softmax
+    weights, plain arrays off the tape. The softmax subtracts each row's
+    max; its reduction order follows the caller's (canonical) row order of
+    k, so outputs are deterministic. A run's logits, softmax and their
+    adjoint each live in one (n, l) buffer updated in place, in the same
+    operation order as the out-of-place formulas.
     """
-    if (q.values.ndim != 2 or k.values.ndim != 2 or v.values.ndim != 2
-            or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]
-            or k.shape[0] < 1):
-        raise DimensionError(f"attention shape mismatch: q {q.shape}, "
-                             f"k {k.shape}, v {v.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):  # checked next
-        p = q.values @ k.values.T
-        p *= c
-    _check_finite(p, "attention logits")
-    p -= p.max(axis=1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
-    out = DTensor(p @ v.values, "attention")
-    memo: list = [None, None]   # (adjoint, dS) of the latest sweep
+    ends = np.cumsum([n for n, _, _ in runs])
+    if (not runs or q.values.ndim != 2 or ends[-1] != q.shape[0]
+            or any(k.values.ndim != 2 or v.values.ndim != 2 or k.shape[0] < 1
+                   or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]
+                   for _, k, v in runs)):
+        raise DimensionError(f"attention shape mismatch: q {q.shape}, runs "
+                             f"{[(n, k.shape, v.shape) for n, k, v in runs]}")
+    runs = [(slice(end - n, end), k, v) for (n, k, v), end in zip(runs, ends)]
+    ps = []
+    for r, k, _ in runs:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            p = q.values[r] @ k.values.T
+            p *= c
+        _check_finite(p, "attention logits")
+        p -= p.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        ps.append(p)
+    out = DTensor(np.concatenate([p @ v.values for p, (_, _, v)
+                                  in zip(ps, runs)]), "attention")
+    memo: list = [None, None]   # (adjoint, each run's dS) of the latest sweep
 
     def d_logits(g):
         # dq and dk share dS, computed once per adjoint; memo holds g, so a
         # later sweep's adjoint cannot be a new array at g's address; dS is
         # p * (dp - rowsum(dp * p)) * c, formed in dp's buffer
         if memo[0] is not g:
-            dp = g @ v.values.T
-            row = (dp * p).sum(axis=1, keepdims=True)
-            dp -= row
-            dp *= p
-            dp *= c
-            memo[:] = g, dp
+            memo[:] = g, []
+            for p, (r, _, v) in zip(ps, runs):
+                dp = g[r] @ v.values.T
+                dp -= (dp * p).sum(axis=1, keepdims=True)
+                dp *= p
+                dp *= c
+                memo[1].append(dp)
         return memo[1]
 
-    return _rec(tape, out, [
-        (q, lambda g, kv=k.values: d_logits(g) @ kv),
-        (k, lambda g, qv=q.values: d_logits(g).T @ qv),
-        (v, lambda g: p.T @ g),
-    ]), p
+    pulls = [(q, lambda g: np.concatenate(
+        [s @ k.values for s, (_, k, _) in zip(d_logits(g), runs)]))]
+    for i, (r, k, v) in enumerate(runs):
+        pulls += [(k, lambda g, i=i, qv=q.values[r]: d_logits(g)[i].T @ qv),
+                  (v, lambda g, p=ps[i], r=r: p.T @ g[r])]
+    return _rec(tape, out, pulls), ps
 
 
 def layer_norm(tape, x: DTensor, gain: DTensor, bias: DTensor,

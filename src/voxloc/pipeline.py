@@ -3,7 +3,8 @@
 Retrieval ranks reference views by mean-descriptor cosine similarity; the
 retrieved views activate voxels via the coverage rule; block 0's largest
 logit routes each keypoint to its one best activated voxel, and it is
-decoded in float32 only there; candidates with confidence >= 0.5 become
+decoded in float32 only there, all routed rows of a query in one decode
+pass; candidates with confidence >= 0.5 become
 row-aligned 2D-3D arrays for PnP+RANSAC, whose pose is refined by
 Cauchy-weighted IRLS over all of them, not only the inliers. The float32
 weights, keys and values are built once per map and reused until its
@@ -137,8 +138,11 @@ def localize(query: ViewObservations, scene: SceneRepresentation,
     Each keypoint is decoded only in the one activated voxel where block 0
     gives it its largest logit, over the keys decode uses; a voxel with no
     active block-0 code decodes every keypoint as well, and only through
-    such voxels does a keypoint contribute more than once. Confident
-    candidates reach RANSAC in voxel-id order, then keypoint order. With
+    such voxels does a keypoint contribute more than once. The routed rows
+    are decoded in one pass per set of fully pruned blocks (one for a map
+    with none); a NumericError names the first voxel, in voxel-id order,
+    whose decode alone fails. Confident candidates reach RANSAC in voxel-id
+    order, then keypoint order. With
     bypass_retrieval (or no dataset) all voxels activate. A non-finite
     query descriptor raises ValueError before any work.
     """
@@ -176,17 +180,39 @@ def localize(query: ViewObservations, scene: SceneRepresentation,
                 kvs.append(_float32_state(voxel.codes, params)[2])
                 scores.append(route_scores(params, q, kvs[-1][0]))
             routes = route_keypoints(scores, query.num_keypoints)
-            world, pixels = [], []
-            for stage, voxel, rows, blocks in zip(stages, voxels, routes, kvs):
-                if len(rows) == 0:
-                    continue
-                local, conf = decode(None, params, DTensor(feats.values[rows]),
-                                     blocks)
-                keep = conf.values[:, 0] >= opts.confidence_min
-                world.append((local.values + voxel.origin)[keep])
-                pixels.append(query.pixels[rows[keep]])
+            # one decode pass per set of fully pruned blocks, which decode
+            # needs its voxels to share
+            groups, decoded = {}, {}
+            for i in np.flatnonzero([len(rows) for rows in routes]):
+                groups.setdefault(tuple(kv is None for kv in kvs[i]),
+                                  []).append(i)
+            try:
+                for group in groups.values():
+                    counts = [len(routes[i]) for i in group]
+                    local, conf = decode(None, params, DTensor(feats.values[
+                        np.concatenate([routes[i] for i in group])]),
+                        [(n, kvs[i]) for n, i in zip(counts, group)])
+                    ends = np.cumsum(counts)[:-1]
+                    decoded.update(zip(group, zip(
+                        np.split(local.values, ends),
+                        np.split(conf.values[:, 0], ends))))
+            except NumericError:
+                # voxel by voxel in voxel-id order, so the error names the
+                # first voxel whose own decode fails
+                for stage, rows, blocks in zip(stages, routes, kvs):
+                    if len(rows):
+                        decode(None, params, DTensor(feats.values[rows]),
+                               [(len(rows), blocks)])
+                stage = "decode"
+                raise
     except NumericError as err:
         raise NumericError(f"{err} ({stage})") from err
+    world, pixels = [], []
+    for i in sorted(decoded):
+        local, conf = decoded[i]
+        keep = conf >= opts.confidence_min
+        world.append((local + voxels[i].origin)[keep])
+        pixels.append(query.pixels[routes[i][keep]])
     world, pixels = np.concatenate(world), np.concatenate(pixels)
 
     # a failed RANSAC has no pose and no inliers

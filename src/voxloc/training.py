@@ -177,8 +177,8 @@ def _batch_losses(tape, params: DecoderParams, sample: Sample,
                   config: TrainConfig, stage: int):
     """The loss terms and total of one (voxel, view) sample."""
     feats = encode_feature(tape, params, DTensor(sample.descriptors))
-    local, conf = decode(tape, params, feats,
-                         bank_keys(tape, params, sample.voxel.codes))
+    local, conf = decode(tape, params, feats, [(
+        feats.shape[0], bank_keys(tape, params, sample.voxel.codes))])
     l_coord = coordinate_loss(tape, local, sample.voxel.origin,
                               sample.targets, sample.in_voxel)
     l_conf = confidence_loss(tape, conf, sample.in_voxel)

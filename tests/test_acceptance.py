@@ -268,8 +268,9 @@ def test_criterion_6_confidence_classification(capsys, desk):
                                dcc.DTensor(view.descriptors))
         for vid in sorted(desk.scene.voxels):
             voxel = desk.scene.voxels[vid]
-            _, conf = decode(None, desk.params, feats,
-                             bank_keys(None, desk.params, voxel.codes))
+            _, conf = decode(None, desk.params, feats, [(
+                view.num_keypoints,
+                bank_keys(None, desk.params, voxel.codes))])
             positive = conf.values[:, 0] >= 0.5
             member = np.isin(view.point_ids, voxel.members)
             tp += int(np.sum(positive & member))
@@ -311,10 +312,11 @@ def test_float32_query_decode_on_the_desk_map(desk):
     feats32 = encode_feature(None, params32, dcc.DTensor(
         view.descriptors.astype(np.float32)))
     for voxel in desk.scene.voxels.values():
+        m = view.num_keypoints
         local64, _ = decode(None, desk.params, feats64,
-                            bank_keys(None, desk.params, voxel.codes))
-        local32, _ = decode(None, params32, feats32, bank_keys(
-            None, params32, pipeline._float32_state(voxel.codes)[0]))
+                            [(m, bank_keys(None, desk.params, voxel.codes))])
+        local32, _ = decode(None, params32, feats32, [(m, bank_keys(
+            None, params32, pipeline._float32_state(voxel.codes)[0]))])
         assert local32.values.dtype == np.float32
         world64 = local64.values + voxel.origin
         world32 = local32.values + voxel.origin
@@ -436,9 +438,9 @@ def test_criterion_7_oracle_equivalence(capsys):
     bank.codes[0].values[:] = rng.normal(size=(n, d))
     bank.scales[0].values[:] = rng.uniform(0.5, 1.5, size=(n, 1))
     f = rng.normal(size=(5, d))
-    got_block = cross_attention_block(None, dcc.DTensor(f),
-                                      block_keys(None, params, bank, 0), 0,
-                                      params)[0].values
+    got_block = cross_attention_block(
+        None, dcc.DTensor(f), [(5, block_keys(None, params, bank, 0))], 0,
+        params)[0].values
     want_block = np.array(_scalar_attention_oracle(
         f.tolist(), bank.codes[0].values.tolist(),
         bank.scales[0].values[:, 0].tolist(), params.blocks[0], d))

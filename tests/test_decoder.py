@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from test_diffcore import check_op
 from voxloc import diffcore as dc
 from voxloc.containers import FormatError
 from voxloc.decoder import (DecoderParams, attention_scores, bank_keys,
@@ -39,7 +40,8 @@ def float32_copy(obj):
 
 def run_decode(params, bank, feats_raw):
     feats = encode_feature(None, params, dc.DTensor(feats_raw))
-    return decode(None, params, feats, bank_keys(None, params, bank))
+    return decode(None, params, feats,
+                  [(len(feats_raw), bank_keys(None, params, bank))])
 
 
 class TestPermutationInvariance:
@@ -72,7 +74,7 @@ class TestPermutationInvariance:
             tape = Tape()
             feats = encode_feature(tape, params, dc.DTensor(raw))
             local, _ = decode(tape, params, feats,
-                              bank_keys(tape, params, bank))
+                              [(4, bank_keys(tape, params, bank))])
             loss = dc.sum_all(tape, local)
             return tape.backward(loss, bank.named_parameters())
 
@@ -152,6 +154,22 @@ class TestRouting:
         with pytest.raises(NumericError, match="routing logits"):
             route_scores(params, q, block_keys(None, params, bank, 0))
 
+    def test_keys_major_scores_equal_the_scaled_logits_max(self):
+        # rounding is monotone, so scaling after the max changes nothing;
+        # an all-zero row may give -0 one way and +0 the other
+        params, rng = make_params(), np.random.default_rng(26)
+        c = float(1.0 / np.sqrt(D))
+        for m, k in ((1, 1), (9, 3), (40, 5), (300, 16)):
+            q = rng.normal(size=(m, D)).astype(np.float32)
+            q[::4] = 0.0
+            keys = DTensor(rng.normal(size=(k, D)).astype(np.float32))
+            got = route_scores(params, q, (keys, keys))
+            want = ((q @ keys.values.T) * c).max(axis=1)
+            assert got.dtype == np.float32
+            zero = want == 0.0
+            assert np.array_equal(got[zero], want[zero])
+            assert got[~zero].tobytes() == want[~zero].tobytes()
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_decode_reuses_the_routing_keys_bit_for_bit(self, dtype):
         cast = float32_copy if dtype == np.float32 else (lambda obj: obj)
@@ -162,8 +180,9 @@ class TestRouting:
         blocks = bank_keys(None, params, bank)
         route_scores(params, feats.values @ params.blocks[0].wq.values,
                      blocks[0])
-        want = decode(None, params, feats, bank_keys(None, params, bank))
-        got = decode(None, params, feats, blocks)
+        want = decode(None, params, feats,
+                      [(12, bank_keys(None, params, bank))])
+        got = decode(None, params, feats, [(12, blocks)])
         for a, b in zip(got, want):
             assert a.values.tobytes() == b.values.tobytes()
 
@@ -176,14 +195,84 @@ class TestRouting:
         raw = np.random.default_rng(23).normal(size=(40, DRAW)).astype(dtype)
         feats = encode_feature(None, params, dc.DTensor(raw))
         blocks = bank_keys(None, params, bank)
-        local, conf = decode(None, params, feats, blocks)
+        local, conf = decode(None, params, feats, [(40, blocks)])
         rng = np.random.default_rng(24)
         for size in (2, 3, 7, 39):
             rows = np.sort(rng.choice(40, size=size, replace=False))
             sub_local, sub_conf = decode(None, params,
-                                         DTensor(feats.values[rows]), blocks)
+                                         DTensor(feats.values[rows]),
+                                         [(size, blocks)])
             assert np.array_equal(sub_local.values, local.values[rows])
             assert np.array_equal(sub_conf.values, conf.values[rows])
+
+
+class TestOnePass:
+    """decode runs the rows of several voxels in one pass; each voxel's
+    rows attend over that voxel's keys only."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_each_voxel_decoded_alone(self, dtype):
+        # two or more rows per voxel: BLAS may multiply a lone row as a
+        # vector, which can round differently
+        cast = float32_copy if dtype == np.float32 else (lambda obj: obj)
+        params = cast(make_params())
+        banks = [make_bank(seed) for seed in (1, 2, 3)]
+        banks[1].scales[0].values[2] = 0.0
+        counts = [2, 5, 9]
+        raw = np.random.default_rng(27).normal(
+            size=(sum(counts), DRAW)).astype(dtype)
+        feats = encode_feature(None, params, dc.DTensor(raw))
+        voxels = [(n, bank_keys(None, params, cast(bank)))
+                  for n, bank in zip(counts, banks)]
+        local, conf = decode(None, params, feats, voxels)
+        assert local.values.dtype == dtype
+        for (n, blocks), end in zip(voxels, np.cumsum(counts)):
+            rows = slice(end - n, end)
+            alone = decode(None, params, DTensor(feats.values[rows]),
+                           [(n, blocks)])
+            assert alone[0].values.tobytes() == local.values[rows].tobytes()
+            assert alone[1].values.tobytes() == conf.values[rows].tobytes()
+
+    def test_a_block_pruned_in_every_voxel_is_skipped_by_every_row(self):
+        params = make_params()
+        banks = [make_bank(seed) for seed in (1, 2)]
+        for bank in banks:
+            bank.scales[1].values[:] = 0.0
+        feats = encode_feature(None, params, dc.DTensor(
+            np.random.default_rng(28).normal(size=(7, DRAW))))
+        voxels = [(3, bank_keys(None, params, banks[0])),
+                  (4, bank_keys(None, params, banks[1]))]
+        assert all(blocks[1] is None for _, blocks in voxels)
+        # the same decoder without block 1, over the same keys
+        skipped = DecoderParams(params.encoder,
+                                [params.blocks[0], params.blocks[2]],
+                                params.head, DRAW, D, 8, 8)
+        want = decode(None, skipped, feats,
+                      [(n, [b[0], b[2]]) for n, b in voxels])
+        got = decode(None, params, feats, voxels)
+        for a, b in zip(got, want):
+            assert a.values.tobytes() == b.values.tobytes()
+        # a voxel with a live block-1 code cannot share the pass
+        banks[1].scales[1].values[0] = 1.0
+        with pytest.raises(DimensionError, match="fully pruned"):
+            decode(None, params, feats,
+                   [(3, voxels[0][1]),
+                    (4, bank_keys(None, params, banks[1]))])
+
+    def test_two_voxel_taped_decode_gradients(self):
+        # the features, both voxels' codes and both voxels' scales
+        params = make_params(num_blocks=2, d=4)
+
+        def build(tape, feats, *banks):
+            a, b = (CodeBank(list(t[:2]), list(t[2:]))
+                    for t in (banks[:4], banks[4:]))
+            local, conf = decode(tape, params, feats,
+                                 [(2, bank_keys(tape, params, a)),
+                                  (3, bank_keys(tape, params, b))])
+            return dc.mul(tape, local, conf)
+
+        bank = [(3, 4), (3, 4), (3, 1), (3, 1)]
+        check_op(build, [(5, 4)] + bank + bank, seed=3)
 
 
 class TestPrunedCodes:
@@ -230,7 +319,7 @@ class TestPrunedCodes:
         bank.scales[1].values[:] = 0.0
         f = encode_feature(None, params, dc.DTensor(raw))
         kv = block_keys(None, params, bank, 1)
-        out, attn = cross_attention_block(None, f, kv, 1, params)
+        out, attn = cross_attention_block(None, f, [(6, kv)], 1, params)
         assert kv is None and out is f and attn is None
 
     def test_pruned_rows_get_no_gradient(self):
@@ -240,7 +329,8 @@ class TestPrunedCodes:
         bank.scales[0].values[1] = 0.0
         tape = Tape()
         feats = encode_feature(tape, params, dc.DTensor(raw))
-        local, _ = decode(tape, params, feats, bank_keys(tape, params, bank))
+        local, _ = decode(tape, params, feats,
+                          [(4, bank_keys(tape, params, bank))])
         grads = tape.backward(dc.sum_all(tape, local),
                               bank.named_parameters())
         code, scale = grads[bank.codes[0].name], grads[bank.scales[0].name]
@@ -262,16 +352,20 @@ class TestDecodeShape:
         params = make_params()
         with pytest.raises(DimensionError):
             encode_feature(None, params, dc.DTensor(np.zeros((2, DRAW + 1))))
+        blocks = bank_keys(None, params, make_bank())
         feats = dc.DTensor(np.zeros((2, D + 1)))
         with pytest.raises(DimensionError):
-            decode(None, params, feats, bank_keys(None, params, make_bank()))
+            decode(None, params, feats, [(2, blocks)])
         feats = dc.DTensor(np.zeros((2, D)))
         with pytest.raises(DimensionError):
             decode(None, params, feats,
-                   bank_keys(None, params, make_bank(d=D + 2)))
-        with pytest.raises(DimensionError, match="2 key blocks"):
-            decode(None, params, feats,
-                   bank_keys(None, params, make_bank())[:2])
+                   [(2, bank_keys(None, params, make_bank(d=D + 2)))])
+        with pytest.raises(DimensionError, match=r"key blocks \[\(2, 2\)\]"):
+            decode(None, params, feats, [(2, blocks[:2])])
+        # the runs must cover the rows exactly
+        for voxels in ([(1, blocks)], [(2, blocks), (1, blocks)], []):
+            with pytest.raises(DimensionError):
+                decode(None, params, feats, voxels)
 
     def test_untaped_decode_allocates_no_gradient_buffers(self, monkeypatch):
         params, bank = make_params(), make_bank()
@@ -287,9 +381,9 @@ class TestDecodeShape:
         # an np.float64 scale would make NumPy 2 run float32 logits in float64
         scales = []
 
-        def spy(tape, q, k, v, c):
+        def spy(tape, q, runs, c):
             scales.append(c)
-            return real(tape, q, k, v, c)
+            return real(tape, q, runs, c)
 
         real = dc.attention
         monkeypatch.setattr(dc, "attention", spy)
@@ -352,11 +446,10 @@ class TestAttentionScores:
         raw = np.random.default_rng(14).normal(size=(8, DRAW))
         feats = encode_feature(None, params, dc.DTensor(raw))
         f, _ = cross_attention_block(None, feats,
-                                     block_keys(None, params, bank, 0), 0,
-                                     params)
-        _, attn = cross_attention_block(None, f,
-                                        block_keys(None, params, bank, 1), 1,
-                                        params)
+                                     [(8, block_keys(None, params, bank, 0))],
+                                     0, params)
+        _, (attn,) = cross_attention_block(
+            None, f, [(8, block_keys(None, params, bank, 1))], 1, params)
         # canonical order: active rows sorted by their (code, scale) values
         codes, scales = bank.codes[1].values, bank.scales[1].values
         order = sorted(bank.active_rows(1),

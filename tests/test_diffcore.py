@@ -74,7 +74,7 @@ class TestPrimitiveGradients:
     def test_matmul_nt(self):
         # the q k^T products inside attention: dq and dk with v held fixed
         v = dc.DTensor(RNG(7).normal(size=(5, 3)))
-        check_op(lambda t, q, k: dc.attention(t, q, k, v, 1.0)[0],
+        check_op(lambda t, q, k: dc.attention(t, q, [(3, k, v)], 1.0)[0],
                  [(3, 4), (5, 4)])
 
     def test_relu(self):
@@ -95,11 +95,21 @@ class TestPrimitiveGradients:
     def test_softmax_rows(self):
         # with k = v = I the attention output is the row softmax of c q
         eye = dc.DTensor(np.eye(6))
-        check_op(lambda t, x: dc.attention(t, x, eye, eye, 1.0)[0], [(3, 6)])
+        check_op(lambda t, x: dc.attention(t, x, [(3, eye, eye)], 1.0)[0], [(3, 6)])
 
     def test_attention(self):
-        check_op(lambda t, q, k, v: dc.attention(t, q, k, v, 0.7)[0],
+        check_op(lambda t, q, k, v: dc.attention(t, q, [(3, k, v)], 0.7)[0],
                  [(3, 4), (6, 4), (6, 5)])
+
+    def test_attention_over_runs(self):
+        check_op(lambda t, q, k1, v1, k2, v2: dc.attention(
+            t, q, [(2, k1, v1), (3, k2, v2)], 0.7)[0],
+            [(5, 4), (6, 4), (6, 5), (3, 4), (3, 5)])
+
+    def test_attention_runs_sharing_keys(self):
+        # both runs' adjoints reach the one k and v
+        check_op(lambda t, q, k, v: dc.attention(
+            t, q, [(2, k, v), (3, k, v)], 0.7)[0], [(5, 4), (6, 4), (6, 5)])
 
     def test_layer_norm(self):
         check_op(dc.layer_norm, [(3, 8), (1, 8), (1, 8)], tol=1e-5)
@@ -134,11 +144,42 @@ class TestForwardValues:
         # c = 0.3 is no power of two, so a reordered scaling rounds apart
         rng = RNG(0)
         q, k, v = (rng.normal(size=s) * 3 for s in ((5, 4), (7, 4), (7, 3)))
-        out, p = dc.attention(None, DTensor(q), DTensor(k), DTensor(v), 0.3)
+        out, (p,) = dc.attention(None, DTensor(q),
+                                 [(5, DTensor(k), DTensor(v))], 0.3)
         want = reference_softmax(q, k, 0.3)
         np.testing.assert_array_equal(p, want)
         np.testing.assert_array_equal(out.values, want @ v)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-14)
+
+    def test_attention_runs_match_each_run_alone_bits(self):
+        # outputs, softmax weights and gradients, run by run
+        rng = RNG(6)
+        q = DTensor(rng.normal(size=(9, 4)) * 3)
+        runs = [(n, DTensor(rng.normal(size=(l, 4)) * 3),
+                 DTensor(rng.normal(size=(l, 3)))) for n, l in ((2, 5),
+                                                                (7, 8))]
+        w = rng.normal(size=(9, 3))
+
+        def run(q, runs, w):
+            tape = Tape()
+            out, ps = dc.attention(tape, q, runs, 0.3)
+            grads = tape.backward(
+                dc.sum_all(tape, dc.mul(tape, out, DTensor(w))),
+                {"q": q, **{f"{x}{i}": t for i, (_, k, v) in enumerate(runs)
+                            for x, t in (("k", k), ("v", v))}})
+            return out.values, ps, grads
+
+        out, ps, grads = run(q, runs, w)
+        start = 0
+        for i, (n, k, v) in enumerate(runs):
+            rows = slice(start, start + n)
+            start += n
+            alone = run(DTensor(q.values[rows]), [(n, k, v)], w[rows])
+            assert alone[0].tobytes() == out[rows].tobytes()
+            assert alone[1][0].tobytes() == ps[i].tobytes()
+            assert alone[2]["q"].tobytes() == grads["q"][rows].tobytes()
+            for x in ("k", "v"):
+                assert alone[2][f"{x}0"].tobytes() == grads[f"{x}{i}"].tobytes()
 
     def test_attention_gradients_match_reference_bits(self):
         rng = RNG(5)
@@ -146,7 +187,7 @@ class TestForwardValues:
         w = rng.normal(size=(6, 3))
         q, k, v = (DTensor(a) for a in arrays)
         tape = Tape()
-        out, _ = dc.attention(tape, q, k, v, 0.3)
+        out, _ = dc.attention(tape, q, [(6, k, v)], 0.3)
         grads = tape.backward(
             dc.sum_all(tape, dc.mul(tape, out, dc.DTensor(w))),
             {"q": q, "k": k, "v": v})
@@ -205,7 +246,7 @@ class TestDtype:
                        for s in ((4, 3), (3, 3), (1, 3), (5, 3)))
         h = dc.relu(None, dc.add(None, dc.matmul(None, x, w), b))
         h = dc.layer_norm(None, h, b, b)
-        att, p = dc.attention(None, h, kv, kv, 0.5)
+        att, (p,) = dc.attention(None, h, [(4, kv, kv)], 0.5)
         out = dc.sigmoid(None, dc.slice_cols(None, dc.take_rows(
             None, dc.mul(None, att, att), [0, 2]), 0, 1))
         assert p.dtype == np.float32
@@ -303,7 +344,7 @@ class TestTape:
         def grads(weights):
             ins = [DTensor(a) for a in arrays]
             tape = Tape()
-            out, _ = dc.attention(tape, *ins, 0.8)
+            out, _ = dc.attention(tape, ins[0], [(3, *ins[1:])], 0.8)
             total = [0.0, 0.0, 0.0]
             for w in weights:
                 got = tape.backward(
@@ -339,7 +380,7 @@ class TestNumericGuards:
         v = DTensor(np.ones((2, 3)))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericError, match="logits"):
-            dc.attention(None, q, k, v, 1.0)
+            dc.attention(None, q, [(1, k, v)], 1.0)
 
     def test_overflowing_layer_norm_variance_aborts(self):
         # finite in float32, but the squared deviations are not; an inf
@@ -416,6 +457,10 @@ def test_dimension_errors():
         dc.matmul(None, a, b)
     q, k, v = (DTensor(np.ones(s)) for s in ((2, 3), (4, 3), (4, 5)))
     with pytest.raises(DimensionError):
-        dc.attention(None, q, DTensor(np.ones((4, 2))), v, 1.0)
+        dc.attention(None, q, [(2, DTensor(np.ones((4, 2))), v)], 1.0)
     with pytest.raises(DimensionError):
-        dc.attention(None, q, k, DTensor(np.ones((3, 5))), 1.0)
+        dc.attention(None, q, [(2, k, DTensor(np.ones((3, 5))))], 1.0)
+    # the runs must cover q's rows exactly
+    for runs in ([(1, k, v)], [(2, k, v), (1, k, v)], []):
+        with pytest.raises(DimensionError):
+            dc.attention(None, q, runs, 1.0)

@@ -143,30 +143,6 @@ def route_every_pair(monkeypatch):
 
 
 class TestLocalize:
-    def patch_perfect_decoder(self, monkeypatch, positions, conf=0.9):
-        """decode() stand-in returning ground-truth coordinates for member
-        keypoints of the voxel and low confidence elsewhere."""
-
-        def fake_decode(tape, params, feats, blocks):
-            ids = fake_decode.current_ids
-            members = fake_decode.current_members
-            origin = fake_decode.current_origin
-            m = len(ids)
-            local = np.zeros((m, 3))
-            c = np.full((m, 1), 0.01)
-            for i, pid in enumerate(ids):
-                if pid in members:
-                    local[i] = positions[pid] - origin
-                    c[i, 0] = conf
-            return DTensor(local), DTensor(c)
-
-        monkeypatch.setattr(pipeline, "decode", fake_decode)
-        # block 0's query projection needs features of the decoder's width
-        monkeypatch.setattr(pipeline, "encode_feature",
-                            lambda tape, params, raw:
-                            DTensor(raw.values[:, :params.d]))
-        return fake_decode
-
     def test_perfect_candidates_recover_pose(self, monkeypatch):
         rng = np.random.default_rng(1)
         pts, scene = make_world_scene(rng)
@@ -174,33 +150,31 @@ class TestLocalize:
         truth = look_at([5.0, 1.0, 2.0], [0.0, 0.0, 0.0])
         query = query_for(pts, truth, rng)
 
-        members_by_voxel = {vid: set(int(m) for m in v.members)
-                            for vid, v in scene.voxels.items()}
-        fake = self.patch_perfect_decoder(monkeypatch, positions)
+        def perfect_decode(tape, params, feats, voxels):
+            """Ground-truth coordinates for member keypoints of each voxel,
+            in voxel-id order, and low confidence elsewhere: every voxel
+            runs every keypoint."""
+            local, conf = [], []
+            for vid in sorted(scene.voxels):
+                voxel = scene.voxels[vid]
+                member = np.isin(query.point_ids, voxel.members)
+                local.append([positions[int(i)] - voxel.origin if hit
+                              else np.zeros(3)
+                              for i, hit in zip(query.point_ids, member)])
+                conf.append(np.where(member, 0.9, 0.01)[:, None])
+            return DTensor(np.concatenate(local)), \
+                DTensor(np.concatenate(conf))
+
+        monkeypatch.setattr(pipeline, "decode", perfect_decode)
+        # block 0's query projection needs features of the decoder's width
+        monkeypatch.setattr(pipeline, "encode_feature",
+                            lambda tape, params, raw:
+                            DTensor(raw.values[:, :params.d]))
         # the fake models every (keypoint, voxel) pair decoded
         route_every_pair(monkeypatch)
-
-        real_localize_decode = pipeline.decode
-
-        def run():
-            # feed per-voxel member context into the fake via attributes
-            order = sorted(scene.voxels)
-            calls = iter(order)
-
-            def wrapping(tape, params, feats, blocks):
-                vid = next(calls)
-                fake.current_ids = [int(i) for i in query.point_ids]
-                fake.current_members = members_by_voxel[vid]
-                fake.current_origin = scene.voxels[vid].origin
-                return real_localize_decode(tape, params, feats, blocks)
-
-            monkeypatch.setattr(pipeline, "decode", wrapping)
-            return localize(query, scene,
-                            small_params(np.random.default_rng(0)), None,
-                            LocalizeOptions(bypass_retrieval=True,
-                                            ransac_iters=100))
-
-        res = run()
+        res = localize(query, scene, small_params(np.random.default_rng(0)),
+                       None, LocalizeOptions(bypass_retrieval=True,
+                                             ransac_iters=100))
         assert res.success
         dt, dr = pose_error(res.pose, truth)
         assert dt < 1e-4 and dr < 1e-3
@@ -225,8 +199,8 @@ class TestLocalize:
         truth = look_at([5.0, 1.0, 2.0], [0.0, 0.0, 0.0])
         query = query_for(pts, truth, rng)
 
-        def fake_decode(tape, params, feats, blocks):
-            m = query.num_keypoints
+        def fake_decode(tape, params, feats, voxels):
+            m = sum(n for n, _ in voxels)
             return DTensor(np.zeros((m, 3))), DTensor(np.full((m, 1), 0.01))
 
         monkeypatch.setattr(pipeline, "decode", fake_decode)
@@ -257,8 +231,8 @@ class TestLocalize:
         results = []
         for vid in sorted(scene.voxels):
             bank32 = pipeline._float32_state(scene.voxels[vid].codes)[0]
-            results.append(decode(None, params32, feats,
-                                  bank_keys(None, params32, bank32)))
+            results.append(decode(None, params32, feats, [(
+                query.num_keypoints, bank_keys(None, params32, bank32))]))
         confs = [conf.values[:, 0] for _, conf in results]
         conf_min = float(np.median(np.concatenate(confs)))
         world = np.concatenate([
@@ -328,19 +302,23 @@ class TestRouting:
 
     @staticmethod
     def spy_on_decode(monkeypatch, params, query):
-        """Each decode call's (keypoint rows, blocks), in call order."""
+        """Each voxel run of every decode pass as (keypoint rows, blocks),
+        in call and run order."""
         feats = encode_feature(None, pipeline._float32_state(params)[0],
                                DTensor(query.descriptors.astype(np.float32)))
         row_of = {row.tobytes(): i for i, row in enumerate(feats.values)}
-        calls, real = [], pipeline.decode
+        runs, real = [], pipeline.decode
 
-        def spy(tape, params, feats, blocks):
-            rows = sorted({row_of[row.tobytes()] for row in feats.values})
-            calls.append((rows, blocks))
-            return real(tape, params, feats, blocks)
+        def spy(tape, params, feats, voxels):
+            ends = np.cumsum([n for n, _ in voxels])
+            for (n, blocks), end in zip(voxels, ends):
+                runs.append((sorted({row_of[row.tobytes()]
+                                     for row in feats.values[end - n:end]}),
+                             blocks))
+            return real(tape, params, feats, voxels)
 
         monkeypatch.setattr(pipeline, "decode", spy)
-        return calls
+        return runs
 
     def test_ties_go_to_the_lower_voxel_id(self):
         # keypoint 0 ties in all three voxels, keypoint 1 in the first two,
@@ -424,8 +402,8 @@ class TestRouting:
             [route_scores(params32, q, block_keys(None, params32, bank, 0))
              for bank in banks], query.num_keypoints)
         world = np.concatenate([
-            decode(None, params32, feats,
-                   bank_keys(None, params32, bank))[0].values[rows]
+            decode(None, params32, feats, [(query.num_keypoints, bank_keys(
+                None, params32, bank))])[0].values[rows]
             + scene.voxels[vid].origin
             for vid, bank, rows in zip(sorted(scene.voxels), banks, routes)])
         pixels = np.concatenate([query.pixels[rows] for rows in routes])
@@ -497,6 +475,57 @@ class TestRouting:
                        LocalizeOptions(bypass_retrieval=True))
         assert len(calls) < len(scene.voxels)
         assert res.num_decoded_pairs == query.num_keypoints
+
+    def test_one_decode_pass_per_query(self, monkeypatch):
+        # no block of this world is fully pruned, so every routed row of a
+        # query decodes in one call
+        scene, query, params = self.world()
+        calls, real = [], pipeline.decode
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "decode", spy)
+        for _ in range(2):
+            localize(query, scene, params, None,
+                     LocalizeOptions(bypass_retrieval=True))
+        assert len(calls) == 2
+        assert len(calls[0][3]) > 3
+
+    def test_an_overflow_in_one_voxel_names_that_voxel(self):
+        # only the third voxel's block-1 attention logits overflow, from
+        # finite float32 queries and keys: its keys point along the block-1
+        # query of one of its rows, at a length near the float32 maximum
+        scene, query, params = self.world()
+        params.blocks[1].wk.values[...] = np.eye(params.d)
+        vids = sorted(scene.voxels)
+        params32 = pipeline._float32_state(params)[0]
+        feats = encode_feature(None, params32, DTensor(
+            query.descriptors.astype(np.float32)))
+        banks = [pipeline._float32_state(scene.voxels[vid].codes)[0]
+                 for vid in vids]
+        q = feats.values @ params32.blocks[0].wq.values
+        rows = route_keypoints(
+            [route_scores(params32, q, block_keys(None, params32, bank, 0))
+             for bank in banks], query.num_keypoints)[2]
+        assert len(rows) > 0
+        f, _ = decoder.cross_attention_block(
+            None, DTensor(feats.values[rows]),
+            [(len(rows), block_keys(None, params32, banks[2], 0))], 0,
+            params32)
+        q1 = f.values.astype(np.float64) @ params.blocks[1].wq.values
+        best = q1[np.argmax(np.linalg.norm(q1, axis=1))]
+        key = best / np.abs(best).max()
+        assert 3e38 * (best @ key) > 2 * float(np.finfo(np.float32).max)
+        target = scene.voxels[vids[2]].codes
+        target.codes[1].values[...] = key
+        target.scales[1].values[...] = 3e38
+        stage = re.escape(
+            f"attention logits (decode of voxel {tuple(vids[2])})")
+        with pytest.raises(NumericError, match=stage):
+            localize(query, scene, params, None,
+                     LocalizeOptions(bypass_retrieval=True))
 
     def test_a_non_finite_score_names_the_decode_stage(self):
         # finite float32 queries and keys overflow in the first voxel's

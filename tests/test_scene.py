@@ -367,8 +367,9 @@ class TestPersistence:
                                     head_hidden=8)
         feats = encode_feature(None, params, DTensor(
             np.random.default_rng(2).normal(size=(5, 8))))
-        got, want = (decode(None, params, feats, bank_keys(
-            None, params, s.sorted_voxels()[0].codes)) for s in (scene, zeroed))
+        got, want = (decode(None, params, feats, [(5, bank_keys(
+            None, params, s.sorted_voxels()[0].codes))])
+            for s in (scene, zeroed))
         for a, b in zip(got, want):
             assert a.values.tobytes() == b.values.tobytes()
         loaded = scene_from_bytes(scene_to_bytes(scene))
